@@ -97,13 +97,26 @@ def bench_engine_cancel(events: int = 100_000, seed: int = 11) -> Dict[str, Any]
     return result
 
 
+#: The obs layer's zero-overhead-when-off contract: an attached-but-idle
+#: registry may slow the event drain by at most this fraction ...
+OBS_OVERHEAD_THRESHOLD = 0.02
+#: ... or by at most this many seconds.  The two timed regions run
+#: identical instructions, so sub-millisecond gaps are timer/scheduler
+#: noise, not a contract regression — the absolute slack keeps short
+#: quick-scale drains from failing under a loaded machine where 2% of
+#: the wall time is microseconds.
+OBS_OVERHEAD_SLACK_S = 0.002
+
+
+def _obs_overhead_ok(plain_s: float, observed_s: float) -> bool:
+    gap = observed_s - plain_s
+    return gap / plain_s <= OBS_OVERHEAD_THRESHOLD or gap <= OBS_OVERHEAD_SLACK_S
+
+
 def bench_obs_overhead(
-    events: int = 200_000,
-    chains: int = 64,
-    seed: int = 23,
-    threshold: float = 0.02,
+    events: int = 200_000, chains: int = 64, seed: int = 23
 ) -> Dict[str, Any]:
-    """Pin the disabled-instrumentation overhead of the obs layer.
+    """Measure the disabled-instrumentation overhead of the obs layer.
 
     Times the same deterministic event drain twice: once registry-free,
     once with a :class:`~repro.obs.metrics.MetricsRegistry` attached as
@@ -113,11 +126,12 @@ def bench_obs_overhead(
     so any measured gap is either noise or a regression of the
     zero-overhead-when-off contract.
 
-    Raises ``RuntimeError`` when the observed run is more than
-    ``threshold`` (2%) slower across the minimum of several interleaved
-    rounds — interleaving plus min-of-rounds makes the comparison
-    robust to scheduler noise, and extra rounds are granted before
-    failing so a single noisy burst cannot break the perf gate.
+    Keeps the minimum of several interleaved rounds — interleaving plus
+    min-of-rounds makes the comparison robust to scheduler noise — and
+    grants extra rounds while the gap breaks the contract.  The
+    verdict itself belongs to ``repro bench --check``
+    (:func:`obs_overhead_failure`), so a noisy sample never fails a
+    plain ``repro bench`` run.
     """
     from repro.obs.metrics import MetricsRegistry
 
@@ -158,11 +172,6 @@ def bench_obs_overhead(
         return elapsed
 
     min_rounds, max_rounds = 3, 12
-    # The two regions run identical instructions, so sub-millisecond
-    # gaps are timer/scheduler noise, not a contract regression — the
-    # absolute slack keeps short quick-scale drains from flaking under
-    # a loaded machine where 2% of the wall time is microseconds.
-    abs_slack_s = 0.002
 
     def run() -> Dict[str, Any]:
         best_plain = best_observed = float("inf")
@@ -172,20 +181,9 @@ def bench_obs_overhead(
             # Interleave so slow system-wide phases hit both regions.
             best_plain = min(best_plain, drain_plain())
             best_observed = min(best_observed, drain_observed())
-            overhead = (best_observed - best_plain) / best_plain
-            if rounds >= min_rounds and (
-                overhead <= threshold
-                or best_observed - best_plain <= abs_slack_s
-            ):
+            if rounds >= min_rounds and _obs_overhead_ok(best_plain, best_observed):
                 break
         overhead = (best_observed - best_plain) / best_plain
-        if overhead > threshold and best_observed - best_plain > abs_slack_s:
-            raise RuntimeError(
-                f"disabled-instrumentation overhead {overhead:.1%} exceeds "
-                f"{threshold:.0%} (plain {best_plain:.4f}s vs observed "
-                f"{best_observed:.4f}s over {rounds} rounds) — the obs "
-                f"layer's zero-overhead-when-off contract regressed"
-            )
         return {
             "events": events,
             "rounds": rounds,
@@ -742,6 +740,27 @@ def check_regression(
             if delta < -threshold:
                 regressions.append(entry)
     return {"compared": compared, "regressions": regressions}
+
+
+def obs_overhead_failure(payload: Dict[str, Any]) -> Optional[str]:
+    """Why the payload's ``obs_overhead`` breaks its contract, else None.
+
+    The verdict compares two regions of one run, so unlike the
+    throughput gate it holds on any machine shape.  Payloads without
+    the workload pass.
+    """
+    result = payload.get("workloads", {}).get("obs_overhead")
+    if not isinstance(result, dict):
+        return None
+    plain, observed = result["plain_s"], result["observed_s"]
+    if _obs_overhead_ok(plain, observed):
+        return None
+    return (
+        f"disabled-instrumentation overhead {result['overhead_frac']:.1%} exceeds "
+        f"{OBS_OVERHEAD_THRESHOLD:.0%} (plain {plain:.4f}s vs observed "
+        f"{observed:.4f}s over {result['rounds']} rounds) — the obs "
+        f"layer's zero-overhead-when-off contract regressed"
+    )
 
 
 def render_check(outcome: Dict[str, Any], threshold: float = CHECK_THRESHOLD) -> str:

@@ -35,7 +35,11 @@ class GlobalAgent:
         self.invalidations_sent = 0
 
     def _line(self, addr: int) -> LineState:
-        return self._lines.setdefault(line_base(addr), LineState())
+        base = line_base(addr)
+        line = self._lines.get(base)
+        if line is None:
+            line = self._lines[base] = LineState()
+        return line
 
     def acquire(self, child: str, addr: int, exclusive: bool) -> Tuple[Set[str], int]:
         """Grant ``child`` access; returns (children to invalidate, msgs)."""
@@ -68,31 +72,19 @@ class GlobalAgent:
 
 
 class LocalAgent:
-    """A child node's coherence agent: filters traffic to the global agent."""
+    """A child node's coherence agent: its replicas and traffic counters.
 
-    def __init__(self, name: str, global_agent: GlobalAgent) -> None:
+    Accesses the replicas can satisfy never reach the global agent.  The
+    owning :class:`HierarchicalDomain` runs the miss path, so an agent
+    holds no reference back to the global agent or its siblings.
+    """
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.global_agent = global_agent
-        self._replicas: Dict[int, bool] = {}   # line -> exclusive?
+        self.replicas: Dict[int, bool] = {}   # line -> exclusive?
         self.local_hits = 0
         self.global_requests = 0
         self.fabric_messages = 0
-
-    def access(self, addr: int, exclusive: bool = False) -> bool:
-        """One access from this child; returns True if satisfied locally."""
-        addr = line_base(addr)
-        held = self._replicas.get(addr)
-        if held is not None and (not exclusive or held):
-            self.local_hits += 1
-            return True
-        self.global_requests += 1
-        _invalidated, messages = self.global_agent.acquire(self.name, addr, exclusive)
-        self.fabric_messages += messages
-        self._replicas[addr] = exclusive
-        return False
-
-    def invalidate(self, addr: int) -> None:
-        self._replicas.pop(line_base(addr), None)
 
     @property
     def filter_rate(self) -> float:
@@ -108,26 +100,29 @@ class HierarchicalDomain:
             raise ValueError("need at least one child node")
         self.global_agent = GlobalAgent()
         self.locals: Dict[str, LocalAgent] = {
-            f"child{i}": LocalAgent(f"child{i}", self.global_agent)
-            for i in range(children)
+            f"child{i}": LocalAgent(f"child{i}") for i in range(children)
         }
         self.fabric = fabric
-        self._wire_invalidations()
-
-    def _wire_invalidations(self) -> None:
-        # Wrap acquire so grants invalidate sibling replicas.
-        original = self.global_agent.acquire
-
-        def acquire(child: str, addr: int, exclusive: bool):
-            to_invalidate, messages = original(child, addr, exclusive)
-            for name in to_invalidate:
-                self.locals[name].invalidate(addr)
-            return to_invalidate, messages
-
-        self.global_agent.acquire = acquire  # type: ignore[method-assign]
 
     def access(self, child: str, addr: int, exclusive: bool = False) -> bool:
-        return self.locals[child].access(addr, exclusive)
+        """One access from ``child``; returns True if satisfied locally.
+
+        A miss asks the global agent for the line, then drops the line
+        from every sibling replica the grant invalidates.
+        """
+        addr = line_base(addr)
+        agent = self.locals[child]
+        held = agent.replicas.get(addr)
+        if held is not None and (not exclusive or held):
+            agent.local_hits += 1
+            return True
+        agent.global_requests += 1
+        invalidated, messages = self.global_agent.acquire(child, addr, exclusive)
+        for name in invalidated:
+            self.locals[name].replicas.pop(addr, None)
+        agent.fabric_messages += messages
+        agent.replicas[addr] = exclusive
+        return False
 
     @property
     def total_fabric_messages(self) -> int:

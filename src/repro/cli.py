@@ -609,16 +609,21 @@ def _cmd_bench(args: argparse.Namespace, out: IO[str]) -> int:
     out.write(f"\nwrote {path}\n")
     if baseline is None:
         return 0
+    # The obs verdict compares two regions of this run, so it gates on
+    # any machine shape.
+    obs_failure = bench.obs_overhead_failure(payload)
+    if obs_failure:
+        out.write(f"perf gate: FAIL — {obs_failure}\n")
     mismatch = bench.machine_mismatch(payload, baseline)
     if mismatch:
         # Cross-machine numbers are not comparable; a gate that fails on
         # them would only report hardware churn, so warn and pass.
         out.write(f"perf gate: skipped — {mismatch}\n")
-        return 0
+        return 1 if obs_failure else 0
     outcome = bench.check_regression(payload, baseline, args.threshold)
     out.write(bench.render_check(outcome, args.threshold))
     out.write("\n")
-    return 1 if outcome["regressions"] else 0
+    return 1 if outcome["regressions"] or obs_failure else 0
 
 
 def _cmd_analyze(args: argparse.Namespace, out: IO[str]) -> int:
@@ -904,7 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="perf gate: compare throughput against --baseline and exit "
         "nonzero on regression (skips with a warning when the baseline "
-        "came from a different machine shape)",
+        "came from a different machine shape), or when an idle metrics "
+        "registry slows the obs_overhead drain by more than 2%%",
     )
     bench.add_argument(
         "--baseline", default="benchmarks/BENCH_baseline.json",

@@ -121,6 +121,19 @@ class Supernode:
             host.name: f"child{i}" for i, host in enumerate(host_list)
         }
 
+        # Every miss travels to the same fabric endpoint (the first pool
+        # granule; with no fabric memory, the last host's leaf), so each
+        # host's route is worked out once: (round-trip ps, switches).
+        endpoints = root.endpoints
+        endpoint = endpoints[0] if endpoints else sorted(self.hosts)[-1]
+        self.miss_routes: Dict[str, Tuple[int, Tuple[CxlSwitch, ...]]] = {}
+        for name in self.hosts:
+            path = tuple(
+                self.fabric.switch(switch)
+                for switch in self.fabric.route(name, endpoint)
+            )
+            self.miss_routes[name] = (2 * sum(s.traversal_ps for s in path), path)
+
     @classmethod
     def from_hosts(
         cls,
@@ -203,21 +216,14 @@ class Supernode:
                 f"supernode host {host!r} is down: coherent access NAKed "
                 f"({entry.naks} so far)"
             )
-        child = self._child_of[host]
-        local_hit = self.domain.access(child, addr, exclusive)
-        if local_hit:
+        if self.domain.access(self._child_of[host], addr, exclusive):
             return 0
-        latency = 2 * self.fabric.latency_ps(host, self._any_fabric_endpoint())
+        latency, path = self.miss_routes[host]
+        for switch in path:
+            switch.packets_routed += 1
         entry.remote_accesses += 1
         entry.remote_latency_ps += latency
         return latency
-
-    def _any_fabric_endpoint(self) -> str:
-        for name in self.fabric.switch("root").endpoints:
-            return name
-        # No fabric memory: route to another host's leaf instead.
-        hosts = sorted(self.hosts)
-        return hosts[-1]
 
     # ------------------------------------------------------------------
     # Introspection

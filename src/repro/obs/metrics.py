@@ -13,7 +13,8 @@ next to the final :meth:`MetricsRegistry.summary`.
 Because observation is pull-based, a system that never attaches a
 registry executes exactly the same instructions as before — the
 zero-overhead-when-off contract shared with the ``NullTracer`` pattern
-(and pinned by ``repro bench``'s ``obs_overhead`` workload).  Scheduled
+(and checked by ``repro bench --check`` on the ``obs_overhead``
+workload).  Scheduled
 snapshots never mutate simulation state, so an instrumented run's
 measurement stays bit-identical to an uninstrumented one.
 

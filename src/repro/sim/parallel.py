@@ -84,18 +84,13 @@ def min_crossing_ps(supernode) -> int:
 def remote_latency_table(supernode) -> Dict[str, int]:
     """Paid fabric latency per host for one remote access (ps).
 
-    Mirrors :meth:`Supernode.coherent_access`'s miss cost — a round
-    trip to the fabric's memory endpoint — precomputed once so lanes
-    never route (or mutate switch counters) inside the hot loop.
+    Reads :attr:`Supernode.miss_routes`, the round trip
+    :meth:`Supernode.coherent_access` charges a miss, so lanes never
+    route (or mutate switch counters) inside the hot loop.
     """
-    fabric = supernode.fabric
-    endpoint = supernode._any_fabric_endpoint()
-    table: Dict[str, int] = {}
-    for host in sorted(supernode.hosts):
-        path = fabric.route(host, endpoint)
-        oneway = sum(fabric.switch(name).traversal_ps for name in path)
-        table[host] = 2 * oneway
-    return table
+    return {
+        host: supernode.miss_routes[host][0] for host in sorted(supernode.hosts)
+    }
 
 
 # ---------------------------------------------------------------------
@@ -172,10 +167,11 @@ class _Lane:
     def probe(self, line: int, excl: bool) -> int:
         """Local-agent probe; returns the paid latency (0 on a hit).
 
-        Mirrors :meth:`LocalAgent.access` + the supernode miss cost: a
-        miss fills the replica immediately (own fills are visible to
-        this lane within the window) and the matching global request is
-        emitted by the caller for the barrier merge.
+        Mirrors :meth:`HierarchicalDomain.access`'s local probe + the
+        supernode miss cost: a miss fills the replica immediately (own
+        fills are visible to this lane within the window) and the
+        matching global request is emitted by the caller for the
+        barrier merge.
         """
         held = self.replicas.get(line)
         if held is not None and (not excl or held):
@@ -360,8 +356,8 @@ class _Directory:
 
     Every worker applies the *same* merged request stream, so all
     replicas evolve identically; lanes hosted by this worker get their
-    replica mirrors invalidated as grants land (the
-    :meth:`HierarchicalDomain._wire_invalidations` behavior).
+    replica mirrors invalidated as grants land (the sibling invalidation
+    of :meth:`HierarchicalDomain.access`).
     """
 
     __slots__ = ("owner", "sharers", "requests", "invalidations")

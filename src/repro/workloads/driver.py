@@ -166,7 +166,6 @@ class WorkloadDriver:
         batch = resolved_workload.batch(seed)
         if streams is not None and streams > 1 and not batch.streams.any():
             batch = batch.restripe(streams)
-        ops: Optional[List[WorkloadOp]] = None
         resolved_topology = resolve_topology(topology)
         system = SystemBuilder(self.config).build(resolved_topology)
         controller = None
@@ -204,9 +203,8 @@ class WorkloadDriver:
                     system, resolved_topology, batch, controller, jobs
                 )
             else:
-                ops = batch.to_ops()
                 series = self._drive_supernode(
-                    system, resolved_topology, ops, controller
+                    system, resolved_topology, batch, controller
                 )
             mode = "supernode"
         elif resolved_topology.by_kind("lsu"):
@@ -216,8 +214,9 @@ class WorkloadDriver:
                     f"topology {resolved_topology.name!r} is driven through "
                     f"its LSUs on one event calendar"
                 )
-            ops = batch.to_ops()
-            series = self._drive_lsus(system, resolved_topology, ops, controller)
+            series = self._drive_lsus(
+                system, resolved_topology, batch.to_ops(), controller
+            )
             mode = "lsu"
         else:
             kinds = sorted({spec.kind for spec in resolved_topology.nodes})
@@ -539,25 +538,29 @@ class WorkloadDriver:
     # ------------------------------------------------------------------
     @staticmethod
     def _drive_supernode(
-        system, topology: Topology, ops: List[WorkloadOp], controller=None
+        system, topology: Topology, batch: OpBatch, controller=None
     ) -> Dict[str, Dict[str, float]]:
         fabric_name = topology.by_kind("supernode.fabric")[0].name
         supernode = system.node(fabric_name)
         hosts = sorted(supernode.hosts)
-        per_host: Dict[str, Dict[str, float]] = {
-            host: {"accesses": 0.0, "latency_ps": 0.0} for host in hosts
-        }
+        # Per-op columns as plain lists: the issuing host, the system
+        # address and whether the access is exclusive (a write).
+        host_of = [hosts[i] for i in (batch.streams % len(hosts)).tolist()]
+        addrs = (batch.addrs + WINDOW_BASE).tolist()
+        exclusive = (batch.kinds == KIND_WRITE).tolist()
+        # Integer tallies: exact, so the float series match a float sum.
+        accesses = dict.fromkeys(hosts, 0)
+        paid_ps = dict.fromkeys(hosts, 0)
         if controller is None:
-            for op in ops:
-                host = hosts[op.stream % len(hosts)]
-                latency = supernode.coherent_access(
-                    host, WINDOW_BASE + op.addr, exclusive=op.kind == "write"
-                )
-                per_host[host]["accesses"] += 1.0
-                per_host[host]["latency_ps"] += float(latency)
+            coherent_access = supernode.coherent_access
+            for host, addr, excl in zip(host_of, addrs, exclusive):
+                accesses[host] += 1
+                paid_ps[host] += coherent_access(host, addr, excl)
         else:
             WorkloadDriver._drive_supernode_faulted(
-                supernode, fabric_name, topology, ops, controller, per_host
+                supernode, fabric_name, controller,
+                zip(host_of, addrs, exclusive, batch.delays.tolist()),
+                accesses, paid_ps,
             )
 
         series: Dict[str, Dict[str, float]] = {
@@ -569,17 +572,15 @@ class WorkloadDriver:
         for host in hosts:
             entry = supernode.hosts[host]
             agent = supernode.domain.locals[supernode._child_of[host]]
-            series["accesses"][host] = per_host[host]["accesses"]
+            series["accesses"][host] = float(accesses[host])
             series["remote_accesses"][host] = float(entry.remote_accesses)
-            series["fabric_latency_us"][host] = per_host[host]["latency_ps"] / 1e6
+            series["fabric_latency_us"][host] = paid_ps[host] / 1e6
             series["filter_rate"][host] = agent.filter_rate
-        series["accesses"]["all"] = float(len(ops))
+        series["accesses"]["all"] = float(len(batch))
         series["remote_accesses"]["all"] = float(
             sum(supernode.hosts[h].remote_accesses for h in hosts)
         )
-        series["fabric_latency_us"]["all"] = (
-            sum(per_host[h]["latency_ps"] for h in hosts) / 1e6
-        )
+        series["fabric_latency_us"]["all"] = sum(paid_ps.values()) / 1e6
         total_local = sum(
             supernode.domain.locals[supernode._child_of[h]].local_hits for h in hosts
         )
@@ -603,8 +604,7 @@ class WorkloadDriver:
 
     @staticmethod
     def _drive_supernode_faulted(
-        supernode, fabric_name: str, topology: Topology,
-        ops: List[WorkloadOp], controller, per_host,
+        supernode, fabric_name: str, controller, ops, accesses, paid_ps
     ) -> None:
         """Issue coherent ops under a fault plan, on a virtual clock.
 
@@ -617,22 +617,21 @@ class WorkloadDriver:
         mode turns both into bounded retry-with-backoff then drop.
         With an empty plan every op takes the plain path and pays
         exactly the plain latency, so the core series stay
-        bit-identical to a no-fault run.
+        bit-identical to a no-fault run.  ``ops`` yields
+        ``(host, system address, exclusive, delay_ps)`` per op.
         """
         from repro.core.supernode import HostDownError
         from repro.faults.controller import FaultActiveError
 
-        hosts = sorted(supernode.hosts)
         keys = {
-            host: tuple(sorted((host, fabric_name))) for host in hosts
+            host: tuple(sorted((host, fabric_name))) for host in supernode.hosts
         }
         retry = controller.retry
         stats = controller.stats
         t = 0
-        for op in ops:
-            host = hosts[op.stream % len(hosts)]
+        for host, addr, exclusive, delay_ps in ops:
             key = keys[host]
-            t += op.delay_ps + SUPERNODE_ISSUE_GAP_PS
+            t += delay_ps + SUPERNODE_ISSUE_GAP_PS
             stats.record_attempt()
             attempt = 0
             redeliver = 0
@@ -645,10 +644,7 @@ class WorkloadDriver:
                         raise FaultActiveError(
                             f"path {key[0]}--{key[1]} is down at {t}ps"
                         )
-                    latency = supernode.coherent_access(
-                        host, WINDOW_BASE + op.addr,
-                        exclusive=op.kind == "write",
-                    )
+                    latency = supernode.coherent_access(host, addr, exclusive)
                 except (HostDownError, FaultActiveError):
                     if not controller.degraded:
                         raise
@@ -674,8 +670,8 @@ class WorkloadDriver:
                         continue  # retransmit pays another access
                     stats.record_drop()
                     break
-                per_host[host]["accesses"] += 1.0
-                per_host[host]["latency_ps"] += float(paid)
+                accesses[host] += 1
+                paid_ps[host] += paid
                 stats.record_completion(t)
                 break
         controller.end_ps = t

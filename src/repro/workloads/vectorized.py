@@ -31,6 +31,15 @@ KIND_WRITE = 1
 
 _KIND_NAMES = ("read", "write")
 
+#: ``(column, least allowed value, wording)`` — the bounds
+#: :class:`WorkloadOp` enforces on its scalar fields.
+_COLUMN_BOUNDS = (
+    ("addrs", 0, "non-negative"),
+    ("sizes", 1, "positive"),
+    ("delays", 0, "non-negative"),
+    ("streams", 0, "non-negative"),
+)
+
 
 def _column(values, dtype, name: str) -> np.ndarray:
     array = np.asarray(values, dtype=dtype)
@@ -74,6 +83,15 @@ class OpBatch:
             raise WorkloadSchemaError(
                 "op batch kinds must be KIND_READ (0) or KIND_WRITE (1)"
             )
+        # WorkloadOp's per-field checks, one vectorized pass per column.
+        for name, least, what in _COLUMN_BOUNDS:
+            column = getattr(self, name)
+            if column.min(initial=least) < least:
+                row = int((column < least).argmax())
+                raise WorkloadSchemaError(
+                    f"op batch column {name!r} must hold {what} integers, "
+                    f"got {int(column[row])} at row {row}"
+                )
 
     # -- construction --------------------------------------------------
     @classmethod

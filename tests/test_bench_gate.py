@@ -192,6 +192,41 @@ def test_cli_check_corrupt_baseline_is_a_usage_error(tmp_path, fake_bench):
     assert "invalid baseline" in out
 
 
+def test_obs_overhead_verdict_belongs_to_the_check(tmp_path, fake_bench):
+    fake_bench["workloads"]["obs_overhead"] = {
+        "wall_s": 1.0, "rounds": 12, "plain_s": 0.05, "observed_s": 0.06,
+        "overhead_frac": 0.2, "events_per_sec": 1000,
+    }
+    # A plain bench run records the noisy sample and succeeds ...
+    code, out = run_cli("bench", "--quick", "--out", str(tmp_path / "bench.json"))
+    assert code == 0
+    # ... and the gate fails it, whatever the machine shape.
+    baseline = tmp_path / "baseline.json"
+    for machine in (fake_bench["machine"], dict(fake_bench["machine"], cpu_count=999)):
+        baseline.write_text(json.dumps(_payload(machine=machine)))
+        code, out = run_cli(
+            "bench", "--quick", "--check", "--baseline", str(baseline),
+            "--out", str(tmp_path / "bench.json"),
+        )
+        assert code == 1
+        assert "zero-overhead-when-off contract regressed" in out
+
+
+def test_obs_overhead_within_noise_passes_the_check(tmp_path, fake_bench):
+    fake_bench["workloads"]["obs_overhead"] = {
+        "wall_s": 1.0, "rounds": 3, "plain_s": 0.05, "observed_s": 0.0515,
+        "overhead_frac": 0.03, "events_per_sec": 1000,  # 3%, but 1.5 ms
+    }
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(fake_bench))
+    code, out = run_cli(
+        "bench", "--quick", "--check", "--baseline", str(baseline),
+        "--out", str(tmp_path / "bench.json"),
+    )
+    assert code == 0
+    assert "PASS" in out
+
+
 def test_cli_custom_threshold_changes_the_verdict(tmp_path, fake_bench):
     softer = copy.deepcopy(fake_bench)
     for workload in softer["workloads"].values():

@@ -1,5 +1,8 @@
 """Tests for supernode composition: leasing, routing, coherence."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import asic_system
@@ -83,6 +86,41 @@ def test_fabric_latency_includes_two_switch_hops():
     # leaf -> root (fabric endpoint lives at the root): 2 switches each
     # way at 70 ns.
     assert latency == 2 * 2 * 70_000
+
+
+def test_misses_count_packets_on_the_host_route_only():
+    node = build(hosts=3)
+    misses = 5
+    for i in range(misses):
+        assert node.coherent_access("host1", 0x10_000 + i * 64) > 0
+    assert node.coherent_access("host1", 0x10_000) == 0  # local hit: no packet
+    routed = {
+        name: node.fabric.switch(name).packets_routed
+        for name in node.fabric.switches
+    }
+    assert routed == {"leaf0": 0, "leaf1": misses, "leaf2": 0, "root": misses}
+
+
+def test_without_fabric_memory_misses_route_to_the_last_host():
+    node = build(hosts=2, fabric_gb=0)
+    assert node.coherent_access("host0", 0x1000) == 2 * 3 * 70_000  # leaf0-root-leaf1
+    assert node.coherent_access("host1", 0x2000) == 2 * 70_000       # leaf1 only
+    assert node.fabric.switch("leaf1").packets_routed == 2
+
+
+def test_dropped_supernode_frees_its_domain_without_gc():
+    # No reference cycle: the coherence domain (line states, replica
+    # sets) goes with the last reference, not at the next full collection.
+    gc.disable()
+    try:
+        node = build()
+        node.coherent_access("host0", 0x2000)
+        node.coherent_access("host1", 0x2000, exclusive=True)
+        domain = weakref.ref(node.domain)
+        del node
+        assert domain() is None
+    finally:
+        gc.enable()
 
 
 def test_utilization_view():

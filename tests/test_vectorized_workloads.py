@@ -110,6 +110,48 @@ def test_batch_validates_columns():
         OpBatch(kinds=[7], addrs=[0], sizes=[64], delays=[0], streams=[0])
 
 
+def _columns(**bad):
+    columns = dict(
+        kinds=[0, 1, 0], addrs=[0, 64, 128], sizes=[64, 64, 64],
+        delays=[0, 10, 20], streams=[0, 1, 0],
+    )
+    columns.update(bad)
+    return columns
+
+
+@pytest.mark.parametrize("column, values, row, wording", [
+    ("addrs", [0, 64, -128], 2, "non-negative"),
+    ("sizes", [64, 0, 64], 1, "positive"),
+    ("sizes", [-64, 64, 64], 0, "positive"),
+    ("delays", [0, -1, 20], 1, "non-negative"),
+    ("streams", [0, 1, -3], 2, "non-negative"),
+])
+def test_batch_rejects_what_workload_op_rejects(column, values, row, wording):
+    message = (
+        f"'{column}' must hold {wording} integers, got {values[row]} at row {row}"
+    )
+    with pytest.raises(WorkloadSchemaError, match=message):
+        OpBatch(**_columns(**{column: values}))
+    # WorkloadOp refuses the same value in its scalar field.
+    field = {
+        "addrs": "addr", "sizes": "size", "delays": "delay_ps", "streams": "stream"
+    }[column]
+    with pytest.raises(WorkloadSchemaError):
+        WorkloadOp(**{"kind": "read", "addr": 0, field: values[row]})
+
+
+def test_driver_surfaces_batch_validation_errors():
+    from repro.config import asic_system
+    from repro.workloads import Workload, WorkloadDriver
+
+    bad = Workload(
+        "bad-delays",
+        generate_batch=lambda rng: OpBatch(**_columns(delays=[0, 5, -7])),
+    )
+    with pytest.raises(WorkloadSchemaError, match="'delays'.*-7 at row 2"):
+        WorkloadDriver(asic_system()).run(bad, topology="supernode(2)", seed=1)
+
+
 def test_numpy_rng_is_seed_deterministic():
     import random
 
