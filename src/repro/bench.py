@@ -46,8 +46,8 @@ def _timed(fn: Callable[[], Dict[str, Any]]) -> Dict[str, Any]:
 def bench_engine_drain(events: int = 300_000, chains: int = 64, seed: int = 7) -> Dict[str, Any]:
     """Drain ``events`` events from ``chains`` self-rescheduling timers.
 
-    Exercises the tuple-heap calendar, the entry free-list and the
-    trusted fast path; no component or cache logic in the loop.
+    Exercises the tuple-heap calendar and the trusted fast path; no
+    component or cache logic in the loop.
     """
     rng = random.Random(seed)
     sim = Simulator()

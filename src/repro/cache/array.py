@@ -26,6 +26,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.cache.block import CacheBlock, MesiState
 from repro.mem.address import CACHELINE
 
+# Module-level alias: the probes below test ``state is not _INVALID``
+# inline rather than through the ``CacheBlock.valid`` property.
+_INVALID = MesiState.INVALID
+
 
 class CacheArray:
     """Tag store: ``size`` bytes, ``ways``-way set associative.
@@ -93,7 +97,7 @@ class CacheArray:
         shifted = addr >> self._line_shift
         cache_set = self._sets.get(shifted & self._set_mask)
         block = cache_set.get(shifted >> self._set_bits) if cache_set else None
-        if block is not None and block.valid:
+        if block is not None and block.state is not _INVALID:
             if count:
                 self.hits += 1
             if touch:
@@ -129,7 +133,7 @@ class CacheArray:
             shifted = addr >> line_shift
             cache_set = sets_get(shifted & set_mask)
             block = cache_set.get(shifted >> set_bits) if cache_set else None
-            if block is not None and block.valid:
+            if block is not None and block.state is not _INVALID:
                 hits += 1
                 if touch:
                     tick += 1
@@ -145,7 +149,7 @@ class CacheArray:
         shifted = addr >> self._line_shift
         cache_set = self._sets.get(shifted & self._set_mask)
         block = cache_set.get(shifted >> self._set_bits) if cache_set else None
-        if block is not None and block.valid:
+        if block is not None and block.state is not _INVALID:
             return block
         return None
 

@@ -21,7 +21,12 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from repro.cache.array import CacheArray
 from repro.cache.block import CacheBlock, MesiState
 from repro.cache.mesi import ProtocolError
-from repro.cache.messages import CoherenceMessage, MessageType, ProtocolTrace
+from repro.cache.messages import (
+    CoherenceMessage,
+    MessageType,
+    NullProtocolTrace,
+    ProtocolTrace,
+)
 from repro.config.system import HostParams
 from repro.mem.address import line_base
 from repro.mem.interface import MemoryInterface
@@ -38,7 +43,12 @@ class LlcOp(enum.Enum):
 
 
 class SharedLLC(Component):
-    """Home agent + shared LLC + directory."""
+    """Home agent + shared LLC + directory.
+
+    Protocol tracing is opt-in: the default :class:`NullProtocolTrace`
+    records nothing.  Pass ``trace=ProtocolTrace()`` (or assign
+    ``llc.trace``) to collect the Fig. 7 message ladder.
+    """
 
     def __init__(
         self,
@@ -52,11 +62,12 @@ class SharedLLC(Component):
         super().__init__(sim, name)
         self.host = host
         self.memif = memif
-        self.trace = trace if trace is not None else ProtocolTrace()
+        self.trace = trace if trace is not None else NullProtocolTrace()
         self.snoop_rt_ps = snoop_rt_ps
         self.array = CacheArray(host.llc_size, host.llc_ways, name=name)
         self._peers: Dict[str, object] = {}
-        self._busy: Dict[int, Deque[Callable[[], None]]] = {}
+        # Line locks: a busy line's queued requests, as _start arguments.
+        self._busy: Dict[int, Deque[tuple]] = {}
         self._next_free_ps = 0
         self.requests = 0
         self.snoops_sent = 0
@@ -105,8 +116,9 @@ class SharedLLC(Component):
         Racing requests to the same line serialize on a line lock.
         """
         addr = line_base(addr)
-        if addr in self._busy:
-            self._busy[addr].append(lambda: self._start(requester, op, addr, on_done))
+        waiters = self._busy.get(addr)
+        if waiters is not None:
+            waiters.append((requester, op, addr, on_done))
             return
         self._busy[addr] = deque()
         self._start(requester, op, addr, on_done)
@@ -297,8 +309,7 @@ class SharedLLC(Component):
         on_done()
         waiters = self._busy.get(addr)
         if waiters:
-            next_request = waiters.popleft()
-            next_request()
+            self._start(*waiters.popleft())
         else:
             self._busy.pop(addr, None)
 

@@ -86,10 +86,11 @@ class ProtocolTrace:
 
 
 class NullProtocolTrace(ProtocolTrace):
-    """A permanently disabled trace for measurement runs.
+    """A permanently disabled trace: the LLC's default.
 
     Behaves like an empty :class:`ProtocolTrace`; ``record`` is a no-op
-    even if ``enabled`` is flipped by accident.
+    even if ``enabled`` is flipped by accident.  Callers that want the
+    message ladder pass a :class:`ProtocolTrace` instead.
     """
 
     def __init__(self) -> None:

@@ -40,6 +40,16 @@ class Dcoh(Component):
         self.flexbus = flexbus
         self.llc = llc
         llc.register_peer(name, hmc)
+        # Per-stage costs, worked out once from the frozen profiles.
+        cycles_ps = profile.cycles_ps
+        self._request_ps = cycles_ps(profile.dcoh_request_cycles)
+        self._response_ps = cycles_ps(profile.dcoh_response_cycles)
+        self._tag_ps = hmc.tag_ps
+        self._data_ps = hmc.data_ps
+        self._fill_response_ps = (
+            cycles_ps(profile.dcoh_fill_cycles + profile.hmc_fill_cycles)
+            + self._response_ps
+        )
         self.reads = 0
         self.writes = 0
         self.nc_pushes = 0
@@ -61,10 +71,10 @@ class Dcoh(Component):
         targets on distant nodes.
         """
         self.reads += 1
-        addr = line_base(addr)
-        req_ps = self.profile.cycles_ps(self.profile.dcoh_request_cycles)
         self.sim.schedule_after(
-            req_ps, self._tag_lookup, (addr, on_done, exclusive, extra_rt_ps)
+            self._request_ps,
+            self._tag_lookup,
+            (line_base(addr), on_done, exclusive, extra_rt_ps),
         )
 
     def _tag_lookup(
@@ -74,19 +84,19 @@ class Dcoh(Component):
         exclusive: bool,
         extra_rt_ps: int,
     ) -> None:
-        start = self.hmc.service_start(self.sim.now)
-        tag_done = start + self.hmc.tag_ps
-        block = self.hmc.lookup(addr)
-        usable = block is not None and (not exclusive or block.state.writable)
-        if usable:
-            data_done = tag_done + self.hmc.data_ps
-            resp = self.profile.cycles_ps(self.profile.dcoh_response_cycles)
+        hmc = self.hmc
+        now = self.sim.now
+        tag_done = hmc.service_start(now) + self._tag_ps
+        block = hmc.lookup(addr)
+        if block is not None and (not exclusive or block.state.writable):
             result = DcohResult(addr, hmc_hit=True, llc_hit=False, dirty_victim=False)
-            self.sim.schedule_after(data_done + resp - self.sim.now, on_done, (result,))
+            self.sim.schedule_after(
+                tag_done + self._data_ps + self._response_ps - now, on_done, (result,)
+            )
             return
         # Miss (or ownership upgrade): go to the host home agent.
         self.sim.schedule_after(
-            tag_done - self.sim.now,
+            tag_done - now,
             self._to_host,
             (addr, on_done, exclusive, extra_rt_ps),
         )
@@ -98,45 +108,10 @@ class Dcoh(Component):
         exclusive: bool,
         extra_rt_ps: int,
     ) -> None:
-        op = LlcOp.RD_OWN if exclusive else LlcOp.RD_SHARED
         outbound_extra = extra_rt_ps // 2
-        inbound_extra = extra_rt_ps - outbound_extra
-        llc_was_hit_holder = [False]
-        # index/tag computed once; the fill after the host round trip
-        # reuses it.
-        probe = self.hmc.array.index_tag(addr)
-
-        def at_host() -> None:
-            llc_was_hit_holder[0] = self.llc.holds(addr)
-            self.llc.request(self.name, op, addr, host_done)
-
-        def host_done() -> None:
-            self.sim.schedule_after(
-                self.flexbus.oneway_ps + inbound_extra, back_at_device
-            )
-
-        def back_at_device() -> None:
-            fill_ps = self.profile.cycles_ps(
-                self.profile.dcoh_fill_cycles + self.profile.hmc_fill_cycles
-            )
-            state = MesiState.EXCLUSIVE if exclusive else MesiState.SHARED
-            _block, victim = self.hmc.fill(addr, state, probe=probe)
-            dirty_victim = victim is not None and victim[1].dirty
-            if dirty_victim:
-                self.evictions_issued += 1
-                # The writeback round itself runs off the critical path.
-                self.llc.request(self.name, LlcOp.DIRTY_EVICT, victim[0], lambda: None)
-            resp = self.profile.cycles_ps(self.profile.dcoh_response_cycles)
-            result = DcohResult(
-                addr,
-                hmc_hit=False,
-                llc_hit=llc_was_hit_holder[0],
-                dirty_victim=dirty_victim,
-            )
-            self.sim.schedule_after(fill_ps + resp, on_done, (result,))
-
+        miss = _HostMiss(self, addr, on_done, exclusive, extra_rt_ps - outbound_extra)
         self.flexbus.traffic[FlexBusChannel.CACHE] += 1
-        self.sim.schedule_after(self.flexbus.oneway_ps + outbound_extra, at_host)
+        self.sim.schedule_after(self.flexbus.oneway_ps + outbound_extra, miss.at_host)
 
     # ------------------------------------------------------------------
     # D2H coherent write: read-for-ownership then silent M upgrade
@@ -159,9 +134,7 @@ class Dcoh(Component):
                 _block, victim = self.hmc.fill(addr, MesiState.MODIFIED)
                 if victim is not None and victim[1].dirty:
                     self.evictions_issued += 1
-                    self.llc.request(
-                        self.name, LlcOp.DIRTY_EVICT, victim[0], lambda: None
-                    )
+                    self.llc.request(self.name, LlcOp.DIRTY_EVICT, victim[0], _ignore)
             else:
                 self.hmc.mark_modified(addr)
             on_done(result)
@@ -183,9 +156,8 @@ class Dcoh(Component):
             if on_done is not None:
                 on_done()
 
-        req_ps = self.profile.cycles_ps(self.profile.dcoh_request_cycles)
         self.flexbus.traffic[FlexBusChannel.CACHE] += 1
-        self.schedule(req_ps + self.flexbus.oneway_ps, at_host)
+        self.schedule(self._request_ps + self.flexbus.oneway_ps, at_host)
 
     # ------------------------------------------------------------------
     # Explicit dirty eviction (Fig. 7 phase 3)
@@ -209,6 +181,73 @@ class Dcoh(Component):
             self.hmc.invalidate(addr)
             on_done()
 
-        req_ps = self.profile.cycles_ps(self.profile.dcoh_request_cycles)
         self.flexbus.traffic[FlexBusChannel.CACHE] += 1
-        self.schedule(req_ps + self.flexbus.oneway_ps, at_host)
+        self.schedule(self._request_ps + self.flexbus.oneway_ps, at_host)
+
+
+def _ignore() -> None:
+    """Completion of an off-critical-path writeback round."""
+
+
+class _HostMiss:
+    """One HMC miss in flight: Flex Bus out, home agent, Flex Bus back.
+
+    Its bound methods are the event callbacks of the three stages, so a
+    miss allocates this one record instead of three closures.  The Flex
+    Bus latency is read when each crossing starts (a fault plan can make
+    it time-varying).
+    """
+
+    __slots__ = (
+        "dcoh", "addr", "on_done", "exclusive", "inbound_extra", "probe", "llc_hit",
+    )
+
+    def __init__(
+        self,
+        dcoh: Dcoh,
+        addr: int,
+        on_done: Callable[[DcohResult], None],
+        exclusive: bool,
+        inbound_extra: int,
+    ) -> None:
+        self.dcoh = dcoh
+        self.addr = addr
+        self.on_done = on_done
+        self.exclusive = exclusive
+        self.inbound_extra = inbound_extra
+        # index/tag computed once; the fill after the host round trip
+        # reuses it.
+        self.probe = dcoh.hmc.array.index_tag(addr)
+        self.llc_hit = False
+
+    @property
+    def name(self) -> str:
+        """The owning DCOH's name, so profilers charge the miss to it."""
+        return self.dcoh.name
+
+    def at_host(self) -> None:
+        dcoh = self.dcoh
+        self.llc_hit = dcoh.llc.holds(self.addr)
+        op = LlcOp.RD_OWN if self.exclusive else LlcOp.RD_SHARED
+        dcoh.llc.request(dcoh.name, op, self.addr, self.host_done)
+
+    def host_done(self) -> None:
+        dcoh = self.dcoh
+        dcoh.sim.schedule_after(
+            dcoh.flexbus.oneway_ps + self.inbound_extra, self.back_at_device
+        )
+
+    def back_at_device(self) -> None:
+        dcoh = self.dcoh
+        addr = self.addr
+        state = MesiState.EXCLUSIVE if self.exclusive else MesiState.SHARED
+        _block, victim = dcoh.hmc.fill(addr, state, probe=self.probe)
+        dirty_victim = victim is not None and victim[1].dirty
+        if dirty_victim:
+            dcoh.evictions_issued += 1
+            # The writeback round itself runs off the critical path.
+            dcoh.llc.request(dcoh.name, LlcOp.DIRTY_EVICT, victim[0], _ignore)
+        result = DcohResult(
+            addr, hmc_hit=False, llc_hit=self.llc_hit, dirty_victim=dirty_victim
+        )
+        dcoh.sim.schedule_after(dcoh._fill_response_ps, self.on_done, (result,))

@@ -63,7 +63,7 @@ class DmaEngine(Component):
         # The engine frees up once it has handed the payload to the link.
         self._engine_free_ps = start + self.params.setup_ps
         if on_done is not None:
-            self.sim.schedule_at(done, on_done, label=self.name)
+            self.schedule(done - self.sim.now, on_done)
         return done
 
     def measure_latency(self, size: int, repeats: int = 100) -> DmaReport:
@@ -105,7 +105,9 @@ class DmaEngine(Component):
         for req_id in range(descriptors):
             self.pmu.issued(req_id, base)
             completion += per_descriptor
-            self.sim.schedule_at(completion, self.pmu.completed, req_id, completion)
+            self.schedule(
+                completion - self.sim.now, self.pmu.completed, req_id, completion
+            )
         self.sim.run()
         bandwidth = self.pmu.bandwidth_gbps(size, warmup=warmup)
         self.transfers += descriptors

@@ -47,7 +47,7 @@ class FlexBus(Component):
         self.traffic[channel] += 1
         arrive = self.sim.now + self.oneway_ps
         if on_arrive is not None:
-            self.sim.schedule_at(arrive, on_arrive, label=self.name)
+            self.schedule(arrive - self.sim.now, on_arrive)
         return arrive
 
     def round_trip_ps(self) -> int:

@@ -54,9 +54,9 @@ class Link(Component):
         self.bytes_moved += size_bytes
         self.packets += 1
         if on_delivered is not None:
-            self.sim.schedule_at(delivered, on_delivered, label=self.name)
+            self.schedule(delivered - self.sim.now, on_delivered)
         elif handler is not None:
-            self.sim.schedule_at(delivered, handler, payload, label=self.name)
+            self.schedule(delivered - self.sim.now, handler, payload)
         return delivered
 
     @property

@@ -87,7 +87,7 @@ class PcieLink(Component):
             self._last_posted_write_done_ps = done
         self.tlps_sent += 1
         if on_delivered is not None:
-            self.sim.schedule_at(done, on_delivered, label=self.name)
+            self.schedule(done - self.sim.now, on_delivered)
         return done
 
     def transfer_wire_ps(self, size: int, ttype: TlpType = TlpType.MEM_WRITE) -> int:
@@ -121,12 +121,12 @@ class MmioPath(Component):
         self._write_free_ps = done
         self.writes += 1
         if on_done is not None:
-            self.sim.schedule_at(done, on_done, label=self.name)
+            self.schedule(done - self.sim.now, on_done)
         return done
 
     def read(self, on_done: Optional[Callable[[], None]] = None) -> int:
         done = self.sim.now + self.params.mmio_read_ps
         self.reads += 1
         if on_done is not None:
-            self.sim.schedule_at(done, on_done, label=self.name)
+            self.schedule(done - self.sim.now, on_done)
         return done

@@ -49,7 +49,11 @@ class MemoryInterface:
     def access_ps(self, addr: int, now_ps: int) -> int:
         """Round-trip latency for one line access through the interface."""
         self.routed += 1
-        controller = self.controller_of(addr)
+        for region, controller in self._targets.values():
+            if region.contains(addr):
+                break
+        else:
+            raise LookupError(f"address {addr:#x} maps to no memory target")
         inner_start = now_ps + self.oneway_ps
         result = controller.access(addr, inner_start)
         return self.oneway_ps + result.latency_ps + self.oneway_ps

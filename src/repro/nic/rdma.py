@@ -58,7 +58,7 @@ class RdmaFabric(Component):
         start = max(self.sim.now, self._port_free_ps[source])
         self._port_free_ps[source] = start + self.message_gap_ps
         arrive = start + self.latency_ps
-        self.sim.schedule_at(arrive, deliver, payload, label=self.name)
+        self.schedule(arrive - self.sim.now, deliver, payload)
         self.messages += 1
         return arrive
 

@@ -1,13 +1,14 @@
 """Event queue and simulator core.
 
 The engine is a classic calendar built on a binary heap.  Heap entries
-are small mutable lists ``[when, seq, callback, args, event]`` so that
+are immutable tuples ``(when, seq, callback, args, event)`` so that
 ordering is decided by C-level integer comparison on ``when``/``seq``
 (the monotonically increasing sequence number keeps same-picosecond
 events in scheduling order, which keeps protocol interleavings
-deterministic run-to-run) and the drain loop never calls a Python
-``__lt__``.  Entries are recycled through a free-list, so steady-state
-scheduling does no per-event allocation.
+deterministic run-to-run, and makes every key unique so the comparison
+never reaches ``callback``) and the drain loop never calls a Python
+``__lt__``.  A tuple is built in one step and dropped when it fires;
+nothing is recycled.
 
 Two scheduling tiers exist:
 
@@ -29,10 +30,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Any, Callable, List, Optional, Tuple
-
-# Upper bound on the entry free-list; beyond this, popped entries are
-# simply dropped for the garbage collector.
-_POOL_MAX = 4096
 
 # Heap compaction threshold: compact when the calendar holds at least
 # this many entries and more than half of them are cancelled.
@@ -106,11 +103,10 @@ class Simulator:
     def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
-        # Entries are [when, seq, callback, args, event_or_None].
-        self._heap: List[list] = []
+        # Entries are (when, seq, callback, args, event_or_None).
+        self._heap: List[tuple] = []
         self._executed: int = 0
         self._cancelled: int = 0
-        self._pool: List[list] = []
 
     @property
     def now(self) -> int:
@@ -137,20 +133,11 @@ class Simulator:
         """Schedule ``callback(*args)`` to fire ``delay_ps`` from now."""
         if delay_ps < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ps})")
-        self._seq += 1
+        seq = self._seq + 1
+        self._seq = seq
         when = self._now + delay_ps
-        event = Event(when, self._seq, callback, args, label, self)
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = self._seq
-            entry[2] = callback
-            entry[3] = args
-            entry[4] = event
-        else:
-            entry = [when, self._seq, callback, args, event]
-        heapq.heappush(self._heap, entry)
+        event = Event(when, seq, callback, args, label, self)
+        heapq.heappush(self._heap, (when, seq, callback, args, event))
         return event
 
     def schedule_at(
@@ -179,17 +166,7 @@ class Simulator:
         """
         seq = self._seq + 1
         self._seq = seq
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = self._now + delay_ps
-            entry[1] = seq
-            entry[2] = callback
-            entry[3] = args
-            # entry[4] is already None for pooled entries.
-        else:
-            entry = [self._now + delay_ps, seq, callback, args, None]
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (self._now + delay_ps, seq, callback, args, None))
 
     def _note_cancel(self) -> None:
         """Lazy-deletion bookkeeping; compacts a mostly-dead calendar."""
@@ -201,23 +178,16 @@ class Simulator:
             heapq.heapify(heap)
             self._cancelled = 0
 
-    def _recycle(self, entry: list) -> None:
-        entry[2] = entry[3] = entry[4] = None
-        if len(self._pool) < _POOL_MAX:
-            self._pool.append(entry)
-
     def _next_live_when(self) -> Optional[int]:
         """Timestamp of the next non-cancelled event, draining dead ones."""
         heap = self._heap
         while heap:
-            entry = heap[0]
-            event = entry[4]
+            when, _seq, _callback, _args, event = heap[0]
             if event is not None and event.cancelled:
                 heapq.heappop(heap)
                 self._cancelled -= 1
-                self._recycle(entry)
                 continue
-            return entry[0]
+            return when
         return None
 
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -234,40 +204,29 @@ class Simulator:
         if _PROFILER is not None:
             return self._run_profiled(_PROFILER, until_ps, max_events)
         executed_before = self._executed
-        # Hot loop: hoist bound methods and attributes into locals and
-        # inline entry recycling.  The heap and pool list objects are
-        # stable across callbacks (callbacks only push onto them), so
-        # holding references is safe.
+        # Hot loop: hoist the heap and heappop into locals.  The heap
+        # list object is stable across callbacks (callbacks only push
+        # onto it), so holding a reference is safe.
         heap = self._heap
-        pool = self._pool
         heappop = heapq.heappop
         limit = None if max_events is None else executed_before + max_events
         while heap:
-            entry = heap[0]
-            event = entry[4]
+            when, _seq, callback, args, event = heap[0]
             if event is not None and event.cancelled:
                 heappop(heap)
                 self._cancelled -= 1
-                entry[2] = entry[3] = entry[4] = None
-                if len(pool) < _POOL_MAX:
-                    pool.append(entry)
                 continue
-            if until_ps is not None and entry[0] > until_ps:
+            if until_ps is not None and when > until_ps:
                 break
             if limit is not None and self._executed >= limit:
                 break
             heappop(heap)
-            self._now = entry[0]
+            self._now = when
             self._executed += 1
-            callback = entry[2]
-            args = entry[3]
             if event is not None:
                 # Detach the handle so a stale cancel() after firing
                 # cannot inflate the lazy-deletion counter.
                 event._sim = None
-            entry[2] = entry[3] = entry[4] = None
-            if len(pool) < _POOL_MAX:
-                pool.append(entry)
             callback(*args)
         # Unified horizon handling for every exit path (calendar empty,
         # event beyond horizon, or max_events reached).
@@ -295,35 +254,25 @@ class Simulator:
 
         executed_before = self._executed
         heap = self._heap
-        pool = self._pool
         heappop = heapq.heappop
         record = profiler.record
         limit = None if max_events is None else executed_before + max_events
         run_start = perf_counter()
         while heap:
-            entry = heap[0]
-            event = entry[4]
+            when, _seq, callback, args, event = heap[0]
             if event is not None and event.cancelled:
                 heappop(heap)
                 self._cancelled -= 1
-                entry[2] = entry[3] = entry[4] = None
-                if len(pool) < _POOL_MAX:
-                    pool.append(entry)
                 continue
-            if until_ps is not None and entry[0] > until_ps:
+            if until_ps is not None and when > until_ps:
                 break
             if limit is not None and self._executed >= limit:
                 break
             heappop(heap)
-            self._now = entry[0]
+            self._now = when
             self._executed += 1
-            callback = entry[2]
-            args = entry[3]
             if event is not None:
                 event._sim = None
-            entry[2] = entry[3] = entry[4] = None
-            if len(pool) < _POOL_MAX:
-                pool.append(entry)
             record(callback, args)
         profiler.add_run(perf_counter() - run_start, self._executed - executed_before)
         if until_ps is not None and until_ps > self._now:
@@ -336,19 +285,14 @@ class Simulator:
         """Fire exactly one live event.  Returns False if none remain."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
-            event = entry[4]
-            if event is not None and event.cancelled:
-                self._cancelled -= 1
-                self._recycle(entry)
-                continue
-            self._now = entry[0]
-            self._executed += 1
-            callback = entry[2]
-            args = entry[3]
+            when, _seq, callback, args, event = heapq.heappop(heap)
             if event is not None:
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
                 event._sim = None
-            self._recycle(entry)
+            self._now = when
+            self._executed += 1
             callback(*args)
             return True
         return False
@@ -366,4 +310,3 @@ class Simulator:
         self._seq = 0
         self._executed = 0
         self._cancelled = 0
-        self._pool.clear()

@@ -33,7 +33,7 @@ import numpy as np
 from repro.config.system import SystemConfig
 from repro.mem.address import CACHELINE
 from repro.system import SystemBuilder, Topology, resolve_topology
-from repro.workloads.base import Workload, WorkloadOp, resolve_workload
+from repro.workloads.base import Workload, resolve_workload
 from repro.workloads.vectorized import KIND_WRITE, OpBatch
 
 #: Streams rebase into the host map at this address — one shared base
@@ -215,7 +215,7 @@ class WorkloadDriver:
                     f"its LSUs on one event calendar"
                 )
             series = self._drive_lsus(
-                system, resolved_topology, batch.to_ops(), controller
+                system, resolved_topology, batch, controller
             )
             mode = "lsu"
         else:
@@ -269,27 +269,36 @@ class WorkloadDriver:
     # LSU mode
     # ------------------------------------------------------------------
     def _drive_lsus(
-        self, system, topology: Topology, ops: List[WorkloadOp],
-        controller=None,
+        self, system, topology: Topology, batch: OpBatch, controller=None,
     ) -> Dict[str, Dict[str, float]]:
         lsu_specs = topology.by_kind("lsu")
         lsus = [system.node(spec.name) for spec in lsu_specs]
-        chains: Dict[int, List[WorkloadOp]] = {}
-        for op in ops:
-            chains.setdefault(op.stream, []).append(op)
-
-        stats: Dict[int, Dict[str, object]] = {}
-        for stream in sorted(chains):
+        # Per-stream rows in stream order; the stable sort keeps each
+        # stream's ops in batch order.
+        order = np.argsort(batch.streams, kind="stable")
+        streams, starts = np.unique(batch.streams[order], return_index=True)
+        writes = batch.kinds == KIND_WRITE
+        addrs = batch.addrs + WINDOW_BASE
+        chains: Dict[int, _LsuChain] = {}
+        for stream, rows in zip(streams.tolist(), np.split(order, starts[1:])):
             index = stream % len(lsus)
+            columns = (
+                writes[rows].tolist(),
+                addrs[rows].tolist(),
+                batch.sizes[rows].tolist(),
+                batch.delays[rows].tolist(),
+            )
             if controller is None:
-                stats[stream] = self._issue_chain(lsus[index], chains[stream])
+                chain = _LsuChain(lsus[index], *columns)
             else:
-                stats[stream] = self._issue_chain_faulted(
+                chain = _FaultedLsuChain(
                     lsus[index],
-                    chains[stream],
+                    *columns,
                     controller,
                     self._fault_binding(topology, lsu_specs[index]),
                 )
+            chains[stream] = chain
+            chain.issue_next()
         system.sim.run()
 
         series: Dict[str, Dict[str, float]] = {
@@ -301,26 +310,26 @@ class WorkloadDriver:
         total_bytes = 0
         first = None
         last = 0
-        for stream, state in sorted(stats.items()):
+        for stream, chain in sorted(chains.items()):
             key = f"s{stream}"
-            latencies = state["latencies"]
+            latencies = chain.latencies
             series["ops"][key] = float(len(latencies))
             series["lat_median_ns"][key] = (
                 statistics.median(latencies) / 1_000 if latencies else 0.0
             )
-            elapsed = state["last_done_ps"] - state["first_issue_ps"]
+            elapsed = chain.last_done_ps - chain.first_issue_ps
             series["bandwidth_gbps"][key] = (
-                state["bytes"] / elapsed * 1_000 if elapsed > 0 else 0.0
+                chain.bytes / elapsed * 1_000 if elapsed > 0 else 0.0
             )
             all_latencies.extend(latencies)
-            total_bytes += state["bytes"]
-            if state["latencies"]:
+            total_bytes += chain.bytes
+            if latencies:
                 first = (
-                    state["first_issue_ps"]
+                    chain.first_issue_ps
                     if first is None
-                    else min(first, state["first_issue_ps"])
+                    else min(first, chain.first_issue_ps)
                 )
-                last = max(last, state["last_done_ps"])
+                last = max(last, chain.last_done_ps)
         span = (last - first) if first is not None else 0
         series["ops"]["all"] = float(len(all_latencies))
         series["lat_median_ns"]["all"] = (
@@ -333,10 +342,8 @@ class WorkloadDriver:
             # Tail latency is what fault plans exist to move; nearest-rank
             # p99 over completed ops, per stream and pooled.
             series["lat_p99_ns"] = {}
-            for stream, state in sorted(stats.items()):
-                series["lat_p99_ns"][f"s{stream}"] = (
-                    self._p99_ns(state["latencies"])
-                )
+            for stream, chain in sorted(chains.items()):
+                series["lat_p99_ns"][f"s{stream}"] = self._p99_ns(chain.latencies)
             series["lat_p99_ns"]["all"] = self._p99_ns(all_latencies)
         return series
 
@@ -376,162 +383,6 @@ class WorkloadDriver:
                 keys.add(tuple(sorted((link.a, link.b))))
                 nodes.add(link.other(device))
         return tuple(sorted(nodes)), tuple(sorted(keys))
-
-    @staticmethod
-    def _issue_chain_faulted(
-        lsu, ops: List[WorkloadOp], controller, binding
-    ) -> Dict[str, object]:
-        """Fault-aware variant of :meth:`_issue_chain` for one stream.
-
-        With no fault active the chain schedules exactly the same event
-        sequence as the plain chain (the guards are synchronous checks
-        that fall through), so an empty plan reproduces a plain run
-        bit-identically.  When the op's path is faulted: strict mode
-        raises :class:`~repro.faults.controller.FaultActiveError` out
-        of the simulator; degraded mode retries with bounded backoff
-        and finally counts the op as dropped.  Corrupted completions
-        retransmit (re-paying the issue/access/complete pipeline) with
-        the same bound.
-        """
-        from repro.faults.controller import FaultActiveError
-
-        nodes, keys = binding
-        retry = controller.retry
-        stats = controller.stats
-        profile = lsu.profile
-        issue_ps = profile.cycles_ps(profile.lsu_issue_cycles)
-        complete_ps = profile.cycles_ps(profile.lsu_complete_cycles)
-        state: Dict[str, object] = {
-            "latencies": [],
-            "bytes": 0,
-            "first_issue_ps": -1,
-            "last_done_ps": 0,
-            "index": 0,
-            "issued_ps": 0,
-        }
-
-        def issue_next() -> None:
-            if state["index"] >= len(ops):
-                return
-            op = ops[state["index"]]
-            state["index"] += 1
-            # Per-op fault bookkeeping: first-issue time (latency spans
-            # every retry/retransmit), down-retry and retransmit budgets.
-            op_state = {"issued_ps": -1, "attempt": 0, "redeliver": 0}
-
-            def start() -> None:
-                now = lsu.sim.now
-                if op_state["issued_ps"] < 0:
-                    op_state["issued_ps"] = now
-                    if state["first_issue_ps"] < 0:
-                        state["first_issue_ps"] = now
-                    stats.record_attempt()
-                state["issued_ps"] = op_state["issued_ps"]
-                if controller.path_down(nodes, keys, now):
-                    if not controller.degraded:
-                        raise FaultActiveError(
-                            f"{lsu.name}: op {op.kind} @0x{op.addr:x} hit an "
-                            f"active fault at {now}ps (path nodes "
-                            f"{', '.join(nodes)})"
-                        )
-                    if op_state["attempt"] < retry.max_retries:
-                        delay = retry.delay_ps(op_state["attempt"])
-                        op_state["attempt"] += 1
-                        stats.record_retry()
-                        lsu.schedule(delay, start)
-                        return
-                    stats.record_drop()
-                    issue_next()
-                    return
-                if op.kind == "write":
-                    lsu.schedule(issue_ps, lsu.dcoh.write, WINDOW_BASE + op.addr, done)
-                else:
-                    lsu.schedule(issue_ps, lsu.dcoh.read, WINDOW_BASE + op.addr, done)
-
-            def done(_result) -> None:
-                lsu.schedule(complete_ps, finish)
-
-            def finish() -> None:
-                now = lsu.sim.now
-                corrupted = False
-                for key in keys:
-                    corrupted = controller.corrupted(key, now) or corrupted
-                if corrupted:
-                    stats.record_corrupt()
-                    if not controller.degraded:
-                        raise FaultActiveError(
-                            f"{lsu.name}: op {op.kind} @0x{op.addr:x} "
-                            f"corrupted on the wire at {now}ps"
-                        )
-                    if op_state["redeliver"] < retry.max_retries:
-                        op_state["redeliver"] += 1
-                        stats.record_retry()
-                        start()  # retransmit re-pays the whole pipeline
-                        return
-                    stats.record_drop()
-                    issue_next()
-                    return
-                state["latencies"].append(now - op_state["issued_ps"])
-                state["bytes"] += op.size
-                state["last_done_ps"] = now
-                stats.record_completion(now)
-                issue_next()
-
-            lsu.schedule(op.delay_ps, start)
-
-        issue_next()
-        return state
-
-    @staticmethod
-    def _issue_chain(lsu, ops: List[WorkloadOp]) -> Dict[str, object]:
-        """Serialized issue chain for one stream on one LSU.
-
-        Each op waits its ``delay_ps`` think time after the previous
-        completion, then pays the LSU issue/complete stages around the
-        DCOH access — the per-op latency excludes the think time.
-        Several chains coexist on one simulator (and even one LSU), so
-        nothing here drains the engine.
-        """
-        profile = lsu.profile
-        issue_ps = profile.cycles_ps(profile.lsu_issue_cycles)
-        complete_ps = profile.cycles_ps(profile.lsu_complete_cycles)
-        state: Dict[str, object] = {
-            "latencies": [],
-            "bytes": 0,
-            "first_issue_ps": -1,
-            "last_done_ps": 0,
-            "index": 0,
-            "issued_ps": 0,
-        }
-
-        def issue_next() -> None:
-            if state["index"] >= len(ops):
-                return
-            op = ops[state["index"]]
-            state["index"] += 1
-
-            def start() -> None:
-                state["issued_ps"] = lsu.sim.now
-                if state["first_issue_ps"] < 0:
-                    state["first_issue_ps"] = lsu.sim.now
-                if op.kind == "write":
-                    lsu.schedule(issue_ps, lsu.dcoh.write, WINDOW_BASE + op.addr, done)
-                else:
-                    lsu.schedule(issue_ps, lsu.dcoh.read, WINDOW_BASE + op.addr, done)
-
-            def done(_result) -> None:
-                lsu.schedule(complete_ps, finish)
-
-            def finish() -> None:
-                state["latencies"].append(lsu.sim.now - state["issued_ps"])
-                state["bytes"] += op.size
-                state["last_done_ps"] = lsu.sim.now
-                issue_next()
-
-            lsu.schedule(op.delay_ps, start)
-
-        issue_next()
-        return state
 
     # ------------------------------------------------------------------
     # Supernode mode
@@ -772,3 +623,168 @@ class WorkloadDriver:
             stats.completion_times_ps = merged
             controller.end_ps = outcome.end_ps
         return series
+
+
+class _LsuChain:
+    """Serialized issue chain for one stream on one LSU.
+
+    Each op waits its ``delay_ps`` think time after the previous
+    completion, then pays the LSU issue/complete stages around the DCOH
+    access — the per-op latency excludes the think time.  Several chains
+    coexist on one simulator (and even one LSU), so nothing here drains
+    the engine.  The op rows are plain per-column lists read by index,
+    and the bound methods are the event callbacks.
+    """
+
+    __slots__ = (
+        "lsu", "sim", "read", "write", "issue_ps", "complete_ps",
+        "writes", "addrs", "sizes", "delays", "index",
+        "latencies", "bytes", "first_issue_ps", "last_done_ps", "issued_ps",
+    )
+
+    def __init__(
+        self,
+        lsu,
+        writes: List[bool],
+        addrs: List[int],
+        sizes: List[int],
+        delays: List[int],
+    ) -> None:
+        profile = lsu.profile
+        self.lsu = lsu
+        self.sim = lsu.sim
+        self.read = lsu.dcoh.read
+        self.write = lsu.dcoh.write
+        self.issue_ps = profile.cycles_ps(profile.lsu_issue_cycles)
+        self.complete_ps = profile.cycles_ps(profile.lsu_complete_cycles)
+        self.writes = writes
+        self.addrs = addrs  # system addresses
+        self.sizes = sizes
+        self.delays = delays
+        self.index = 0  # rows issued so far; the op in flight is index - 1
+        self.latencies: List[int] = []
+        self.bytes = 0
+        self.first_issue_ps = -1
+        self.last_done_ps = 0
+        self.issued_ps = 0
+
+    def issue_next(self) -> None:
+        index = self.index
+        if index < len(self.addrs):
+            self.index = index + 1
+            # Think time goes through lsu.schedule: it keeps the
+            # negative-delay guard.
+            self.lsu.schedule(self.delays[index], self.start)
+
+    def start(self) -> None:
+        now = self.sim.now
+        self.issued_ps = now
+        if self.first_issue_ps < 0:
+            self.first_issue_ps = now
+        self._access()
+
+    def _access(self) -> None:
+        row = self.index - 1
+        access = self.write if self.writes[row] else self.read
+        self.sim.schedule_after(self.issue_ps, access, (self.addrs[row], self.done))
+
+    def done(self, _result) -> None:
+        self.sim.schedule_after(self.complete_ps, self.finish)
+
+    def finish(self) -> None:
+        now = self.sim.now
+        self.latencies.append(now - self.issued_ps)
+        self.bytes += self.sizes[self.index - 1]
+        self.last_done_ps = now
+        self.issue_next()
+
+
+class _FaultedLsuChain(_LsuChain):
+    """Fault-aware :class:`_LsuChain`.
+
+    With no fault active the chain schedules exactly the same event
+    sequence as the plain chain (the guards are synchronous checks that
+    fall through), so an empty plan reproduces a plain run
+    bit-identically.  When the op's path is faulted: strict mode raises
+    :class:`~repro.faults.controller.FaultActiveError` out of the
+    simulator; degraded mode retries with bounded backoff and finally
+    counts the op as dropped.  Corrupted completions retransmit
+    (re-paying the issue/access/complete pipeline) with the same bound.
+    """
+
+    __slots__ = ("controller", "nodes", "keys", "attempt", "redeliver")
+
+    def __init__(self, lsu, writes, addrs, sizes, delays, controller, binding) -> None:
+        super().__init__(lsu, writes, addrs, sizes, delays)
+        self.controller = controller
+        self.nodes, self.keys = binding
+        self.attempt = 0
+        self.redeliver = 0
+
+    def issue_next(self) -> None:
+        # Per-op fault bookkeeping: first-issue time (latency spans
+        # every retry/retransmit), down-retry and retransmit budgets.
+        self.issued_ps = -1
+        self.attempt = 0
+        self.redeliver = 0
+        super().issue_next()
+
+    def start(self) -> None:
+        controller = self.controller
+        stats = controller.stats
+        now = self.sim.now
+        if self.issued_ps < 0:
+            self.issued_ps = now
+            if self.first_issue_ps < 0:
+                self.first_issue_ps = now
+            stats.record_attempt()
+        if controller.path_down(self.nodes, self.keys, now):
+            if not controller.degraded:
+                from repro.faults.controller import FaultActiveError
+
+                raise FaultActiveError(
+                    f"{self._describe()} hit an active fault at {now}ps "
+                    f"(path nodes {', '.join(self.nodes)})"
+                )
+            retry = controller.retry
+            if self.attempt < retry.max_retries:
+                delay = retry.delay_ps(self.attempt)
+                self.attempt += 1
+                stats.record_retry()
+                self.lsu.schedule(delay, self.start)
+                return
+            stats.record_drop()
+            self.issue_next()
+            return
+        self._access()
+
+    def finish(self) -> None:
+        controller = self.controller
+        stats = controller.stats
+        now = self.sim.now
+        corrupted = False
+        for key in self.keys:
+            corrupted = controller.corrupted(key, now) or corrupted
+        if corrupted:
+            stats.record_corrupt()
+            if not controller.degraded:
+                from repro.faults.controller import FaultActiveError
+
+                raise FaultActiveError(
+                    f"{self._describe()} corrupted on the wire at {now}ps"
+                )
+            if self.redeliver < controller.retry.max_retries:
+                self.redeliver += 1
+                stats.record_retry()
+                self.start()  # retransmit re-pays the whole pipeline
+                return
+            stats.record_drop()
+            self.issue_next()
+            return
+        stats.record_completion(now)
+        super().finish()
+
+    def _describe(self) -> str:
+        row = self.index - 1
+        kind = "write" if self.writes[row] else "read"
+        return f"{self.lsu.name}: op {kind} @0x{self.addrs[row] - WINDOW_BASE:x}"

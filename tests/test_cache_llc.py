@@ -6,7 +6,7 @@ from repro.cache.block import MesiState
 from repro.cache.l1 import L1Cache
 from repro.cache.llc import LlcOp, SharedLLC
 from repro.cache.hmc import HostMemoryCache
-from repro.cache.messages import MessageType
+from repro.cache.messages import MessageType, NullProtocolTrace, ProtocolTrace
 from repro.cache.mesi import ProtocolError
 from repro.config import fpga_system
 from repro.config.system import DramParams
@@ -16,7 +16,7 @@ from repro.mem.interface import MemoryInterface
 from repro.sim.engine import Simulator
 
 
-def build(with_l1=False):
+def build(with_l1=False, trace=None):
     config = fpga_system()
     sim = Simulator()
     memif = MemoryInterface(config.host.memif_oneway_ps)
@@ -25,7 +25,7 @@ def build(with_l1=False):
         AddressRange(0, 1 << 40, "host"),
         MemoryController(DramParams(jitter_ps=0), channels=2, seed=1),
     )
-    llc = SharedLLC(sim, config.host, memif)
+    llc = SharedLLC(sim, config.host, memif, trace=trace)
     l1 = L1Cache(sim, config.host, llc) if with_l1 else None
     return sim, llc, l1, config
 
@@ -73,7 +73,7 @@ def test_llc_hit_skips_memory():
 
 def test_rd_own_snoops_modified_peer_fig7():
     """Phase 1 of Fig. 7: RdOwn -> SnpInv -> RspIFwdM -> writeback -> GO-E."""
-    sim, llc, l1, _config = build(with_l1=True)
+    sim, llc, l1, _config = build(with_l1=True, trace=ProtocolTrace())
     hmc_peer = FakePeer(MessageType.RSP_I)
     llc.register_peer("hmc", hmc_peer)
     addr = 0x3000
@@ -126,7 +126,7 @@ def test_rd_own_invalidates_sharers():
 
 def test_dirty_evict_ladder():
     """Phase 3 of Fig. 7: DirtyEvict -> GO-WritePull -> Data -> GO-I."""
-    sim, llc, _l1, _config = build()
+    sim, llc, _l1, _config = build(trace=ProtocolTrace())
     llc.register_peer("hmc", FakePeer(MessageType.RSP_I))
     addr = 0x6000
     run_request(sim, llc, "hmc", LlcOp.RD_OWN, addr)
@@ -227,9 +227,7 @@ def test_evictions_do_not_count_lookup_stats():
 
 
 def test_disabled_trace_records_nothing_but_timing_matches():
-    from repro.cache.messages import NullProtocolTrace
-
-    sim_a, llc_a, _l1, _config = build()
+    sim_a, llc_a, _l1, _config = build(trace=ProtocolTrace())
     llc_a.register_peer("dev", FakePeer(MessageType.RSP_I))
     t_a = run_request(sim_a, llc_a, "dev", LlcOp.RD_OWN, 0x4000)
     assert len(llc_a.trace) > 0
@@ -248,3 +246,29 @@ def test_disabled_trace_records_nothing_but_timing_matches():
 
     assert len(llc_b.trace) == 0
     assert t_a == t_b  # tracing is observational: timing identical
+
+
+def test_trace_is_opt_in():
+    sim, llc, _l1, _config = build()
+    assert isinstance(llc.trace, NullProtocolTrace)
+    llc.register_peer("dev", FakePeer(MessageType.RSP_I))
+    run_request(sim, llc, "dev", LlcOp.RD_OWN, 0x4000)
+    assert len(llc.trace) == 0
+    # Assigning a live trace afterwards starts the ladder from there.
+    llc.trace = ProtocolTrace()
+    run_request(sim, llc, "dev", LlcOp.DIRTY_EVICT, 0x4000)
+    assert llc.trace.types()[0] is MessageType.DIRTY_EVICT
+
+
+def test_driver_run_leaves_llc_trace_empty():
+    from golden_supernode import built_systems
+
+    from repro.workloads import WorkloadDriver
+
+    with built_systems() as built:
+        WorkloadDriver(fpga_system()).run(
+            "rw-mix(2000,0.5)", topology="fanout(4)", seed=7, streams=4
+        )
+    (system,) = built
+    assert system.llc.requests > 0
+    assert len(system.llc.trace) == 0

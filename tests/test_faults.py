@@ -643,7 +643,14 @@ def test_rpc_pipeline_lossy_wire_retransmits_deterministically():
 
 # --------------------------- run-all parity ----------------------------
 def test_run_all_output_unchanged_by_faults_import(tmp_path):
-    """Importing repro.faults must not perturb any paper experiment."""
+    """``repro run all`` prints the committed golden text, with and
+    without ``repro.faults`` imported first.
+
+    Regenerate ``tests/data/golden_run_all.txt`` (only on a deliberate
+    behaviour change) with
+    ``PYTHONPATH=src python -m repro run all > tests/data/golden_run_all.txt``.
+    """
+    golden = (Path(__file__).with_name("data") / "golden_run_all.txt").read_text()
     src = Path(__file__).resolve().parents[1] / "src"
     env_script = (
         "import sys; sys.path.insert(0, {src!r}); "
@@ -658,4 +665,4 @@ def test_run_all_output_unchanged_by_faults_import(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs == [golden, golden]

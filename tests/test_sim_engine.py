@@ -211,8 +211,8 @@ def test_fifo_order_survives_reset():
 
 
 def test_fifo_order_survives_entry_pool_reuse():
-    # Drain once (populating the free-list), then schedule again and
-    # verify recycled entries preserve FIFO ordering.
+    # Drain once, then schedule again: a second drain of fresh entries
+    # keeps same-time events in FIFO order.
     sim = Simulator()
     fired = []
     for i in range(20):
