@@ -32,6 +32,8 @@ CASES = (
     ("rw-mix+host-outage", "rw-mix(4000,0.7)", "supernode(4)", 4, "host-outage"),
     ("rw-mix+storm", "rw-mix(4000,0.7)", "supernode(4)", 4, "storm"),
     ("rw-mix+none", "rw-mix(4000,0.7)", "supernode(4)", 4, "none"),
+    ("rw-mix+link-degrade", "rw-mix(4000,0.7)", "supernode(4)", 4, "link-degrade(8)"),
+    ("rw-mix+msg-corrupt", "rw-mix(4000,0.7)", "supernode(4)", 4, "msg-corrupt(0.5)"),
 )
 
 

@@ -1,7 +1,7 @@
 """The synchronous supernode path against its committed golden.
 
 ``tests/data/golden_supernode.json`` pins the measurement and the
-per-switch ``packets_routed`` counters of seven supernode runs (plain,
+per-switch ``packets_routed`` counters of nine supernode runs (plain,
 shared-write and degraded-fault traffic).  Regenerate it with
 ``PYTHONPATH=src python tests/golden_supernode.py`` only on a deliberate
 behaviour change.
