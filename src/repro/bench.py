@@ -332,60 +332,6 @@ def bench_workload_gen(ops: int = 100_000, seed: int = 17) -> Dict[str, Any]:
     return result
 
 
-def bench_parallel_supernode(
-    ops: int = 200_000, hosts: int = 4, jobs: int = 4, seed: int = 5
-) -> Dict[str, Any]:
-    """Windowed supernode run: serial lanes vs forked workers.
-
-    A 4-host supernode with a long fabric crossing (so each conservative
-    window holds thousands of ops per lane) driven by a read-heavy
-    uniform stream.  The serial and parallel measurements are asserted
-    bit-identical in-line — the parity contract — and ``speedup`` is
-    parallel wall-clock over serial (expect >= 2x at ``jobs >= 4`` on a
-    machine with that many cores; on fewer cores the number reports the
-    process overhead instead).  ``events_per_sec`` is the gated
-    throughput of the serial windowed model, which is stable across
-    core counts.
-    """
-    from repro.config import system_by_name
-    from repro.system.topology import supernode_topology
-    from repro.workloads import WorkloadDriver
-
-    topology = supernode_topology(hosts, switch_traversal_ps=100_000_000)
-    driver = WorkloadDriver(system_by_name("asic"))
-    workload = f"uniform({ops},2048)"
-
-    def run() -> Dict[str, Any]:
-        start = time.perf_counter()
-        serial = driver.run(
-            workload, topology=topology, seed=seed, streams=hosts,
-            sim_parallel=1,
-        )
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel = driver.run(
-            workload, topology=topology, seed=seed, streams=hosts,
-            sim_parallel=jobs,
-        )
-        parallel_s = time.perf_counter() - start
-        if serial.to_dict() != parallel.to_dict():
-            raise RuntimeError(
-                "windowed serial and parallel measurements diverged — "
-                "the conservative-sync parity contract is broken"
-            )
-        return {
-            "ops": ops,
-            "hosts": hosts,
-            "jobs": jobs,
-            "serial_s": round(serial_s, 6),
-            "parallel_s": round(parallel_s, 6),
-            "speedup": round(serial_s / max(parallel_s, 1e-9), 3),
-            "events_per_sec": round(ops / max(serial_s, 1e-9)),
-        }
-
-    return _timed(run)
-
-
 def bench_workload_batch(ops: int = 200_000, seed: int = 19) -> Dict[str, Any]:
     """Vectorized workload hot paths vs their scalar equivalents.
 
@@ -630,17 +576,6 @@ def run_bench(quick: bool = False, progress: Progress = None) -> Dict[str, Any]:
         "appends_per_sec",
     )
     note(f"result_store: {workloads['result_store']['appends_per_sec']:,} appends/s")
-
-    note("parallel_supernode ...")
-    workloads["parallel_supernode"] = _best_of(
-        lambda: bench_parallel_supernode(ops=int(200_000 * scale) or 4),
-        "events_per_sec",
-    )
-    note(
-        f"parallel_supernode: "
-        f"{workloads['parallel_supernode']['events_per_sec']:,} events/s "
-        f"(speedup {workloads['parallel_supernode']['speedup']:.2f}x)"
-    )
 
     note("sweep_quick ...")
     workloads["sweep_quick"] = bench_sweep()

@@ -20,7 +20,6 @@ Usage::
     python -m repro fault show storm
     python -m repro fault validate examples/faults/*.json
     python -m repro sweep --preset quick --jobs 4
-    python -m repro sweep parallel-parity --sim-parallel auto
     python -m repro sweep fault-tolerance --backend serial
     python -m repro sweep --preset quick --backend queue --max-retries 4
     python -m repro sweep topology-scale --jobs 2
@@ -398,10 +397,6 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
         # path; internal errors inside run_sweep below propagate.
         out.write(f"{exc.args[0] if exc.args else exc}\n")
         return 2
-    if args.sim_parallel is not None:
-        error = _apply_sim_parallel(sweep, args.sim_parallel, out)
-        if error:
-            return error
     if args.repeats is not None and args.repeats < 1:
         out.write(f"--repeats must be >= 1, got {args.repeats}\n")
         return 2
@@ -428,49 +423,6 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
     )
     out.write(f"results: {outcome.out_dir}\n")
     return 1 if outcome.failed else 0
-
-
-def _apply_sim_parallel(sweep, value: str, out: IO[str]) -> int:
-    """Inject a ``--sim-parallel`` override into a sweep's groups.
-
-    Applies to every group whose experiment accepts a ``sim_parallel``
-    parameter; groups that already pin or sweep it keep their own
-    values.  Returns a nonzero exit code on a malformed value, else 0.
-    """
-    from repro.harness.experiments import spec_parameters
-
-    text = value.strip().lower()
-    if text == "auto":
-        parsed: object = "auto"
-    else:
-        try:
-            parsed = int(text)
-        except ValueError:
-            parsed = -1
-        if not isinstance(parsed, int) or parsed < 0:
-            out.write(
-                f"--sim-parallel must be a non-negative integer or 'auto', "
-                f"got {value!r}\n"
-            )
-            return 2
-    key = sweep.SIM_PARALLEL_PARAM
-    applied = 0
-    for group in sweep.groups:
-        if key in group.params or key in group.grid:
-            continue
-        try:
-            accepted = spec_parameters(group.experiment)
-        except KeyError:
-            continue  # unknown experiment: validate() reports it properly
-        if key in accepted:
-            group.params[key] = parsed
-            applied += 1
-    if not applied:
-        out.write(
-            "note: --sim-parallel applied to no experiment group "
-            "(none accept sim_parallel, or all pin it already)\n"
-        )
-    return 0
 
 
 def _cmd_worker(args: argparse.Namespace, out: IO[str]) -> int:
@@ -776,12 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-backoff-s", type=float, default=None,
         help="base exponential backoff between spec attempts in seconds "
         "(queue backend only; default 0.5)",
-    )
-    sweep.add_argument(
-        "--sim-parallel", default=None, metavar="N",
-        help="windowed-parallel simulation worker count ('auto' or an "
-        "integer >= 0; 0 = legacy serial path) for every experiment "
-        "group that accepts sim_parallel and does not pin it",
     )
     sweep.add_argument(
         "--repeats", type=int, default=None, metavar="N",

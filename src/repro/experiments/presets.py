@@ -85,37 +85,6 @@ PRESETS: Dict[str, dict] = {
             },
         ],
     },
-    "parallel-parity": {
-        # The windowed-parallel contract as a sweep: the same supernode
-        # scenarios at sim_parallel 1 (windowed, in-process) and 4
-        # (windowed, forked workers) — CI's parallel-smoke job diffs the
-        # two series bit-for-bit, including under an active fault plan.
-        "name": "parallel-parity",
-        "repeats": 1,
-        "base_seed": 1234,
-        "experiments": [
-            {
-                "experiment": "supernode-workload",
-                "params": {"hosts": 4, "streams": 4},
-                "grid": {
-                    "workload": ["zipf(256,1.2)", "producer-consumer(128,32)"],
-                    "sim_parallel": [1, 4],
-                },
-            },
-            {
-                "experiment": "fault-tolerance",
-                "params": {
-                    "topology": "supernode(4)",
-                    "workload": "mixed(64)",
-                    "streams": 4,
-                },
-                "grid": {
-                    "fault": ["storm", "host-outage"],
-                    "sim_parallel": [1, 4],
-                },
-            },
-        ],
-    },
     "fault-tolerance": {
         # Failure as a sweep axis: the same workload/topology pairs
         # driven under every built-in fault plan (plus the fault-free

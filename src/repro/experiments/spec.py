@@ -188,11 +188,6 @@ class SweepSpec:
     #: contract (inline plan dicts schema-validate in full).
     FAULT_PARAM = "fault"
 
-    #: Param key selecting the windowed-parallel simulation mode; values
-    #: must be a non-negative integer worker count or ``"auto"``,
-    #: checked up-front so a typo'd mode fails before any spec runs.
-    SIM_PARALLEL_PARAM = "sim_parallel"
-
     #: Param key carrying the experiment's RNG seed.  Pinning or
     #: sweeping it is allowed (ints only), and doing so disables the
     #: automatic per-repeat seed injection for that group — explicit
@@ -224,7 +219,6 @@ class SweepSpec:
             self._validate_topology_refs(group)
             self._validate_workload_refs(group)
             self._validate_fault_refs(group)
-            self._validate_sim_parallel(group)
             self._validate_seed_axis(group)
 
     @classmethod
@@ -292,20 +286,6 @@ class SweepSpec:
                 raise SpecError(
                     f"experiment {group.experiment!r}: {exc}"
                 ) from None
-
-    def _validate_sim_parallel(self, group: SweepGroup) -> None:
-        """Fail up-front on malformed ``sim_parallel`` axis values."""
-        for value in self._axis_values(group, self.SIM_PARALLEL_PARAM):
-            ok = (
-                isinstance(value, int)
-                and not isinstance(value, bool)
-                and value >= 0
-            ) or (isinstance(value, str) and value.strip().lower() == "auto")
-            if not ok:
-                raise SpecError(
-                    f"experiment {group.experiment!r}: sim_parallel must be "
-                    f"a non-negative integer or 'auto', got {value!r}"
-                )
 
     def _validate_seed_axis(self, group: SweepGroup) -> None:
         """Fail up-front on non-integer ``seed`` axis values."""

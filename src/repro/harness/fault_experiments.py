@@ -34,7 +34,6 @@ def fault_tolerance(
     mode: str = "degraded",
     retries: int = 3,
     backoff_ps: int = 500_000,
-    sim_parallel: object = 0,
 ) -> ExperimentResult:
     """One workload under a fault plan: availability + recovery metrics."""
     from repro.workloads import WorkloadDriver
@@ -49,7 +48,6 @@ def fault_tolerance(
         fault_mode=mode,
         fault_retries=retries,
         fault_backoff_ps=backoff_ps,
-        sim_parallel=sim_parallel,
     )
     series = dict(measurement.series)
     series["counts"] = {

@@ -56,14 +56,8 @@ def supernode_workload(
     profile: str = "asic",
     seed: int = 1234,
     streams: int = 0,
-    sim_parallel: object = 0,
 ) -> ExperimentResult:
-    """Coherent workload traffic through per-host supernode systems.
-
-    ``sim_parallel`` (worker count or ``"auto"``; ``0`` = the legacy
-    synchronous path) switches to the windowed conservative model of
-    :mod:`repro.sim.parallel` — bit-identical across worker counts.
-    """
+    """Coherent workload traffic through per-host supernode systems."""
     from repro.workloads import WorkloadDriver
 
     driver = WorkloadDriver(system_by_name(profile))
@@ -72,7 +66,6 @@ def supernode_workload(
         topology=f"supernode({hosts})",
         seed=seed,
         streams=streams or None,
-        sim_parallel=sim_parallel,
     )
     series = dict(measurement.series)
     series["counts"] = {

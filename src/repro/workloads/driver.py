@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.config.system import SystemConfig
-from repro.mem.address import CACHELINE
 from repro.system import SystemBuilder, Topology, resolve_topology
 from repro.workloads.base import Workload, resolve_workload
 from repro.workloads.vectorized import KIND_WRITE, OpBatch
@@ -115,7 +114,6 @@ class WorkloadDriver:
         fault_mode: str = "strict",
         fault_retries: int = 3,
         fault_backoff_ps: int = 500_000,
-        sim_parallel: Union[int, str, None] = None,
         metrics=None,
         metrics_interval_ps: int = 1_000_000,
     ) -> WorkloadMeasurement:
@@ -139,15 +137,6 @@ class WorkloadDriver:
         ``fault=None`` this method is byte-for-byte the historical
         no-fault path.
 
-        ``sim_parallel`` switches supernode topologies to the windowed
-        conservative model (:mod:`repro.sim.parallel`): ``1`` runs the
-        windowed lanes in-process, ``N >= 2`` forks up to ``N`` worker
-        processes, ``"auto"`` uses
-        :func:`~repro.experiments.runner.default_jobs`, and ``0`` /
-        ``None`` keep the historical synchronous path.  The windowed
-        measurement is bit-identical across every ``sim_parallel >= 1``
-        value — that parity is CI-gated.
-
         ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
         opts into observation: the built system's counters bind as
         pull-based probes (:func:`~repro.obs.metrics.instrument_system`,
@@ -161,7 +150,6 @@ class WorkloadDriver:
         since observation keeps the clock alive up to one interval past
         the final op).
         """
-        jobs = self._resolve_sim_parallel(sim_parallel)
         resolved_workload = resolve_workload(workload)
         batch = resolved_workload.batch(seed)
         if streams is not None and streams > 1 and not batch.streams.any():
@@ -193,27 +181,16 @@ class WorkloadDriver:
             # shared event calendar advances (LSU mode); the snapshot
             # event reads instruments and reschedules itself while live
             # work remains, so it never extends the run.
-            if resolved_topology.by_kind("lsu") and jobs is None:
+            if resolved_topology.by_kind("lsu"):
                 MetricSnapshotter(
                     system.sim, metrics, metrics_interval_ps
                 ).start()
         if resolved_topology.by_kind("supernode.fabric"):
-            if jobs is not None:
-                series = self._drive_supernode_windowed(
-                    system, resolved_topology, batch, controller, jobs
-                )
-            else:
-                series = self._drive_supernode(
-                    system, resolved_topology, batch, controller
-                )
+            series = self._drive_supernode(
+                system, resolved_topology, batch, controller
+            )
             mode = "supernode"
         elif resolved_topology.by_kind("lsu"):
-            if jobs is not None:
-                raise WorkloadDriverError(
-                    f"sim_parallel applies to supernode topologies only; "
-                    f"topology {resolved_topology.name!r} is driven through "
-                    f"its LSUs on one event calendar"
-                )
             series = self._drive_lsus(
                 system, resolved_topology, batch, controller
             )
@@ -243,27 +220,6 @@ class WorkloadDriver:
             series=series,
             fault=None if controller is None else controller.plan.name,
         )
-
-    @staticmethod
-    def _resolve_sim_parallel(value: Union[int, str, None]) -> Optional[int]:
-        """``None``/``0`` → legacy path; ``"auto"`` → default jobs; N → N."""
-        if value is None:
-            return None
-        if isinstance(value, str):
-            if value.strip().lower() == "auto":
-                from repro.experiments.runner import default_jobs
-
-                return default_jobs()
-            raise WorkloadDriverError(
-                f"sim_parallel must be a non-negative integer or 'auto', "
-                f"got {value!r}"
-            )
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise WorkloadDriverError(
-                f"sim_parallel must be a non-negative integer or 'auto', "
-                f"got {value!r}"
-            )
-        return None if value == 0 else value
 
     # ------------------------------------------------------------------
     # LSU mode
@@ -526,103 +482,6 @@ class WorkloadDriver:
                 stats.record_completion(t)
                 break
         controller.end_ps = t
-
-    @staticmethod
-    def _drive_supernode_windowed(
-        system, topology: Topology, batch: OpBatch, controller, jobs: int
-    ) -> Dict[str, Dict[str, float]]:
-        """Drive coherent traffic through the windowed conservative model.
-
-        The batch is split into per-host substreams with array ops and
-        handed to :func:`repro.sim.parallel.run_windowed_supernode`;
-        the series are rebuilt from the per-lane counters (the lanes
-        never touch the shared supernode objects, which is what makes
-        them process-safe).  ``jobs=1`` and ``jobs>=2`` share the lane
-        and merge code, so the measurement is bit-identical across
-        every ``jobs`` value.
-        """
-        from repro.sim.parallel import run_windowed_supernode
-
-        fabric_name = topology.by_kind("supernode.fabric")[0].name
-        supernode = system.node(fabric_name)
-        hosts = sorted(supernode.hosts)
-        host_idx = batch.streams % len(hosts)
-        lines = (WINDOW_BASE + batch.addrs) & ~np.int64(CACHELINE - 1)
-        excl = (batch.kinds == KIND_WRITE).astype(np.int64)
-        per_host_ops = {}
-        for h, host in enumerate(hosts):
-            mask = host_idx == h
-            per_host_ops[host] = (
-                lines[mask].tolist(),
-                excl[mask].tolist(),
-                batch.delays[mask].tolist(),
-            )
-        outcome = run_windowed_supernode(
-            supernode, fabric_name, per_host_ops, jobs=jobs,
-            controller=controller,
-        )
-
-        series: Dict[str, Dict[str, float]] = {
-            "accesses": {},
-            "remote_accesses": {},
-            "fabric_latency_us": {},
-            "filter_rate": {},
-        }
-        total_local = 0
-        total_global = 0
-        for lane in outcome.lanes:
-            series["accesses"][lane.host] = float(lane.accesses)
-            series["remote_accesses"][lane.host] = float(lane.remote_accesses)
-            series["fabric_latency_us"][lane.host] = lane.latency_ps / 1e6
-            probes = lane.local_hits + lane.global_requests
-            series["filter_rate"][lane.host] = (
-                lane.local_hits / probes if probes else 0.0
-            )
-            total_local += lane.local_hits
-            total_global += lane.global_requests
-        series["accesses"]["all"] = float(len(batch))
-        series["remote_accesses"]["all"] = float(
-            sum(lane.remote_accesses for lane in outcome.lanes)
-        )
-        series["fabric_latency_us"]["all"] = (
-            sum(lane.latency_ps for lane in outcome.lanes) / 1e6
-        )
-        series["filter_rate"]["all"] = (
-            total_local / (total_local + total_global)
-            if (total_local + total_global)
-            else 0.0
-        )
-        if controller is not None:
-            series["naks"] = {
-                lane.host: float(lane.naks) for lane in outcome.lanes
-            }
-            series["naks"]["all"] = float(
-                sum(lane.naks for lane in outcome.lanes)
-            )
-            # Fold the per-lane fault accounting back into the
-            # controller so the availability/recovery tail in run()
-            # works unchanged.  For each recovery time, the earliest
-            # completion at-or-after it across all lanes is exactly the
-            # settle-time input the synchronous path would record.
-            stats = controller.stats
-            stats.attempted = sum(l.attempted for l in outcome.lanes)
-            stats.completed = sum(l.completed for l in outcome.lanes)
-            stats.dropped = sum(l.dropped for l in outcome.lanes)
-            stats.retries = sum(l.retries for l in outcome.lanes)
-            stats.corrupted = sum(l.corrupted for l in outcome.lanes)
-            merged: List[int] = []
-            slots = len(outcome.lanes[0].min_after) if outcome.lanes else 0
-            for j in range(slots):
-                candidates = [
-                    l.min_after[j]
-                    for l in outcome.lanes
-                    if l.min_after[j] >= 0
-                ]
-                if candidates:
-                    merged.append(min(candidates))
-            stats.completion_times_ps = merged
-            controller.end_ps = outcome.end_ps
-        return series
 
 
 class _LsuChain:

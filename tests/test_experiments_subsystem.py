@@ -103,6 +103,13 @@ def test_validate_rejects_unknown_experiment_and_params():
         SweepSpec.from_dict(
             {"experiments": [{"experiment": "fig13", "params": {"bogus": 1}}]}
         ).validate()
+    with pytest.raises(
+        SpecError, match="does not accept parameter\\(s\\) sim_parallel"
+    ):
+        SweepSpec.from_dict(
+            {"experiments": [{"experiment": "supernode-workload",
+                              "grid": {"sim_parallel": [1, 4]}}]}
+        ).validate()
 
 
 def test_from_dict_rejects_malformed_shapes():
