@@ -383,7 +383,7 @@ class WorkloadDriver:
             series["remote_accesses"][host] = float(entry.remote_accesses)
             series["fabric_latency_us"][host] = paid_ps[host] / 1e6
             series["filter_rate"][host] = agent.filter_rate
-        series["accesses"]["all"] = float(len(batch))
+        series["accesses"]["all"] = float(sum(accesses.values()))
         series["remote_accesses"]["all"] = float(
             sum(supernode.hosts[h].remote_accesses for h in hosts)
         )

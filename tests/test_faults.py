@@ -426,6 +426,18 @@ def test_supernode_degraded_run_deterministic():
     assert runs[0]["series"]["naks"]["all"] >= 0
 
 
+def test_supernode_degraded_accesses_count_completions():
+    measurement = WorkloadDriver(system_by_name("asic")).run(
+        "rw-mix(1000,0.7)", topology="supernode(4)", streams=4,
+        fault="msg-corrupt(0.5)", fault_mode="degraded", seed=7,
+    )
+    accesses = measurement.series["accesses"]
+    availability = measurement.series["availability"]
+    assert availability["dropped"] > 0
+    per_host = sum(v for host, v in accesses.items() if host != "all")
+    assert accesses["all"] == per_host == availability["completed"]
+
+
 def test_record_replay_parity_under_active_fault(tmp_path):
     from repro.workloads import dump_trace, load_trace, resolve_workload
 
