@@ -1,5 +1,22 @@
-"""Legacy shim so editable installs work offline (no wheel package)."""
+"""Package metadata; setuptools only, so editable installs work offline."""
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+# The version lives in src/repro/__init__.py; read it as text, since
+# importing the package would import numpy.
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.M,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)
