@@ -1,5 +1,7 @@
 """Tests for HyperProtoBench profiles, layouts, and the RPC pipelines."""
 
+import hashlib
+
 import pytest
 
 from repro.config import asic_system
@@ -56,6 +58,26 @@ def test_bench_deterministic():
     a = make_bench("Bench3", messages=4, seed=9)
     b = make_bench("Bench3", messages=4, seed=9)
     assert a.encoded == b.encoded
+
+
+# Fig. 18's totals depend only on message sizes and field counts, so the
+# run-all golden cannot see a wrong letter or byte stream.  These pin the
+# generated wire bytes themselves at Fig. 18's sizes (200 messages, seed 11).
+BENCH_BYTES_SHA256 = {
+    "Bench0": "76e8306373e1a28b",
+    "Bench1": "b0ceba27dbeaebab",
+    "Bench2": "df4c9e66d9403437",
+    "Bench3": "f3fc15785321267b",
+    "Bench4": "914ac4fc60fef09b",
+    "Bench5": "2a56d5a703e1f13e",
+}
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_bench_bytes_pinned(name):
+    bench = make_bench(name, messages=200, seed=11)
+    digest = hashlib.sha256(b"".join(bench.encoded)).hexdigest()
+    assert digest[:16] == BENCH_BYTES_SHA256[name]
 
 
 # ------------------------------ Layout --------------------------------
