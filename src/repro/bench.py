@@ -223,8 +223,8 @@ def bench_cache_array(ops: int = 300_000, seed: int = 13) -> Dict[str, Any]:
 def bench_rpc(messages: int = 30) -> Dict[str, Any]:
     """One HyperProtoBench bench through all four RPC designs.
 
-    End-to-end workload: CXL device, DCOH/HMC, LLC home agent and DRAM
-    behind the discrete-event core.
+    Times input synthesis plus the analytic RpcNIC/CXL-NIC pipelines
+    over real wire bytes; no discrete-event simulation runs.
     """
     from repro.config import fpga_system
     from repro.rpc.harness import run_rpc_comparison

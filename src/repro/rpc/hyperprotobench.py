@@ -14,12 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.rpc.message import (
-    MessageStats,
-    encode_message,
-    generate_message,
-    message_stats,
-)
+from repro.rpc.message import MessageStats, _stats, encode_message, generate_message
 from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema, SchemaTable
 
 BENCH_NAMES = ("Bench0", "Bench1", "Bench2", "Bench3", "Bench4", "Bench5")
@@ -100,7 +95,6 @@ def _bench5() -> MessageSchema:
     return MessageSchema("B5.Root", tuple(fields))
 
 
-# Per-bench string sizing (bytes) used by the generator.
 _BUILDERS: Dict[str, Callable[[], MessageSchema]] = {
     "Bench0": _bench0,
     "Bench1": _bench1,
@@ -110,6 +104,7 @@ _BUILDERS: Dict[str, Callable[[], MessageSchema]] = {
     "Bench5": _bench5,
 }
 
+# Per-bench string sizing (bytes) used by the generator.
 _STRING_BYTES: Dict[str, int] = {
     "Bench0": 60,
     "Bench1": 16,
@@ -158,5 +153,5 @@ def make_bench(name: str, messages: int = 300, seed: int = 11) -> BenchWorkload:
     string_bytes = _STRING_BYTES[name]
     values = [generate_message(schema, rng, string_bytes) for _ in range(messages)]
     encoded = [encode_message(schema, v) for v in values]
-    stats = [message_stats(schema, v) for v in values]
+    stats = [_stats(schema, v, wire) for v, wire in zip(values, encoded)]
     return BenchWorkload(name, schema, table, values, encoded, stats)

@@ -15,13 +15,11 @@ from typing import Dict, Optional
 from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema
 from repro.rpc.wire import (
     WireError,
-    WireType,
     decode_fixed64,
     decode_key,
     decode_len_prefixed,
     decode_varint,
     encode_fixed64,
-    encode_key,
     encode_len_prefixed,
     encode_varint,
     zigzag_decode,
@@ -59,11 +57,11 @@ def encode_message(schema: MessageSchema, value: Dict) -> bytes:
                 payload = bytearray()
                 for element in item:
                     payload += _encode_scalar(descriptor, element)
-                out += encode_key(descriptor.number, descriptor.wire_type)
+                out += descriptor.key
                 out += encode_len_prefixed(bytes(payload))
             else:
                 for element in item:
-                    out += encode_key(descriptor.number, descriptor.wire_type)
+                    out += descriptor.key
                     if descriptor.kind == FieldKind.MESSAGE:
                         out += encode_len_prefixed(
                             encode_message(descriptor.message, element)
@@ -71,7 +69,7 @@ def encode_message(schema: MessageSchema, value: Dict) -> bytes:
                     else:
                         out += _encode_scalar(descriptor, element)
             continue
-        out += encode_key(descriptor.number, descriptor.wire_type)
+        out += descriptor.key
         if descriptor.kind == FieldKind.MESSAGE:
             out += encode_len_prefixed(encode_message(descriptor.message, item))
         else:
@@ -140,10 +138,14 @@ class MessageStats:
 
 
 def message_stats(schema: MessageSchema, value: Dict) -> MessageStats:
-    encoded = encode_message(schema, value)
+    return _stats(schema, value, encode_message(schema, value))
+
+
+def _stats(schema: MessageSchema, value: Dict, wire: bytes) -> MessageStats:
+    """Stats of ``value`` whose encoding ``wire`` the caller already holds."""
     fields, nested, depth = _walk(schema, value, 0)
     return MessageStats(
-        wire_bytes=len(encoded),
+        wire_bytes=len(wire),
         scalar_fields=fields,
         nested_messages=nested,
         max_depth=depth,
@@ -199,12 +201,38 @@ def _generate_element(descriptor: FieldDescriptor, rng: random.Random, string_by
         return rng.random() * 1e6
     if descriptor.kind == FieldKind.STRING:
         size = max(1, int(string_bytes * rng.uniform(0.9, 1.1)))
-        return "".join(
-            rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(size)
-        )
+        return _draw_letters(rng, size)
     if descriptor.kind == FieldKind.BYTES:
         size = max(1, int(string_bytes * rng.uniform(0.9, 1.1)))
         return bytes(rng.randrange(256) for _ in range(size))
     if descriptor.kind == FieldKind.MESSAGE:
         return generate_message(descriptor.message, rng, string_bytes)
     raise ValueError(f"unknown kind {descriptor.kind}")
+
+
+_LETTERS = b"abcdefghijklmnopqrstuvwxyz"
+# Top byte of a 32-bit Mersenne word -> the letter its top 5 bits pick;
+# bytes whose top 5 bits are 26..31 are the draws ``choice`` rejects.
+_LETTER_OF_TOP_BYTE = bytes(
+    _LETTERS[byte >> 3] if byte >> 3 < len(_LETTERS) else 0 for byte in range(256)
+)
+_REJECTED_TOP_BYTES = bytes(range(len(_LETTERS) << 3, 256))
+
+
+def _draw_letters(rng: random.Random, size: int) -> str:
+    """``"".join(rng.choice(letters) for _ in range(size))``, drawn in bulk.
+
+    Exact, leaving ``rng`` in the same state as the loop: ``choice`` over
+    26 letters draws ``getrandbits(5)``, the top 5 bits of one 32-bit
+    Mersenne word, until the value is below 26.  ``getrandbits(32 * n)``
+    returns the next n such words, least significant first, so the top
+    byte of word i is byte ``4 * i + 3`` of its little-endian form.  Each
+    word yields at most one letter, so drawing one word per missing
+    letter never draws past the last word the loop would consume.
+    """
+    letters = b""
+    while len(letters) < size:
+        need = size - len(letters)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        letters += words[3::4].translate(_LETTER_OF_TOP_BYTE, _REJECTED_TOP_BYTES)
+    return letters.decode("ascii")

@@ -8,9 +8,9 @@ metadata into the NIC's schema table (Fig. 10); the hardware
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.rpc.wire import WireType
+from repro.rpc.wire import WireType, encode_key
 
 
 class FieldKind:
@@ -49,6 +49,11 @@ class FieldDescriptor:
     kind: str
     message: Optional["MessageSchema"] = None   # for nested fields
     repeated: bool = False
+    # Derived once from the fields above, for the per-field codec loops.
+    # proto3: repeated numeric fields default to packed encoding.
+    packed: bool = field(init=False, repr=False, compare=False)
+    wire_type: WireType = field(init=False, repr=False, compare=False)
+    key: bytes = field(init=False, repr=False, compare=False)   # encoded field key
 
     def __post_init__(self) -> None:
         if self.number < 1:
@@ -57,21 +62,15 @@ class FieldDescriptor:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if (self.kind == FieldKind.MESSAGE) != (self.message is not None):
             raise ValueError("message kind and nested schema must go together")
-
-    @property
-    def packed(self) -> bool:
-        """proto3: repeated numeric fields default to packed encoding."""
-        return self.repeated and self.kind in (
+        packed = self.repeated and self.kind in (
             FieldKind.UINT,
             FieldKind.SINT,
             FieldKind.DOUBLE,
         )
-
-    @property
-    def wire_type(self) -> WireType:
-        if self.packed:
-            return WireType.LEN
-        return _WIRE_OF[self.kind]
+        wire_type = WireType.LEN if packed else _WIRE_OF[self.kind]
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "wire_type", wire_type)
+        object.__setattr__(self, "key", encode_key(self.number, wire_type))
 
 
 @dataclass(frozen=True)
@@ -80,17 +79,21 @@ class MessageSchema:
 
     name: str
     fields: tuple
+    _by_number: Dict[int, FieldDescriptor] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        numbers = [f.number for f in self.fields]
-        if len(numbers) != len(set(numbers)):
+        by_number = {f.number: f for f in self.fields}
+        if len(by_number) != len(self.fields):
             raise ValueError(f"duplicate field numbers in {self.name}")
+        object.__setattr__(self, "_by_number", by_number)
 
     def field_by_number(self, number: int) -> FieldDescriptor:
-        for f in self.fields:
-            if f.number == number:
-                return f
-        raise KeyError(f"{self.name} has no field {number}")
+        try:
+            return self._by_number[number]
+        except KeyError:
+            raise KeyError(f"{self.name} has no field {number}") from None
 
     def scalar_field_count(self) -> int:
         """Recursive count of scalar fields (one nested instance each)."""

@@ -24,33 +24,45 @@ class WireError(ValueError):
     """Malformed wire data."""
 
 
+# Every value below 0x80 is its own one-byte varint.
+_ONE_BYTE_VARINT = tuple(bytes((value,)) for value in range(0x80))
+
+
 def encode_varint(value: int) -> bytes:
-    """Base-128 varint encoding of an unsigned integer."""
-    if value < 0:
-        raise WireError("varint requires a non-negative value (use zigzag)")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
+    """Base-128 varint encoding of an unsigned 64-bit integer."""
+    if value < 0x80:
+        if value < 0:
+            raise WireError("varint requires a non-negative value (use zigzag)")
+        return _ONE_BYTE_VARINT[value]
+    if value >> 64:
+        raise WireError("varint value exceeds 64 bits")
+    out = []
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
+    return bytes(out)
 
 
 def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     """Decode a varint; returns ``(value, next_offset)``."""
-    result = 0
-    shift = 0
-    pos = offset
+    if offset >= len(data):
+        raise WireError("truncated varint")
+    byte = data[offset]
+    if byte < 0x80:
+        return byte, offset + 1
+    result = byte & 0x7F
+    shift = 7
+    pos = offset + 1
     while True:
         if pos >= len(data):
             raise WireError("truncated varint")
-        if shift > 63:
-            raise WireError("varint longer than 64 bits")
         byte = data[pos]
         pos += 1
+        # The 10th byte holds bit 63 alone: anything above 0x01 there
+        # (a higher bit or a continuation) is longer than 64 bits.
+        if shift == 63 and byte > 0x01:
+            raise WireError("varint longer than 64 bits")
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return result, pos
@@ -74,17 +86,22 @@ def encode_key(field_number: int, wire_type: WireType) -> bytes:
     return encode_varint((field_number << 3) | int(wire_type))
 
 
+# The 3-bit wire type of a key -> WireType, None where unsupported.
+_WIRE_TYPE_OF = tuple(
+    next((wire_type for wire_type in WireType if wire_type.value == raw), None)
+    for raw in range(8)
+)
+
+
 def decode_key(data: bytes, offset: int = 0) -> Tuple[int, WireType, int]:
     """Decode a field key; returns ``(field_number, wire_type, next_offset)``."""
     key, pos = decode_varint(data, offset)
-    wire_type_raw = key & 0x7
     field_number = key >> 3
     if field_number < 1:
         raise WireError(f"invalid field number {field_number}")
-    try:
-        wire_type = WireType(wire_type_raw)
-    except ValueError:
-        raise WireError(f"unsupported wire type {wire_type_raw}") from None
+    wire_type = _WIRE_TYPE_OF[key & 0x7]
+    if wire_type is None:
+        raise WireError(f"unsupported wire type {key & 0x7}")
     return field_number, wire_type, pos
 
 

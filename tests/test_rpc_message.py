@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rpc.message import (
+    _draw_letters,
     decode_message,
     encode_message,
     generate_message,
@@ -105,6 +106,17 @@ def test_generate_message_fills_all_fields():
     value = generate_message(ROOT, random.Random(3))
     assert set(value) == {"id", "name", "score", "blob", "inner"}
     assert decode_message(ROOT, encode_message(ROOT, value)) == value
+
+
+@given(st.integers(), st.integers(min_value=1, max_value=2_000))
+def test_bulk_letter_draw_matches_choice_loop(seed, size):
+    loop_rng = random.Random(seed)
+    expected = "".join(
+        loop_rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(size)
+    )
+    bulk_rng = random.Random(seed)
+    assert _draw_letters(bulk_rng, size) == expected
+    assert bulk_rng.getstate() == loop_rng.getstate()
 
 
 def test_schema_table():

@@ -43,6 +43,16 @@ def test_varint_truncated_rejected():
 def test_varint_overlong_rejected():
     with pytest.raises(WireError):
         decode_varint(b"\xff" * 10 + b"\x01")
+    with pytest.raises(WireError):
+        decode_varint(b"\xff" * 9 + b"\x7f")  # a 70-bit value
+    with pytest.raises(WireError):
+        encode_varint((1 << 64) + 5)
+
+
+def test_varint_64_bit_boundary():
+    encoded = encode_varint((1 << 64) - 1)
+    assert encoded == b"\xff" * 9 + b"\x01"
+    assert decode_varint(encoded) == ((1 << 64) - 1, 10)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
