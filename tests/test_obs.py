@@ -1,12 +1,13 @@
 """Tests for the observability subsystem (repro.obs)."""
 
 import json
+import sys
 
 import pytest
 
 from cli_helpers import run_cli
 
-from repro.config import fpga_system
+from repro.config import fpga_system, system_by_name
 from repro.experiments import SweepSpec, run_sweep
 from repro.obs import (
     EVENT_KINDS,
@@ -157,6 +158,59 @@ def test_instrument_system_binds_existing_counters():
     system.sim.schedule(10, lambda: None)
     system.sim.run()
     assert reg.get("engine.events").read() == before + 1
+
+
+def _drain_work(monkeypatch, instrumented: bool):
+    """``(events, calls)`` of one fanout-2 LSU drain.
+
+    ``calls`` counts the Python and C function calls made inside
+    ``Simulator.run``; ``instrumented`` attaches an idle registry to
+    the built system through :func:`instrument_system`.
+    """
+    from repro.system import SystemBuilder
+
+    build, run = SystemBuilder.build, Simulator.run
+    work = []
+
+    def build_with_idle_registry(self, *args, **kwargs):
+        system = build(self, *args, **kwargs)
+        instrument_system(system, MetricsRegistry())
+        return system
+
+    def counted_run(sim, *args, **kwargs):
+        calls = [0]
+
+        def count(_frame, event, _arg):
+            if event == "call" or event == "c_call":
+                calls[0] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            run(sim, *args, **kwargs)
+        finally:
+            sys.setprofile(previous)
+        work.append((sim.executed, calls[0]))
+
+    with monkeypatch.context() as patch:
+        if instrumented:
+            patch.setattr(SystemBuilder, "build", build_with_idle_registry)
+        patch.setattr(Simulator, "run", counted_run)
+        WorkloadDriver(system_by_name("asic")).run(
+            "rw-mix(2000,0.5)", topology="fanout-2", seed=7, streams=2
+        )
+    (drain,) = work
+    return drain
+
+
+def test_idle_registry_adds_no_work_to_the_drain(monkeypatch):
+    """Instrumentation off adds no work: with an idle registry bound,
+    the same drain executes the same events and makes the same calls."""
+    _drain_work(monkeypatch, instrumented=False)  # warm first-call caches
+    plain = _drain_work(monkeypatch, instrumented=False)
+    observed = _drain_work(monkeypatch, instrumented=True)
+    assert plain[0] > 0 and plain[1] > plain[0]
+    assert observed == plain
 
 
 def test_snapshotter_samples_and_never_keeps_sim_alive():
