@@ -1,58 +1,16 @@
-"""Microbenchmarks for the simulator hot path (engine, cache, RPC).
+"""Microbenchmarks for paths perfbench does not time.
 
-Unlike the figure benchmarks, these measure the simulator itself: raw
-event-calendar throughput, cancellation churn, and the cache-array
-access mix.  ``repro bench`` runs the same workloads at larger sizes
-and records them in ``BENCH_engine.json``; this suite keeps them under
-pytest-benchmark so a plain ``pytest benchmarks/ --benchmark-only``
-also tracks engine regressions.
+perfbench (``perfbench/run.py``) times the engine drain, system builds,
+workload batches, result-store appends and the RPC comparison inside
+its four workloads.  These two cases keep the rest under
+pytest-benchmark: the bare event calendar with no workload logic, and
+the data-driven topology path (JSON parse, schema validation, registry
+dispatch, build) that no perfbench workload loads.
 """
 
-from repro import bench
+from repro.config import fpga_system
 from repro.sim.engine import Simulator
-
-
-def test_bench_engine_drain(benchmark):
-    result = benchmark.pedantic(
-        bench.bench_engine_drain, kwargs={"events": 50_000}, rounds=3, iterations=1
-    )
-    assert result["events"] >= 50_000
-    assert result["events_per_sec"] > 0
-
-
-def test_bench_engine_cancel(benchmark):
-    result = benchmark.pedantic(
-        bench.bench_engine_cancel, kwargs={"events": 20_000}, rounds=3, iterations=1
-    )
-    # Half the scheduled events are cancelled (some cancels land on
-    # already-cancelled handles, so the fired count floats above half).
-    assert 0 < result["events"] <= result["scheduled"]
-
-
-def test_bench_cache_array(benchmark):
-    result = benchmark.pedantic(
-        bench.bench_cache_array, kwargs={"ops": 50_000}, rounds=3, iterations=1
-    )
-    assert result["ops"] == 50_000
-    assert 0.0 < result["hit_rate"] < 1.0
-
-
-def test_bench_rpc(benchmark):
-    result = benchmark.pedantic(
-        bench.bench_rpc, kwargs={"messages": 10}, rounds=1, iterations=1
-    )
-    assert result["deser_speedup"] > 1.0
-
-
-def test_bench_workloads_are_deterministic():
-    """The same workload executes the same event sequence every run."""
-    first = bench.bench_engine_drain(events=5_000)
-    second = bench.bench_engine_drain(events=5_000)
-    assert first["events"] == second["events"]
-
-    first = bench.bench_cache_array(ops=5_000)
-    second = bench.bench_cache_array(ops=5_000)
-    assert first["hit_rate"] == second["hit_rate"]
+from repro.system import SystemBuilder, dump_topology, load_topology, topology_by_name
 
 
 def test_raw_fast_path_schedule(benchmark):
@@ -70,10 +28,15 @@ def test_raw_fast_path_schedule(benchmark):
     assert executed == 10_000
 
 
-def test_bench_result_store_quick():
-    """Sharded append + streaming aggregation stays correct at bench sizes."""
-    result = bench.bench_result_store(records=500)
-    assert result["records"] == 500
-    assert result["shards"] >= 1
-    assert result["distinct"] == 500 and result["ok"] == 500
-    assert result["appends_per_sec"] > 0
+def test_topology_load_and_build(benchmark, tmp_path):
+    """Load, validate and build ``fanout-2`` from its JSON dump, 50 times."""
+    path = tmp_path / "fanout-2.json"
+    dump_topology(topology_by_name("fanout-2"), path)
+    builder = SystemBuilder(fpga_system())
+    expected = len(builder.build("fanout-2").nodes)
+
+    def load_and_build() -> int:
+        return sum(len(builder.build(load_topology(path)).nodes) for _ in range(50))
+
+    nodes = benchmark.pedantic(load_and_build, rounds=3, iterations=1)
+    assert nodes == 50 * expected

@@ -6,9 +6,7 @@ from repro.cache.messages import CoherenceMessage, MessageType
 from repro.cache.mesi import (
     ALLOWED_TRANSITIONS,
     check_transition,
-    fast_mode,
     ProtocolError,
-    set_fast_mode,
 )
 from repro.cache.l1 import L1Cache
 from repro.cache.llc import SharedLLC, LlcOp
@@ -23,8 +21,6 @@ __all__ = [
     "MessageType",
     "ALLOWED_TRANSITIONS",
     "check_transition",
-    "fast_mode",
-    "set_fast_mode",
     "ProtocolError",
     "L1Cache",
     "SharedLLC",

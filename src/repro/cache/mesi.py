@@ -72,29 +72,9 @@ def rebuild_table() -> None:
     global _LEGAL
     _LEGAL = _flatten()
 
-# When True, check_transition trusts the caller and skips validation
-# entirely.  Meant for measurement runs on configurations whose
-# protocol behavior has already been validated by the test suite.
-_FAST = False
-
-
-def set_fast_mode(enabled: bool) -> bool:
-    """Toggle validation-free transitions; returns the previous mode."""
-    global _FAST
-    previous = _FAST
-    _FAST = bool(enabled)
-    return previous
-
-
-def fast_mode() -> bool:
-    """Whether transition validation is currently skipped."""
-    return _FAST
-
 
 def check_transition(current: MesiState, event: str, target: MesiState) -> MesiState:
     """Validate ``current --event--> target``; returns ``target``."""
-    if _FAST:
-        return target
     if (current, event, target) in _LEGAL:
         return target
     # Cold path: consult the public table directly so transitions added

@@ -35,8 +35,6 @@ Usage::
     python -m repro compare runs/a runs/b
     python -m repro sweep significance --repeats 10 --out runs/sig
     python -m repro analyze runs/sig --html runs/sig/report.html
-    python -m repro bench --quick
-    python -m repro bench --quick --check --baseline benchmarks/BENCH_baseline.json
 """
 
 from __future__ import annotations
@@ -527,57 +525,6 @@ def _cmd_report(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, out: IO[str]) -> int:
-    import json
-
-    from repro import bench
-    from repro.cache.mesi import set_fast_mode
-
-    baseline = None
-    if args.check:
-        # Load (and fail on) the baseline *before* spending minutes
-        # benchmarking against a payload that turns out unreadable.
-        baseline_path = Path(args.baseline)
-        if not baseline_path.is_file():
-            out.write(f"perf gate: no baseline payload at {baseline_path}\n")
-            return 2
-        try:
-            baseline = json.loads(baseline_path.read_text())
-        except json.JSONDecodeError as exc:
-            out.write(f"perf gate: invalid baseline JSON: {exc}\n")
-            return 2
-    # Validation stays ON by default so the recorded numbers (above
-    # all sweep_quick.wall_s) measure exactly what `repro sweep` users
-    # pay; --fast opts validated configs into the MESI fast mode.
-    previous = set_fast_mode(args.fast)
-    try:
-        payload = bench.run_bench(
-            quick=args.quick, progress=lambda line: out.write(f"  {line}\n")
-        )
-    finally:
-        set_fast_mode(previous)
-    path = bench.write_bench(payload, args.out or bench.DEFAULT_OUT)
-    out.write(bench.render(payload))
-    out.write(f"\nwrote {path}\n")
-    if baseline is None:
-        return 0
-    # The obs verdict compares two regions of this run, so it gates on
-    # any machine shape.
-    obs_failure = bench.obs_overhead_failure(payload)
-    if obs_failure:
-        out.write(f"perf gate: FAIL — {obs_failure}\n")
-    mismatch = bench.machine_mismatch(payload, baseline)
-    if mismatch:
-        # Cross-machine numbers are not comparable; a gate that fails on
-        # them would only report hardware churn, so warn and pass.
-        out.write(f"perf gate: skipped — {mismatch}\n")
-        return 1 if obs_failure else 0
-    outcome = bench.check_regression(payload, baseline, args.threshold)
-    out.write(bench.render_check(outcome, args.threshold))
-    out.write("\n")
-    return 1 if outcome["regressions"] or obs_failure else 0
-
-
 def _cmd_analyze(args: argparse.Namespace, out: IO[str]) -> int:
     from repro.experiments import ResultStore, RunAnalysis
     from repro.experiments.stats import StatsError
@@ -837,36 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plots", choices=["svg", "matplotlib", "none"], default="svg",
         help="distribution plot backend for --html (default: svg)",
     )
-
-    bench = sub.add_parser(
-        "bench", help="run hot-path microbenchmarks, write BENCH_engine.json"
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="smaller workloads (CI smoke sizes)"
-    )
-    bench.add_argument(
-        "--out", help="output JSON path (default: BENCH_engine.json)"
-    )
-    bench.add_argument(
-        "--fast", action="store_true",
-        help="skip MESI transition validation (validated configs only)",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="perf gate: compare throughput against --baseline and exit "
-        "nonzero on regression (skips with a warning when the baseline "
-        "came from a different machine shape), or when an idle metrics "
-        "registry slows the obs_overhead drain by more than 2%%",
-    )
-    bench.add_argument(
-        "--baseline", default="benchmarks/BENCH_baseline.json",
-        help="baseline payload for --check "
-        "(default: benchmarks/BENCH_baseline.json)",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="fractional throughput drop that fails --check (default 0.15)",
-    )
     return parser
 
 
@@ -884,7 +801,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "compare": _cmd_compare,
     "analyze": _cmd_analyze,
-    "bench": _cmd_bench,
 }
 
 

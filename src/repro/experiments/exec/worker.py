@@ -37,8 +37,7 @@ Progress = Optional[Callable[[str], None]]
 
 #: Finished records buffered before a batched store append.  Small
 #: enough that a crash re-runs at most a handful of specs, large enough
-#: to amortise the shard lock round-trip (see ``repro bench``'s
-#: ``result_store`` workload for the measured delta).
+#: to amortise the shard lock round-trip.
 FLUSH_BATCH = 8
 
 

@@ -12,9 +12,10 @@ next to the final :meth:`MetricsRegistry.summary`.
 
 Because observation is pull-based, a system that never attaches a
 registry executes exactly the same instructions as before — the
-zero-overhead-when-off contract shared with the ``NullTracer`` pattern
-(and checked by ``repro bench --check`` on the ``obs_overhead``
-workload).  Scheduled
+zero-overhead-when-off contract shared with the ``NullTracer`` pattern.
+``tests/test_obs.py::test_idle_registry_adds_no_work_to_the_drain``
+checks it exactly: a drain with an idle registry bound executes the
+same events and makes the same Python-level calls.  Scheduled
 snapshots never mutate simulation state, so an instrumented run's
 measurement stays bit-identical to an uninstrumented one.
 

@@ -66,22 +66,6 @@ def test_flat_table_matches_allowed_transitions():
             assert check_transition(current, event, target) is target
 
 
-def test_fast_mode_skips_validation_and_restores():
-    from repro.cache.mesi import fast_mode, set_fast_mode
-
-    assert not fast_mode()
-    previous = set_fast_mode(True)
-    assert previous is False
-    try:
-        # Illegal transition passes untouched in fast mode.
-        assert check_transition(I, "local_write", M) is M
-    finally:
-        set_fast_mode(previous)
-    assert not fast_mode()
-    with pytest.raises(ProtocolError):
-        check_transition(I, "local_write", M)
-
-
 def test_rebuild_table_honors_removed_transitions():
     from repro.cache.mesi import ALLOWED_TRANSITIONS, rebuild_table
 

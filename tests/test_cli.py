@@ -70,27 +70,3 @@ def test_missing_command_errors():
     with pytest.raises(SystemExit):
         main([])
 
-
-def test_bench_quick_writes_json(tmp_path):
-    import json
-
-    out_path = tmp_path / "BENCH_engine.json"
-    code, out = run_cli("bench", "--quick", "--out", str(out_path))
-    assert code == 0
-    assert "wrote" in out
-    payload = json.loads(out_path.read_text())
-    assert payload["quick"] is True
-    workloads = payload["workloads"]
-    for name in (
-        "engine_drain", "engine_cancel", "cache_array", "rpc",
-        "system_build", "topology_load", "sweep_quick",
-    ):
-        assert name in workloads
-        assert workloads[name]["wall_s"] >= 0
-    assert workloads["engine_drain"]["events_per_sec"] > 0
-    assert workloads["system_build"]["builds_per_sec"] > 0
-    assert workloads["topology_load"]["loads_per_sec"] > 0
-    assert workloads["sweep_quick"]["specs"] == 10
-    # Fast-mode MESI checking is restored after the bench.
-    from repro.cache.mesi import fast_mode
-    assert not fast_mode()
