@@ -53,13 +53,11 @@ def work_counters(systems: Iterable[object]) -> Dict[str, int]:
             totals["llc.writebacks"] += llc.writebacks
             totals["llc.hits"] += llc.array.hits
             totals["llc.misses"] += llc.array.misses
-        # An LSU node holds its device's DCOH and HMC too; count each once.
-        seen = set()
         for node in system.nodes.values():
             dcoh, hmc = getattr(node, "dcoh", None), getattr(node, "hmc", None)
-            if dcoh is None or hmc is None or id(dcoh) in seen:
+            # A device holds both; an LSU holds only its device's DCOH.
+            if dcoh is None or hmc is None:
                 continue
-            seen.add(id(dcoh))
             totals["hmc.hits"] += hmc.array.hits
             totals["hmc.misses"] += hmc.array.misses
             totals["hmc.snoops_received"] += hmc.snoops_received
