@@ -51,6 +51,5 @@ def test_one_extra_event_per_call_breaks_the_golden(monkeypatch, exp_id, owner, 
 
     monkeypatch.setattr(owner, method, with_extra_event)
     counters = measure(exp_id)
-    assert calls[0] > 0
-    assert counters["sim.executed"] == GOLDEN[exp_id]["sim.executed"] + calls[0]
     assert counters != GOLDEN[exp_id]
+    assert counters["sim.executed"] == GOLDEN[exp_id]["sim.executed"] + calls[0]
