@@ -185,12 +185,17 @@ class CacheArray:
 
         victim_info: Optional[Tuple[int, CacheBlock]] = None
         if len(cache_set) >= self.ways:
-            candidates = [b for b in cache_set.values() if not b.locked]
-            if not candidates:
+            # Least recently used unlocked line; the first one on ties.
+            victim = None
+            for candidate in cache_set.values():
+                if not candidate.locked and (
+                    victim is None or candidate.last_touch < victim.last_touch
+                ):
+                    victim = candidate
+            if victim is None:
                 raise RuntimeError(
                     f"{self.name}: all ways locked in set {index}, cannot fill"
                 )
-            victim = min(candidates, key=lambda b: b.last_touch)
             victim_addr = self._block_addr(index, victim.tag)
             del cache_set[victim.tag]
             if victim.valid:

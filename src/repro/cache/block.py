@@ -45,6 +45,21 @@ class CacheBlock:
         self.last_touch = 0
         self.locked = False  # RAO PEs lock lines during read-modify-write
 
+    def __deepcopy__(self, memo: dict) -> "CacheBlock":
+        # A forked system copies thousands of blocks; copying the slots
+        # directly is several times cheaper than the generic protocol.
+        # ``owner`` is a peer id string and ``state`` an enum member, so
+        # only ``sharers`` needs a copy of its own.
+        block = CacheBlock.__new__(CacheBlock)
+        block.tag = self.tag
+        block.state = self.state
+        block.owner = self.owner
+        block.sharers = set(self.sharers)
+        block.last_touch = self.last_touch
+        block.locked = self.locked
+        memo[id(self)] = block
+        return block
+
     @property
     def valid(self) -> bool:
         return self.state is not MesiState.INVALID

@@ -46,15 +46,11 @@ class MemoryController:
         start = self.service_start(now_ps)
         channel, local = self.interleaver.map(addr)
         result = self.channels[channel].access(local, start)
-        # Report latency relative to the caller's clock, including any
-        # wait for the controller to free up.
-        total = (start - now_ps) + result.latency_ps
-        return DramAccess(
-            addr=addr,
-            bank=result.bank,
-            latency_ps=total,
-            refresh_collision=result.refresh_collision,
-        )
+        # Report the full address, and latency relative to the caller's
+        # clock, including any wait for the controller to free up.
+        result.addr = addr
+        result.latency_ps += start - now_ps
+        return result
 
     def reset(self) -> None:
         for channel in self.channels:

@@ -31,6 +31,11 @@ class DramBankModel:
     def __init__(self, params: DramParams, seed: int = 1234) -> None:
         self.params = params
         self._rng = random.Random(seed)
+        # The jitter draw is ``randint(-jitter_ps, jitter_ps)`` unrolled:
+        # the same rejection loop over ``getrandbits``, so the same
+        # values and the same RNG state, without three Python calls.
+        self._jitter_span = 2 * params.jitter_ps + 1
+        self._jitter_bits = self._jitter_span.bit_length()
         self._bank_free_ps = [0] * params.banks
         self.accesses = 0
         self.refresh_collisions = 0
@@ -60,7 +65,14 @@ class DramBankModel:
         if refresh:
             self.refresh_collisions += 1
             start += refresh
-        jitter = self._rng.randint(-self.params.jitter_ps, self.params.jitter_ps)
+        # Bound per call, not kept on self: deepcopy (BuiltSystem.fork)
+        # would keep a stored builtin method bound to the original RNG.
+        getrandbits = self._rng.getrandbits
+        span, bits = self._jitter_span, self._jitter_bits
+        draw = getrandbits(bits)
+        while draw >= span:
+            draw = getrandbits(bits)
+        jitter = draw - self.params.jitter_ps
         service = max(self.params.row_hit_ps, self.params.closed_access_ps + jitter)
         finish = start + service
         self._bank_free_ps[bank] = start + self.params.burst_ps

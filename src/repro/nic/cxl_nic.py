@@ -78,6 +78,7 @@ class CxlRaoNic(NicBase):
         evict_ps = self.config.rao.dirty_evict_ps
         pe_ps = self.config.device.cycles_ps(self.config.rao.pe_access_cycles)
         start_ps = self.sim.now
+        reads_before = self.dcoh.reads
         pending = list(requests)
         cursor = [0]
 
@@ -134,7 +135,7 @@ class CxlRaoNic(NicBase):
         return RaoRunResult(
             ops=len(pending),
             elapsed_ps=self.sim.now - start_ps,
-            reads_issued=self.dcoh.reads,
+            reads_issued=self.dcoh.reads - reads_before,
             writes_issued=0,
         )
 

@@ -21,6 +21,7 @@ lets the refactored harnesses reproduce the seed figures exactly.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
@@ -50,6 +51,27 @@ class BuiltSystem:
     host_controller: Optional[MemoryController] = None
     host_region: Optional[AddressRange] = None
     llc: Optional[SharedLLC] = None
+
+    def fork(self) -> "BuiltSystem":
+        """An independent, exact copy of this system, counters included.
+
+        The copy starts from this system's simulated time, cache
+        contents, RNG states and counters, and shares no mutable state
+        with it, so a run on either leaves the other untouched.  This is
+        how a harness pays for a long warm-up once and measures several
+        workloads from the same warmed state.  The calendar must be
+        empty: a pending event's callback may close over this system,
+        and its copy would still act on this system.  The same holds
+        for the clock of a tracer attached with
+        :meth:`~repro.sim.component.Component.attach_trace`.
+        """
+        if self.sim.pending:
+            raise RuntimeError(
+                f"cannot fork system {self.topology.name!r}: its calendar "
+                f"still holds {self.sim.pending} event(s); drain it with "
+                f"sim.run() first"
+            )
+        return copy.deepcopy(self)
 
     def node(self, name: str) -> object:
         try:

@@ -1,14 +1,17 @@
 """Golden work counters of the 13 paper experiments.
 
 Each entry runs one id of ``PAPER_EXPERIMENT_IDS`` in process and sums
-the work counters of every system the experiment builds: events executed
-by the simulator; the LLC home agent's requests, snoops, writebacks and
-array hits/misses; and every device's HMC array hits/misses and snoops
-received, and DCOH reads, writes and issued evictions.  These are the
-counters perfbench's traced run reports.  They do not depend on the host
-or the Python version, so ``test_golden_paper.py`` checks them exactly on
-every runner: a change that adds simulator work to a paper experiment
-moves its entry.
+the work counters of every system the experiment builds or forks: events
+executed by the simulator; the LLC home agent's requests, snoops,
+writebacks and array hits/misses; and every device's HMC array
+hits/misses and snoops received, and DCOH reads, writes and issued
+evictions.  These are the counters perfbench's traced run reports.  A
+fork carries its parent's counters, so a forked system counts the same
+as one that simulated its parent's work again (fig17 forks one warmed
+RAO system per pattern; ``test_golden_paper.py`` counts that saving
+separately).  The counters do not depend on the host or the Python
+version, so ``test_golden_paper.py`` checks them exactly on every runner:
+a change that adds simulator work to a paper experiment moves its entry.
 
 Regenerate (only on a deliberate behaviour change), from the repo root::
 
@@ -68,7 +71,7 @@ def work_counters(systems: Iterable[object]) -> Dict[str, int]:
 
 
 def measure(exp_id: str) -> Dict[str, int]:
-    """Run one paper experiment and sum the counters of what it built."""
+    """Run one paper experiment and sum the counters of what it built or forked."""
     from repro.harness.experiments import run_experiment
 
     with built_systems() as built:

@@ -39,22 +39,31 @@ CASES = (
 
 @contextmanager
 def built_systems() -> Iterator[List[object]]:
-    """Collect every system ``SystemBuilder.build`` returns meanwhile."""
-    from repro.system import SystemBuilder
+    """Collect every system built or forked meanwhile.
+
+    That is every system ``SystemBuilder.build`` or ``BuiltSystem.fork``
+    returns.  A fork carries its parent's counters, so summing a fork
+    counts the work that produced its starting state once more, just as
+    if that state had been simulated again.
+    """
+    from repro.system import BuiltSystem, SystemBuilder
 
     built: List[object] = []
-    original = SystemBuilder.build
+    build, fork = SystemBuilder.build, BuiltSystem.fork
 
-    def build(self, *args, **kwargs):
-        system = original(self, *args, **kwargs)
-        built.append(system)
-        return system
+    def recording(original):
+        def call(*args, **kwargs):
+            system = original(*args, **kwargs)
+            built.append(system)
+            return system
 
-    SystemBuilder.build = build
+        return call
+
+    SystemBuilder.build, BuiltSystem.fork = recording(build), recording(fork)
     try:
         yield built
     finally:
-        SystemBuilder.build = original
+        SystemBuilder.build, BuiltSystem.fork = build, fork
 
 
 def measure_case(name, workload, topology, streams, fault) -> Dict[str, object]:

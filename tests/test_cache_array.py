@@ -1,5 +1,7 @@
 """Tests for the set-associative cache array."""
 
+import copy
+
 import pytest
 
 from repro.cache.array import CacheArray
@@ -67,6 +69,19 @@ def test_locked_line_not_evicted():
     arr.insert(128, MesiState.EXCLUSIVE)
     _b, victim = arr.insert(256, MesiState.EXCLUSIVE)
     assert victim[0] == 128  # the unlocked way went instead
+
+
+def test_deepcopy_gives_blocks_their_own_state():
+    arr = small_array()
+    block, _ = arr.insert(0, MesiState.SHARED)
+    block.owner, block.sharers, block.locked = "dev0", {"dev1"}, True
+    twin = copy.deepcopy(arr)
+    copied = twin.peek(0)
+    fields = ("tag", "state", "owner", "sharers", "last_touch", "locked")
+    assert copied is not block
+    assert [getattr(copied, f) for f in fields] == [getattr(block, f) for f in fields]
+    copied.sharers.add("dev2")
+    assert block.sharers == {"dev1"}
 
 
 def test_all_ways_locked_raises():

@@ -1,5 +1,7 @@
 """Tests for the DDR5 bank model."""
 
+import random
+
 import pytest
 
 from repro.config.system import DramParams
@@ -27,6 +29,24 @@ def test_jitter_bounded():
         r = model.access(0, now_ps=params.trfc_ps + 1_000)
         assert not r.refresh_collision
         assert abs(r.latency_ps - params.closed_access_ps) <= params.jitter_ps
+
+
+@pytest.mark.parametrize("jitter_ps", [0, 1, 4_000])
+@pytest.mark.parametrize("seed", [1, 7, 1234, 2**40 + 3])
+def test_jitter_draw_matches_randint(jitter_ps, seed):
+    """The unrolled jitter draw is ``Random.randint(-j, j)`` exactly: the
+    same values and the same RNG state after them, on every Python the
+    CI runs (a change to CPython's rejection loop would show here)."""
+    params = DramParams(jitter_ps=jitter_ps)
+    model = DramBankModel(params, seed=seed)
+    reference = random.Random(seed)
+    for i in range(500):
+        # Outside every refresh window, on an idle bank: only jitter.
+        now = params.trfc_ps + i * params.trefi_ps
+        jitter = reference.randint(-jitter_ps, jitter_ps)
+        expected = max(params.row_hit_ps, params.closed_access_ps + jitter)
+        assert model.access(i * 64, now).latency_ps == expected
+    assert model._rng.getstate() == reference.getstate()
 
 
 def test_refresh_collision_detected():

@@ -100,6 +100,17 @@ def test_warm_fills_hmc_dirty():
     assert dirty == lines
 
 
+def test_reads_issued_counts_only_the_run():
+    """SG reads three indices and the target per op on either NIC; the
+    CXL NIC's warm-up reads must not be reported as the run's."""
+    requests = make_workload("SG", ops=64).requests
+    pcie = PcieRaoNic(Simulator(), asic_system(), HostValues())
+    cxl = cxl_nic()
+    cxl.warm()
+    assert pcie.run(requests).reads_issued == 256
+    assert cxl.run(requests).reads_issued == 256
+
+
 def test_pe_parallelism_improves_miss_throughput():
     random_reqs = make_workload("RAND", ops=128).requests
     serial = cxl_nic(pe_count=1)

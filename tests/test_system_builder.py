@@ -21,7 +21,7 @@ from repro.mem.controller import MemoryController
 from repro.mem.interface import MemoryInterface
 from repro.nic.base import HostValues
 from repro.nic.cxl_nic import CxlRaoNic
-from repro.rao.circustent import make_workload
+from repro.rao.circustent import CIRCUSTENT_PATTERNS, make_workload
 from repro.sim.engine import Simulator
 from repro.system import (
     BuildError,
@@ -151,6 +151,50 @@ def test_builder_rao_matches_hand_wired():
 
     assert built_run.elapsed_ps == direct_run.elapsed_ps
     assert built_run.throughput_mops == direct_run.throughput_mops
+
+
+# ------------------------------ forking -------------------------------
+def _warmed_rao_system():
+    system = SystemBuilder(asic_system()).build("rao-cxl")
+    system.node("cxl-nic").warm()
+    return system
+
+
+@pytest.mark.parametrize("pattern", CIRCUSTENT_PATTERNS)
+def test_fork_runs_like_a_freshly_warmed_system(pattern):
+    requests = make_workload(pattern, ops=256).requests
+    outcomes = []
+    for system in (_warmed_rao_system().fork(), _warmed_rao_system()):
+        nic = system.node("cxl-nic")
+        run = nic.run(requests)
+        outcomes.append((run, nic.hmc_hits, nic.hmc_misses, system.sim.now))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_running_a_fork_leaves_the_original_untouched():
+    original = _warmed_rao_system()
+
+    def snapshot(system):
+        nic = system.node("cxl-nic")
+        lines = [
+            (addr, block.state, block.last_touch, block.locked)
+            for addr, block in nic.hmc.array.blocks()
+        ]
+        return (system.sim.now, system.sim.executed, system.llc.requests,
+                nic.dcoh.reads, lines)
+
+    before = snapshot(original)
+    fork = original.fork()
+    fork.node("cxl-nic").run(make_workload("RAND", ops=256).requests)
+    assert snapshot(fork) != before
+    assert snapshot(original) == before
+
+
+def test_fork_refuses_a_pending_calendar():
+    system = SystemBuilder(asic_system()).build("rao-cxl")
+    system.sim.schedule(10, lambda: None)
+    with pytest.raises(RuntimeError, match="still holds 1 event"):
+        system.fork()
 
 
 # ----------------------- experiment determinism -----------------------
