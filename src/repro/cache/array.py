@@ -26,9 +26,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.cache.block import CacheBlock, MesiState
 from repro.mem.address import CACHELINE
 
-# Module-level alias: the probes below test ``state is not _INVALID``
-# inline rather than through the ``CacheBlock.valid`` property.
+# Module-level aliases: the probes below test ``state is not _INVALID``
+# (and fills ``state is _MODIFIED``) inline rather than through the
+# ``CacheBlock.valid``/``dirty`` properties.
 _INVALID = MesiState.INVALID
+_MODIFIED = MesiState.MODIFIED
 
 
 class CacheArray:
@@ -167,10 +169,11 @@ class CacheArray:
         ``probe`` reuses an ``index_tag(addr)`` result computed at
         lookup time.  Fills never count hit/miss statistics.
         """
-        if state is MesiState.INVALID:
+        if state is _INVALID:
             raise ValueError("cannot insert an invalid line")
         if probe is None:
-            index, tag = self.index_tag(addr)
+            shifted = addr >> self._line_shift
+            index, tag = shifted & self._set_mask, shifted >> self._set_bits
         else:
             index, tag = probe
         cache_set = self._sets.get(index)
@@ -178,7 +181,7 @@ class CacheArray:
             cache_set = self._sets[index] = {}
         self._tick += 1
         existing = cache_set.get(tag)
-        if existing is not None and existing.valid:
+        if existing is not None and existing.state is not _INVALID:
             existing.state = state
             existing.last_touch = self._tick
             return existing, None
@@ -198,9 +201,9 @@ class CacheArray:
                 )
             victim_addr = self._block_addr(index, victim.tag)
             del cache_set[victim.tag]
-            if victim.valid:
+            if victim.state is not _INVALID:
                 self.evictions += 1
-                if victim.dirty:
+                if victim.state is _MODIFIED:
                     self.dirty_evictions += 1
                 victim_info = (victim_addr, victim)
 
@@ -211,12 +214,12 @@ class CacheArray:
 
     def invalidate(self, addr: int) -> Optional[CacheBlock]:
         """Drop the line holding ``addr``; returns the old block if valid."""
-        index, tag = self.index_tag(addr)
-        cache_set = self._sets.get(index)
+        shifted = addr >> self._line_shift
+        cache_set = self._sets.get(shifted & self._set_mask)
         if cache_set is None:
             return None
-        block = cache_set.pop(tag, None)
-        if block is not None and block.valid:
+        block = cache_set.pop(shifted >> self._set_bits, None)
+        if block is not None and block.state is not _INVALID:
             return block
         return None
 

@@ -14,6 +14,11 @@ class MesiState(enum.Enum):
     EXCLUSIVE = "E"
     MODIFIED = "M"
 
+    # Members are singletons, so identity hashing is exact, and it keeps
+    # the hot dict and set probes keyed by a state out of the Python-level
+    # ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     @property
     def readable(self) -> bool:
         return self is not MesiState.INVALID
@@ -66,7 +71,7 @@ class CacheBlock:
 
     @property
     def dirty(self) -> bool:
-        return self.state.dirty
+        return self.state is MesiState.MODIFIED
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

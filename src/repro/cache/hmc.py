@@ -52,7 +52,8 @@ class HostMemoryCache(Component):
 
     def service_start(self, now_ps: int) -> int:
         """Bandwidth-limiting service slot: one request per service II."""
-        start = max(now_ps, self._next_free_ps)
+        free = self._next_free_ps
+        start = now_ps if now_ps > free else free
         self._next_free_ps = start + self.profile.hmc_service_ii_ps
         return start
 
@@ -68,17 +69,10 @@ class HostMemoryCache(Component):
         return self.array.peek(addr)
 
     def fill(
-        self,
-        addr: int,
-        state: MesiState = MesiState.EXCLUSIVE,
-        probe: Optional[Tuple[int, int]] = None,
+        self, addr: int, state: MesiState = MesiState.EXCLUSIVE
     ) -> Tuple[CacheBlock, Optional[Tuple[int, CacheBlock]]]:
-        """Install a line; returns (block, victim) like the array.
-
-        ``probe`` forwards a cached ``array.index_tag`` decomposition
-        when the caller looked the line up earlier in the transaction.
-        """
-        return self.array.insert(addr, state, probe=probe)
+        """Install a line; returns (block, victim) like the array."""
+        return self.array.insert(addr, state)
 
     def mark_modified(self, addr: int) -> None:
         """Silent E->M upgrade (Fig. 7 phase 2)."""

@@ -28,7 +28,7 @@ from repro.cache.messages import (
     ProtocolTrace,
 )
 from repro.config.system import HostParams
-from repro.mem.address import line_base
+from repro.mem.address import LINE_MASK, line_base
 from repro.mem.interface import MemoryInterface
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
@@ -115,7 +115,7 @@ class SharedLLC(Component):
         lands back at the requester-facing boundary of the home agent.
         Racing requests to the same line serialize on a line lock.
         """
-        addr = line_base(addr)
+        addr &= LINE_MASK
         waiters = self._busy.get(addr)
         if waiters is not None:
             waiters.append((requester, op, addr, on_done))
@@ -134,29 +134,22 @@ class SharedLLC(Component):
 
     def _arbitrate(self, requester: str, op: LlcOp, addr: int, on_done: Callable[[], None]) -> None:
         now = self.sim.now
+        host = self.host
         start = now if now > self._next_free_ps else self._next_free_ps
         hit = self.array.peek(addr) is not None
-        ii = self.host.host_path_ii_ps if hit else self.host.mem_path_ii_ps
-        self._next_free_ps = start + ii
-        self.sim.schedule_after(
-            start + self.host.llc_access_ps - now,
-            self._dispatch,
-            (requester, op, addr, on_done),
-        )
-
-    def _dispatch(self, requester: str, op: LlcOp, addr: int, on_done: Callable[[], None]) -> None:
-        if op is LlcOp.RD_SHARED:
-            self._read(requester, addr, exclusive=False, on_done=on_done)
-        elif op is LlcOp.RD_OWN:
-            self._read(requester, addr, exclusive=True, on_done=on_done)
+        self._next_free_ps = start + (host.host_path_ii_ps if hit else host.mem_path_ii_ps)
+        # The op's handler fires when the LLC lookup completes.
+        if op is LlcOp.RD_SHARED or op is LlcOp.RD_OWN:
+            handler, args = self._read, (requester, addr, op is LlcOp.RD_OWN, on_done)
         elif op is LlcOp.DIRTY_EVICT:
-            self._dirty_evict(requester, addr, on_done)
+            handler, args = self._dirty_evict, (requester, addr, on_done)
         elif op is LlcOp.CLEAN_EVICT:
-            self._clean_evict(requester, addr, on_done)
+            handler, args = self._clean_evict, (requester, addr, on_done)
         elif op is LlcOp.NC_PUSH:
-            self._nc_push(requester, addr, on_done)
+            handler, args = self._nc_push, (requester, addr, on_done)
         else:  # pragma: no cover - enum is closed
             raise ProtocolError(f"unknown op {op}")
+        self.sim.schedule_after(start + host.llc_access_ps - now, handler, args)
 
     # ------------------------------------------------------------------
     # Read paths

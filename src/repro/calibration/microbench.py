@@ -81,7 +81,7 @@ class CxlTestbench:
         return LsuReport(
             latencies=acc.latencies,
             bandwidth_gbps=None,
-            hmc_hits=new.hmc_hits,
+            hmc_hits=acc.hmc_hits + new.hmc_hits,
             requests=acc.requests + new.requests,
         )
 

@@ -14,10 +14,11 @@ from typing import Callable, Optional
 from repro.cache.block import MesiState
 from repro.cache.hmc import HostMemoryCache
 from repro.cache.llc import LlcOp, SharedLLC
+from repro.cache.mesi import check_transition
 from repro.config.system import DeviceProfile
 from repro.cxl.transactions import DcohResult
 from repro.interconnect.flexbus import FlexBus, FlexBusChannel
-from repro.mem.address import line_base
+from repro.mem.address import LINE_MASK
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 
@@ -74,7 +75,7 @@ class Dcoh(Component):
         self.sim.schedule_after(
             self._request_ps,
             self._tag_lookup,
-            (line_base(addr), on_done, exclusive, extra_rt_ps),
+            (addr & LINE_MASK, on_done, exclusive, extra_rt_ps),
         )
 
     def _tag_lookup(
@@ -87,7 +88,7 @@ class Dcoh(Component):
         hmc = self.hmc
         now = self.sim.now
         tag_done = hmc.service_start(now) + self._tag_ps
-        block = hmc.lookup(addr)
+        block = hmc.array.lookup(addr)
         if block is not None and (not exclusive or block.state.writable):
             result = DcohResult(addr, hmc_hit=True, llc_hit=False, dirty_victim=False)
             self.sim.schedule_after(
@@ -123,20 +124,25 @@ class Dcoh(Component):
         extra_rt_ps: int = 0,
     ) -> None:
         self.writes += 1
-        addr = line_base(addr)
+        addr &= LINE_MASK
 
         def owned(result: DcohResult) -> None:
             # Between the RFO fill and this upgrade, a concurrent miss
             # from another stream can victimize the just-filled line —
             # the array doesn't pin in-flight lines the way MSHRs do.
             # Ownership was still granted, so re-install straight in M.
-            if self.hmc.peek(addr) is None:
-                _block, victim = self.hmc.fill(addr, MesiState.MODIFIED)
+            array = self.hmc.array
+            block = array.peek(addr)
+            if block is None:
+                _block, victim = array.insert(addr, MesiState.MODIFIED)
                 if victim is not None and victim[1].dirty:
                     self.evictions_issued += 1
                     self.llc.request(self.name, LlcOp.DIRTY_EVICT, victim[0], _ignore)
             else:
-                self.hmc.mark_modified(addr)
+                # Silent E->M upgrade (Fig. 7 phase 2).
+                block.state = check_transition(
+                    block.state, "local_write", MesiState.MODIFIED
+                )
             on_done(result)
 
         self.read(addr, owned, exclusive=True, extra_rt_ps=extra_rt_ps)
@@ -146,7 +152,7 @@ class Dcoh(Component):
     # ------------------------------------------------------------------
     def nc_push(self, addr: int, on_done: Optional[Callable[[], None]] = None) -> None:
         self.nc_pushes += 1
-        addr = line_base(addr)
+        addr &= LINE_MASK
         self.hmc.invalidate(addr)
 
         def at_host() -> None:
@@ -163,7 +169,7 @@ class Dcoh(Component):
     # Explicit dirty eviction (Fig. 7 phase 3)
     # ------------------------------------------------------------------
     def evict(self, addr: int, on_done: Callable[[], None]) -> None:
-        addr = line_base(addr)
+        addr &= LINE_MASK
         block = self.hmc.peek(addr)
         if block is None:
             self.schedule(0, on_done)
@@ -199,7 +205,7 @@ class _HostMiss:
     """
 
     __slots__ = (
-        "dcoh", "addr", "on_done", "exclusive", "inbound_extra", "probe", "llc_hit",
+        "dcoh", "addr", "on_done", "exclusive", "inbound_extra", "llc_hit",
     )
 
     def __init__(
@@ -215,9 +221,6 @@ class _HostMiss:
         self.on_done = on_done
         self.exclusive = exclusive
         self.inbound_extra = inbound_extra
-        # index/tag computed once; the fill after the host round trip
-        # reuses it.
-        self.probe = dcoh.hmc.array.index_tag(addr)
         self.llc_hit = False
 
     @property
@@ -227,9 +230,11 @@ class _HostMiss:
 
     def at_host(self) -> None:
         dcoh = self.dcoh
-        self.llc_hit = dcoh.llc.holds(self.addr)
+        llc = dcoh.llc
+        # ``addr`` is already line-aligned: probe the array directly.
+        self.llc_hit = llc.array.peek(self.addr) is not None
         op = LlcOp.RD_OWN if self.exclusive else LlcOp.RD_SHARED
-        dcoh.llc.request(dcoh.name, op, self.addr, self.host_done)
+        llc.request(dcoh.name, op, self.addr, self.host_done)
 
     def host_done(self) -> None:
         dcoh = self.dcoh
@@ -241,7 +246,7 @@ class _HostMiss:
         dcoh = self.dcoh
         addr = self.addr
         state = MesiState.EXCLUSIVE if self.exclusive else MesiState.SHARED
-        _block, victim = dcoh.hmc.fill(addr, state, probe=self.probe)
+        _block, victim = dcoh.hmc.array.insert(addr, state)
         dirty_victim = victim is not None and victim[1].dirty
         if dirty_victim:
             dcoh.evictions_issued += 1

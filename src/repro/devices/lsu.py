@@ -31,7 +31,7 @@ class LsuReport:
 
     latencies: Histogram
     bandwidth_gbps: Optional[float]
-    hmc_hits: int
+    hmc_hits: int  # HMC hits during this run, not the array's lifetime total
     requests: int
 
     @property
@@ -67,6 +67,7 @@ class LoadStoreUnit(Component):
     ) -> LsuReport:
         """Serialized loads over ``addrs``; returns per-request latencies."""
         self.pmu.reset()
+        hits_before = self.dcoh.hmc.array.hits
         issue_ps = self.profile.cycles_ps(self.profile.lsu_issue_cycles)
         complete_ps = self.profile.cycles_ps(self.profile.lsu_complete_cycles)
         pending = list(addrs)
@@ -92,11 +93,10 @@ class LoadStoreUnit(Component):
 
         issue_next()
         self.sim.run()
-        hits = self.dcoh.hmc.array.hits
         return LsuReport(
             latencies=self.pmu.latencies,
             bandwidth_gbps=None,
-            hmc_hits=hits,
+            hmc_hits=self.dcoh.hmc.array.hits - hits_before,
             requests=len(pending),
         )
 
@@ -107,10 +107,11 @@ class LoadStoreUnit(Component):
         self,
         addrs: Sequence[int],
         exclusive: bool = False,
-        warmup: int = 128,
     ) -> LsuReport:
-        """Pipelined loads under the profile's outstanding window."""
+        """Pipelined loads under the profile's outstanding window;
+        bandwidth is timed from the first request."""
         self.pmu.reset()
+        hits_before = self.dcoh.hmc.array.hits
         credits = CreditPool(self.profile.max_outstanding, f"{self.name}.mshr")
         issue_ii = self.profile.clock_period_ps  # one issue slot per cycle
         pending = list(addrs)
@@ -148,7 +149,7 @@ class LoadStoreUnit(Component):
         return LsuReport(
             latencies=self.pmu.latencies,
             bandwidth_gbps=bandwidth,
-            hmc_hits=self.dcoh.hmc.array.hits,
+            hmc_hits=self.dcoh.hmc.array.hits - hits_before,
             requests=len(pending),
         )
 

@@ -235,12 +235,13 @@ class FaultController:
                 continue
             self._wrapped.add(id(bus))
             base_cls = type(bus)
-            base_prop = base_cls.oneway_ps
 
             class _DegradedFlexBus(base_cls):  # type: ignore[misc, valid-type]
+                # A class-level property shadows the plain instance
+                # attribute that FlexBus sets.
                 @property
                 def oneway_ps(self) -> int:
-                    base = base_prop.fget(self)
+                    base = self.profile.phy_oneway_ps
                     factor = controller.link_factor(key, self.sim.now)
                     return base if factor == 1.0 else int(round(base * factor))
 

@@ -20,6 +20,11 @@ class FlexBusChannel(enum.Enum):
     CACHE = "cxl.cache"
     MEM = "cxl.mem"
 
+    # Members are singletons, so identity hashing is exact, and it keeps
+    # ``FlexBus.traffic[channel] += 1`` out of the Python-level
+    # ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 class FlexBus(Component):
     """One CXL link's PHY with per-channel accounting."""
@@ -32,11 +37,10 @@ class FlexBus(Component):
     ) -> None:
         super().__init__(sim, name)
         self.profile = profile
+        # A plain attribute: read once per crossing.  A fault plan that
+        # degrades the link shadows it with a time-varying property.
+        self.oneway_ps = profile.phy_oneway_ps
         self.traffic: Dict[FlexBusChannel, int] = {c: 0 for c in FlexBusChannel}
-
-    @property
-    def oneway_ps(self) -> int:
-        return self.profile.phy_oneway_ps
 
     def traverse(
         self,

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 from typing import List
 
 CACHELINE = 64
+#: ``addr & LINE_MASK == line_base(addr)`` for every int, negatives
+#: included: the hot paths align inline with it.
+LINE_MASK = ~(CACHELINE - 1)
 
 
 def line_base(addr: int, line: int = CACHELINE) -> int:

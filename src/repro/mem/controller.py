@@ -27,6 +27,9 @@ class MemoryController:
     ) -> None:
         self.params = params
         self.interleaver = Interleaver(channels)
+        # ``access`` applies ``interleaver.map`` inline with these.
+        self._granule = self.interleaver.granule
+        self._channel_count = channels
         self.channels: List[DramBankModel] = [
             DramBankModel(params, seed=seed + i) for i in range(channels)
         ]
@@ -34,18 +37,17 @@ class MemoryController:
         self._next_free_ps = 0
         self.requests = 0
 
-    def service_start(self, now_ps: int) -> int:
-        """Apply the controller initiation interval; returns service start."""
-        start = max(now_ps, self._next_free_ps)
-        self._next_free_ps = start + self.ii_ps
-        return start
-
     def access(self, addr: int, now_ps: int) -> DramAccess:
         """One read/write of the line containing ``addr``."""
         self.requests += 1
-        start = self.service_start(now_ps)
-        channel, local = self.interleaver.map(addr)
-        result = self.channels[channel].access(local, start)
+        # The controller initiation interval delays the service start.
+        free = self._next_free_ps
+        start = now_ps if now_ps > free else free
+        self._next_free_ps = start + self.ii_ps
+        granule_index, offset = divmod(addr, self._granule)
+        count = self._channel_count
+        local = (granule_index // count) * self._granule + offset
+        result = self.channels[granule_index % count].access(local, start)
         # Report the full address, and latency relative to the caller's
         # clock, including any wait for the controller to free up.
         result.addr = addr

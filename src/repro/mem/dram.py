@@ -36,19 +36,22 @@ class DramBankModel:
         # values and the same RNG state, without three Python calls.
         self._jitter_span = 2 * params.jitter_ps + 1
         self._jitter_bits = self._jitter_span.bit_length()
+        # Per-access constants, worked out once from the frozen params.
+        self._row_bytes = params.row_bytes
+        self._banks = params.banks
+        self._trefi_ps = params.trefi_ps
+        self._trfc_ps = params.trfc_ps
+        self._burst_ps = params.burst_ps
+        self._row_hit_ps = params.row_hit_ps
+        # closed_access_ps + jitter, with the jitter's -jitter_ps offset
+        # folded in: a draw in [0, 2 * jitter_ps] is added to it.
+        self._service_base_ps = params.closed_access_ps - params.jitter_ps
         self._bank_free_ps = [0] * params.banks
         self.accesses = 0
         self.refresh_collisions = 0
 
     def bank_of(self, addr: int) -> int:
-        return (addr // self.params.row_bytes) % self.params.banks
-
-    def _refresh_penalty(self, now_ps: int) -> int:
-        """Residual tRFC if ``now_ps`` lands inside a refresh window."""
-        phase = now_ps % self.params.trefi_ps
-        if phase < self.params.trfc_ps:
-            return self.params.trfc_ps - phase
-        return 0
+        return (addr // self._row_bytes) % self._banks
 
     def access(self, addr: int, now_ps: int) -> DramAccess:
         """Issue one closed-page access; returns latency including queueing.
@@ -59,12 +62,15 @@ class DramBankModel:
         the burst, not on the full access latency.
         """
         self.accesses += 1
-        bank = self.bank_of(addr)
-        start = max(now_ps, self._bank_free_ps[bank])
-        refresh = self._refresh_penalty(start)
+        bank = (addr // self._row_bytes) % self._banks
+        free = self._bank_free_ps[bank]
+        start = now_ps if now_ps > free else free
+        # A start inside a refresh window waits out the residual tRFC.
+        phase = start % self._trefi_ps
+        refresh = phase < self._trfc_ps
         if refresh:
             self.refresh_collisions += 1
-            start += refresh
+            start += self._trfc_ps - phase
         # Bound per call, not kept on self: deepcopy (BuiltSystem.fork)
         # would keep a stored builtin method bound to the original RNG.
         getrandbits = self._rng.getrandbits
@@ -72,16 +78,11 @@ class DramBankModel:
         draw = getrandbits(bits)
         while draw >= span:
             draw = getrandbits(bits)
-        jitter = draw - self.params.jitter_ps
-        service = max(self.params.row_hit_ps, self.params.closed_access_ps + jitter)
-        finish = start + service
-        self._bank_free_ps[bank] = start + self.params.burst_ps
-        return DramAccess(
-            addr=addr,
-            bank=bank,
-            latency_ps=finish - now_ps,
-            refresh_collision=bool(refresh),
-        )
+        service = self._service_base_ps + draw
+        if service < self._row_hit_ps:
+            service = self._row_hit_ps
+        self._bank_free_ps[bank] = start + self._burst_ps
+        return DramAccess(addr, bank, start + service - now_ps, refresh)
 
     def median_access_ps(self) -> int:
         """Nominal (jitter-free, conflict-free) access cost."""

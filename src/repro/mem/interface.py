@@ -50,7 +50,7 @@ class MemoryInterface:
         """Round-trip latency for one line access through the interface."""
         self.routed += 1
         for region, controller in self._targets.values():
-            if region.contains(addr):
+            if region.start <= addr < region.end:
                 break
         else:
             raise LookupError(f"address {addr:#x} maps to no memory target")

@@ -101,17 +101,13 @@ class Simulator:
     """Discrete-event simulator with picosecond integer time."""
 
     def __init__(self) -> None:
-        self._now: int = 0
+        #: Current simulated time in picoseconds; only the engine sets it.
+        self.now: int = 0
         self._seq: int = 0
         # Entries are (when, seq, callback, args, event_or_None).
         self._heap: List[tuple] = []
         self._executed: int = 0
         self._cancelled: int = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in picoseconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -135,7 +131,7 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay_ps})")
         seq = self._seq + 1
         self._seq = seq
-        when = self._now + delay_ps
+        when = self.now + delay_ps
         event = Event(when, seq, callback, args, label, self)
         heapq.heappush(self._heap, (when, seq, callback, args, event))
         return event
@@ -148,7 +144,7 @@ class Simulator:
         label: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``when_ps``."""
-        return self.schedule(when_ps - self._now, callback, *args, label=label)
+        return self.schedule(when_ps - self.now, callback, *args, label=label)
 
     def schedule_after(
         self,
@@ -166,7 +162,7 @@ class Simulator:
         """
         seq = self._seq + 1
         self._seq = seq
-        heapq.heappush(self._heap, (self._now + delay_ps, seq, callback, args, None))
+        heapq.heappush(self._heap, (self.now + delay_ps, seq, callback, args, None))
 
     def _note_cancel(self) -> None:
         """Lazy-deletion bookkeeping; compacts a mostly-dead calendar."""
@@ -221,7 +217,7 @@ class Simulator:
             if limit is not None and self._executed >= limit:
                 break
             heappop(heap)
-            self._now = when
+            self.now = when
             self._executed += 1
             if event is not None:
                 # Detach the handle so a stale cancel() after firing
@@ -230,10 +226,10 @@ class Simulator:
             callback(*args)
         # Unified horizon handling for every exit path (calendar empty,
         # event beyond horizon, or max_events reached).
-        if until_ps is not None and until_ps > self._now:
+        if until_ps is not None and until_ps > self.now:
             next_when = self._next_live_when()
             if next_when is None or next_when > until_ps:
-                self._now = until_ps
+                self.now = until_ps
         return self._executed - executed_before
 
     def _run_profiled(
@@ -269,16 +265,16 @@ class Simulator:
             if limit is not None and self._executed >= limit:
                 break
             heappop(heap)
-            self._now = when
+            self.now = when
             self._executed += 1
             if event is not None:
                 event._sim = None
             record(callback, args)
         profiler.add_run(perf_counter() - run_start, self._executed - executed_before)
-        if until_ps is not None and until_ps > self._now:
+        if until_ps is not None and until_ps > self.now:
             next_when = self._next_live_when()
             if next_when is None or next_when > until_ps:
-                self._now = until_ps
+                self.now = until_ps
         return self._executed - executed_before
 
     def step(self) -> bool:
@@ -291,7 +287,7 @@ class Simulator:
                     self._cancelled -= 1
                     continue
                 event._sim = None
-            self._now = when
+            self.now = when
             self._executed += 1
             callback(*args)
             return True
@@ -306,7 +302,7 @@ class Simulator:
             if event is not None:
                 event._sim = None
         self._heap.clear()
-        self._now = 0
+        self.now = 0
         self._seq = 0
         self._executed = 0
         self._cancelled = 0

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.calibration.microbench import CxlTestbench
-from repro.config import asic_system, fpga_system
+from repro.config import asic_system, fpga_system, system_by_name
 from repro.config.presets import ASIC_1500
 from repro.devices.dma import DmaEngine
+from repro.devices.lsu import LsuReport
 from repro.devices.pmu import Pmu
 from repro.devices.xpu import ProcessingElement, WorkItem, Xpu
 from repro.sim.engine import Simulator
+from repro.sim.stats import Histogram
 
 
 # ------------------------------- PMU ----------------------------------
@@ -74,6 +76,36 @@ def test_lsu_exclusive_flag_propagates():
     from repro.cache.block import MesiState
 
     assert tb.device.hmc.peek(0x2000).state is MesiState.EXCLUSIVE
+
+
+def test_lsu_reports_the_hmc_hits_of_its_own_run():
+    """``hmc_hits`` counts one run's hits, not the HMC's lifetime total."""
+    tb = CxlTestbench(asic_system())
+    addrs = tb.lsu.sequential_lines(0x100000, 8)
+    tb.lsu.warm_hmc(addrs)
+    assert tb.lsu.run_latency(addrs).hmc_hits == 8
+    assert tb.lsu.run_latency(addrs).hmc_hits == 8
+    report = tb.lsu.run_bandwidth(addrs * 4)
+    assert (report.hmc_hits, report.requests) == (32, 32)
+
+
+def test_testbench_merge_adds_per_trial_hmc_hits():
+    first = LsuReport(Histogram(), None, hmc_hits=3, requests=4)
+    second = LsuReport(Histogram(), None, hmc_hits=5, requests=4)
+    merged = CxlTestbench._merge(first, second)
+    assert (merged.hmc_hits, merged.requests) == (8, 8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP open item 6: latency trials merge into the PMU's one"
+    " reused Histogram, so every trial but the last is lost",
+)
+def test_latency_trials_keep_one_sample_per_request():
+    tb = CxlTestbench(system_by_name("fpga"), seed=107)
+    report = tb.latency_mem_hit(trials=3, count=4)
+    assert report.requests == 12
+    assert len(report.latencies) == report.requests
 
 
 # ------------------------------- DMA ----------------------------------

@@ -298,9 +298,9 @@ def test_degraded_link_latency_is_time_varying():
     ).install(system)
     bus = system.nodes["dev0"].flexbus
     base = bus.oneway_ps  # sim.now == 0: before the window
-    system.sim._now = 10_000_000  # inside the 2us..32us window
+    system.sim.now = 10_000_000  # inside the 2us..32us window
     assert bus.oneway_ps == int(round(base * 4.0))
-    system.sim._now = 40_000_000  # recovered
+    system.sim.now = 40_000_000  # recovered
     assert bus.oneway_ps == base
     assert controller.link_factor(("dev0", "host"), 10_000_000) == 4.0
 

@@ -1,10 +1,13 @@
 """Tests for address ranges and interleaving."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.mem.address import (
     AddressRange,
     CACHELINE,
+    LINE_MASK,
     Interleaver,
     line_base,
     line_offset,
@@ -17,6 +20,18 @@ def test_line_helpers():
     assert line_base(63) == 0
     assert line_base(64) == 64
     assert line_offset(65) == 1
+
+
+@given(st.integers(min_value=-(1 << 96), max_value=1 << 96))
+@example(0)
+@example(-1)
+@example(-CACHELINE)
+@example((1 << 64) + 65)
+@example(-(1 << 64) - 1)
+def test_line_mask_matches_line_base(addr):
+    """The hot paths align with ``addr & LINE_MASK``: the same line as
+    ``line_base`` for negative, zero and wider-than-64-bit ints."""
+    assert addr & LINE_MASK == line_base(addr)
 
 
 def test_range_contains_and_offset():

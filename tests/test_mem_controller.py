@@ -15,6 +15,23 @@ def test_channels_split_traffic():
     assert ctrl.channels[1].accesses == 1
 
 
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_access_routes_like_the_interleaver(channels):
+    """``access`` inlines ``Interleaver.map``: same channel, same local
+    address (seen through the channel's bank)."""
+    ctrl = MemoryController(DramParams(), channels=channels, seed=1)
+    for addr in (0, 63, 64, 24_576, 41_024, 1 << 20, (1 << 34) + 192):
+        channel, local = ctrl.interleaver.map(addr)
+        before = [ch.accesses for ch in ctrl.channels]
+        result = ctrl.access(addr, 10_000_000)
+        after = [ch.accesses for ch in ctrl.channels]
+        assert [b - a for a, b in zip(before, after)] == [
+            int(i == channel) for i in range(channels)
+        ]
+        assert result.bank == ctrl.channels[channel].bank_of(local)
+        assert result.addr == addr
+
+
 def test_controller_ii_backpressure():
     ctrl = MemoryController(DramParams(jitter_ps=0), channels=1, ii_ps=10_000, seed=1)
     t = 10_000_000

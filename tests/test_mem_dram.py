@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.config.system import DramParams
-from repro.mem.dram import DramBankModel
+from repro.mem.dram import DramAccess, DramBankModel
 
 
 def make_model(**kwargs):
@@ -47,6 +47,76 @@ def test_jitter_draw_matches_randint(jitter_ps, seed):
         expected = max(params.row_hit_ps, params.closed_access_ps + jitter)
         assert model.access(i * 64, now).latency_ps == expected
     assert model._rng.getstate() == reference.getstate()
+
+
+class ReferenceBankModel:
+    """The bank model as first written, through ``bank_of``,
+    ``_refresh_penalty`` and ``max``; the model inlines all three."""
+
+    def __init__(self, params, seed):
+        self.params = params
+        self.rng = random.Random(seed)
+        self.bank_free_ps = [0] * params.banks
+        self.refresh_collisions = 0
+
+    def bank_of(self, addr):
+        return (addr // self.params.row_bytes) % self.params.banks
+
+    def _refresh_penalty(self, now_ps):
+        phase = now_ps % self.params.trefi_ps
+        if phase < self.params.trfc_ps:
+            return self.params.trfc_ps - phase
+        return 0
+
+    def access(self, addr, now_ps):
+        bank = self.bank_of(addr)
+        start = max(now_ps, self.bank_free_ps[bank])
+        refresh = self._refresh_penalty(start)
+        if refresh:
+            self.refresh_collisions += 1
+            start += refresh
+        jitter = self.rng.randint(-self.params.jitter_ps, self.params.jitter_ps)
+        service = max(self.params.row_hit_ps, self.params.closed_access_ps + jitter)
+        self.bank_free_ps[bank] = start + self.params.burst_ps
+        return DramAccess(
+            addr=addr,
+            bank=bank,
+            latency_ps=start + service - now_ps,
+            refresh_collision=bool(refresh),
+        )
+
+
+@pytest.mark.parametrize("jitter_ps", [0, 1, 4_000])
+def test_access_matches_the_reference_formulation(jitter_ps):
+    """Accesses that straddle refresh windows and queue on busy banks
+    give the reference's results, counters and RNG state."""
+    params = DramParams(jitter_ps=jitter_ps)
+    model = DramBankModel(params, seed=5)
+    reference = ReferenceBankModel(params, seed=5)
+    trefi, trfc = params.trefi_ps, params.trfc_ps
+    # Around each window edge: just before it opens (a busy bank pushes
+    # the start inside), at its first and last picosecond, and after it.
+    offsets = (-3_000, -1, 0, 1, trfc // 2, trfc - 1, trfc, trfc + 1)
+    row = params.row_bytes
+    results = []
+    for window in range(1, 4):
+        for k, offset in enumerate(offsets):
+            now = window * trefi + offset
+            # An idle bank starts at ``now`` itself; the line after it
+            # shares that bank, so it queues; the next row is another bank.
+            base = 2 * k * row
+            for addr in (base, base + 64, base + row, base):
+                got = model.access(addr, now)
+                assert got == reference.access(addr, now)
+                assert type(got.refresh_collision) is bool
+                results.append(got)
+    assert model._rng.getstate() == reference.rng.getstate()
+    assert model._bank_free_ps == reference.bank_free_ps
+    assert model.refresh_collisions == reference.refresh_collisions
+    # The schedule exercises both edges and a queued bank.
+    assert any(r.refresh_collision for r in results)
+    assert not all(r.refresh_collision for r in results)
+    assert any(r.latency_ps > params.closed_access_ps + jitter_ps for r in results)
 
 
 def test_refresh_collision_detected():
