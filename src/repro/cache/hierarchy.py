@@ -12,17 +12,19 @@ generates, so the traffic savings are measurable (see the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
-from repro.cxl.switch import SwitchFabric
-from repro.mem.address import line_base
+from repro.mem.address import LINE_MASK
 
 
-@dataclass
 class LineState:
-    owner: Optional[str] = None          # exclusive child, if any
-    sharers: Set[str] = field(default_factory=set)
+    """One directory line: its exclusive child, if any, and its sharers."""
+
+    __slots__ = ("owner", "sharers")
+
+    def __init__(self) -> None:
+        self.owner: Optional[str] = None
+        self.sharers: Set[str] = set()
 
 
 class GlobalAgent:
@@ -34,41 +36,41 @@ class GlobalAgent:
         self.requests = 0
         self.invalidations_sent = 0
 
-    def _line(self, addr: int) -> LineState:
-        base = line_base(addr)
-        line = self._lines.get(base)
-        if line is None:
-            line = self._lines[base] = LineState()
-        return line
-
     def acquire(self, child: str, addr: int, exclusive: bool) -> Tuple[Set[str], int]:
         """Grant ``child`` access; returns (children to invalidate, msgs)."""
         self.requests += 1
-        line = self._line(addr)
-        messages = 2  # request + grant
-        to_invalidate: Set[str] = set()
+        addr &= LINE_MASK
+        line = self._lines.get(addr)
+        if line is None:
+            line = self._lines[addr] = LineState()
+        owner = line.owner
         if exclusive:
-            if line.owner is not None and line.owner != child:
-                to_invalidate.add(line.owner)
-            to_invalidate |= {s for s in line.sharers if s != child}
+            # The line takes a fresh sharer set, so the old one, less the
+            # requester, plus a foreign owner, is the set to invalidate.
+            to_invalidate = line.sharers
+            to_invalidate.discard(child)
+            if owner is not None and owner != child:
+                to_invalidate.add(owner)
             line.owner = child
             line.sharers = set()
         else:
-            if line.owner is not None and line.owner != child:
+            to_invalidate = set()
+            if owner is not None and owner != child:
                 # Downgrade the owner to sharer.
-                to_invalidate.add(line.owner)
-                line.sharers.add(line.owner)
+                to_invalidate.add(owner)
+                line.sharers.add(owner)
                 line.owner = None
             line.sharers.add(child)
-        messages += 2 * len(to_invalidate)  # invalidate + ack per child
         self.invalidations_sent += len(to_invalidate)
-        return to_invalidate, messages
+        # Request + grant, then invalidate + ack per child.
+        return to_invalidate, 2 + 2 * len(to_invalidate)
 
     def release(self, child: str, addr: int) -> None:
-        line = self._line(addr)
-        if line.owner == child:
-            line.owner = None
-        line.sharers.discard(child)
+        line = self._lines.get(addr & LINE_MASK)
+        if line is not None:
+            if line.owner == child:
+                line.owner = None
+            line.sharers.discard(child)
 
 
 class LocalAgent:
@@ -95,14 +97,13 @@ class LocalAgent:
 class HierarchicalDomain:
     """A supernode: one global agent + N local agents over a fabric."""
 
-    def __init__(self, children: int, fabric: Optional[SwitchFabric] = None) -> None:
+    def __init__(self, children: int) -> None:
         if children <= 0:
             raise ValueError("need at least one child node")
         self.global_agent = GlobalAgent()
         self.locals: Dict[str, LocalAgent] = {
             f"child{i}": LocalAgent(f"child{i}") for i in range(children)
         }
-        self.fabric = fabric
 
     def access(self, child: str, addr: int, exclusive: bool = False) -> bool:
         """One access from ``child``; returns True if satisfied locally.
@@ -110,7 +111,7 @@ class HierarchicalDomain:
         A miss asks the global agent for the line, then drops the line
         from every sibling replica the grant invalidates.
         """
-        addr = line_base(addr)
+        addr &= LINE_MASK
         agent = self.locals[child]
         held = agent.replicas.get(addr)
         if held is not None and (not exclusive or held):

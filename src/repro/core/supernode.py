@@ -123,16 +123,20 @@ class Supernode:
 
         # Every miss travels to the same fabric endpoint (the first pool
         # granule; with no fabric memory, the last host's leaf), so each
-        # host's route is worked out once: (round-trip ps, switches).
+        # host's route is worked out once.  One entry per host holds all a
+        # coherent access reads: (host, child agent, round-trip ps, switches).
         endpoints = root.endpoints
         endpoint = endpoints[0] if endpoints else sorted(self.hosts)[-1]
-        self.miss_routes: Dict[str, Tuple[int, Tuple[CxlSwitch, ...]]] = {}
-        for name in self.hosts:
+        self._host_routes: Dict[
+            str, Tuple[SupernodeHost, str, int, Tuple[CxlSwitch, ...]]
+        ] = {}
+        for name, host in self.hosts.items():
             path = tuple(
                 self.fabric.switch(switch)
                 for switch in self.fabric.route(name, endpoint)
             )
-            self.miss_routes[name] = (2 * sum(s.traversal_ps for s in path), path)
+            latency = 2 * sum(s.traversal_ps for s in path)
+            self._host_routes[name] = (host, self._child_of[name], latency, path)
 
     @classmethod
     def from_hosts(
@@ -184,6 +188,7 @@ class Supernode:
                 f"node {node_id} still has {node.allocated_frames} frames allocated"
             )
         self.manager.release(node.name)
+        entry.numa.remove(node_id)
         entry.leased_nodes.remove(node_id)
 
     def total_capacity_bytes(self, host: str) -> int:
@@ -209,16 +214,15 @@ class Supernode:
         NAKs: the access raises :class:`HostDownError` (and counts
         against the host) without touching the coherence domain.
         """
-        entry = self.hosts[host]
+        entry, child, latency, path = self._host_routes[host]
         if not entry.available:
             entry.naks += 1
             raise HostDownError(
                 f"supernode host {host!r} is down: coherent access NAKed "
                 f"({entry.naks} so far)"
             )
-        if self.domain.access(self._child_of[host], addr, exclusive):
+        if self.domain.access(child, addr, exclusive):
             return 0
-        latency, path = self.miss_routes[host]
         for switch in path:
             switch.packets_routed += 1
         entry.remote_accesses += 1

@@ -86,6 +86,10 @@ class NumaRegistry:
             raise ValueError(f"node {node.node_id} already registered")
         self._nodes[node.node_id] = node
 
+    def remove(self, node_id: int) -> None:
+        """Unregister a node, e.g. a fabric lease handed back."""
+        del self._nodes[node_id]
+
     def node(self, node_id: int) -> NumaNode:
         return self._nodes[node_id]
 

@@ -25,6 +25,7 @@ what makes trace record → replay reproduce a run exactly.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -356,14 +357,18 @@ class WorkloadDriver:
         addrs = (batch.addrs + WINDOW_BASE).tolist()
         exclusive = (batch.kinds == KIND_WRITE).tolist()
         # Integer tallies: exact, so the float series match a float sum.
-        accesses = dict.fromkeys(hosts, 0)
-        paid_ps = dict.fromkeys(hosts, 0)
         if controller is None:
             coherent_access = supernode.coherent_access
             for host, addr, excl in zip(host_of, addrs, exclusive):
-                accesses[host] += 1
-                paid_ps[host] += coherent_access(host, addr, excl)
+                coherent_access(host, addr, excl)
+            # The system is freshly built and every op completed, and
+            # coherent_access adds to its host's remote_latency_ps
+            # exactly the latency it returns.
+            accesses = Counter(host_of)
+            paid_ps = {host: supernode.hosts[host].remote_latency_ps for host in hosts}
         else:
+            accesses = dict.fromkeys(hosts, 0)
+            paid_ps = dict.fromkeys(hosts, 0)
             WorkloadDriver._drive_supernode_faulted(
                 supernode, fabric_name, controller,
                 zip(host_of, addrs, exclusive, batch.delays.tolist()),

@@ -6,9 +6,10 @@ import weakref
 import pytest
 
 from repro.config import asic_system
-from repro.core.supernode import Supernode
+from repro.core.supernode import HostDownError, Supernode
 from repro.kernel.fabric import ResourceError
 from repro.kernel.numa import NodeKind
+from repro.system import SystemBuilder, resolve_topology
 
 
 def build(hosts=2, fabric_gb=4):
@@ -46,6 +47,26 @@ def test_release_returns_granule():
     assert node.free_fabric_bytes == 1 << 30
     # Another host can now take it.
     node.lease_memory("host1", 1 << 29)
+
+
+def test_release_unmaps_the_granule_from_the_host():
+    node = Supernode(asic_system(), hosts=2, fabric_memory_bytes=1 << 30)
+    before = node.total_capacity_bytes("host0")
+    leased = node.lease_memory("host0", 1 << 29)
+    node.release_memory("host0", leased)
+    assert node.total_capacity_bytes("host0") == before
+    assert [n.node_id for n in node.hosts["host0"].numa.nodes] == [0]
+    # The granule goes to host1; no two hosts may map it, or host0's
+    # first-touch allocations could hand out host1's frames.
+    node.lease_memory("host1", 1 << 29)
+    base = Supernode.FABRIC_BASE
+    fabric_ranges = [
+        (n.region.start, n.region.end)
+        for host in node.hosts.values()
+        for n in host.numa.nodes
+        if n.region.start >= base
+    ]
+    assert fabric_ranges == [(base, base + (1 << 30))]
 
 
 def test_release_with_allocations_refused():
@@ -106,6 +127,43 @@ def test_without_fabric_memory_misses_route_to_the_last_host():
     assert node.coherent_access("host0", 0x1000) == 2 * 3 * 70_000  # leaf0-root-leaf1
     assert node.coherent_access("host1", 0x2000) == 2 * 70_000       # leaf1 only
     assert node.fabric.switch("leaf1").packets_routed == 2
+
+
+def test_fork_counts_accesses_on_its_own_hosts_and_switches():
+    topology = resolve_topology("supernode(4)")
+    system = SystemBuilder(asic_system()).build(topology)
+    assert system.topology.name == "supernode-4host"
+    fabric = topology.by_kind("supernode.fabric")[0].name
+    original = system.node(fabric)
+    assert original.coherent_access("host0", 0x1000) > 0  # state the fork inherits
+    forked = system.fork()
+    fork = forked.node(fabric)
+
+    latency = fork.coherent_access("host1", 0x2000, exclusive=True)
+    assert latency > 0
+    assert fork.coherent_access("host1", 0x2000) == 0
+    assert fork.coherent_access("host0", 0x1000) == 0  # inherited replica
+    host1 = fork.hosts["host1"]
+    assert forked.node("host1") is host1
+    assert (host1.remote_accesses, host1.remote_latency_ps) == (1, latency)
+    assert fork.domain.locals["child1"].local_hits == 1
+    routed = {
+        name: fork.fabric.switch(name).packets_routed for name in fork.fabric.switches
+    }
+    assert routed == {"leaf0": 1, "leaf1": 1, "leaf2": 0, "leaf3": 0, "root": 2}
+    fork.set_host_available("host2", False)
+    with pytest.raises(HostDownError):
+        fork.coherent_access("host2", 0x3000)
+    assert fork.hosts["host2"].naks == 1
+
+    # The original saw none of it.
+    assert original.hosts["host1"].remote_accesses == 0
+    assert original.domain.locals["child1"].local_hits == 0
+    assert original.domain.locals["child0"].local_hits == 0
+    assert original.fabric.switch("leaf1").packets_routed == 0
+    assert original.fabric.switch("root").packets_routed == 1
+    assert original.coherent_access("host2", 0x3000) > 0
+    assert original.hosts["host2"].naks == 0
 
 
 def test_dropped_supernode_frees_its_domain_without_gc():
