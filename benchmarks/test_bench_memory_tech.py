@@ -35,7 +35,7 @@ def test_bench_device_memory_technology(benchmark):
                 sim, config.host, config.device, flexbus, hdm, controller
             )
             # Median of a short access train (skip refresh window).
-            sim.run(until_ps=400_000)
+            sim.now = 400_000
             samples = sorted(
                 path.access_ps((1 << 30) + i * 64) for i in range(33)
             )

@@ -47,6 +47,11 @@ class AccessTraceEngine:
     """Replays an access trace on the CXL and PCIe substrates."""
 
     def __init__(self, config: SystemConfig, compute_ps_per_access: int = 2_000) -> None:
+        if compute_ps_per_access < 0:
+            raise ValueError(
+                "compute_ps_per_access must be non-negative; "
+                f"got {compute_ps_per_access}"
+            )
         self.config = config
         self.compute_ps = compute_ps_per_access
 
@@ -71,7 +76,7 @@ class AccessTraceEngine:
             def done(result: DcohResult) -> None:
                 if result.hmc_hit:
                     hits[0] += 1
-                sim.schedule(self.compute_ps, next_access)
+                sim.schedule_after(self.compute_ps, next_access)
 
             if access.write:
                 dcoh.write(access.addr, done)
@@ -101,7 +106,7 @@ class AccessTraceEngine:
             index[0] += 1
 
             def done() -> None:
-                sim.schedule(self.compute_ps, next_access)
+                sim.schedule_after(self.compute_ps, next_access)
 
             dma.transfer(64, done)
 

@@ -51,7 +51,7 @@ class LoadStoreUnit(Component):
     """LSU issuing 64 B loads/stores through the DCOH."""
 
     def __init__(self, sim: Simulator, dcoh: Dcoh, name: str = "lsu") -> None:
-        super().__init__(sim, name, clock=None)
+        super().__init__(sim, name)
         self.dcoh = dcoh
         self.profile = dcoh.profile
         self.pmu = Pmu(f"{name}.pmu")

@@ -158,7 +158,9 @@ class WorkQueue:
         A spec is claimable when its task file exists, its retry
         backoff has elapsed, and no live lease covers it.  The lease
         file is created with ``O_EXCL``, so concurrent workers racing
-        for one spec resolve to exactly one winner.
+        for one spec resolve to exactly one winner, and the task file
+        is checked again once the lease is held, so a spec completed
+        since it was read is never run twice.
         """
         now = time.time()
         for task_path in self._listdir(self.tasks_dir):
@@ -190,6 +192,11 @@ class WorkQueue:
                 return None  # queue torn down mid-scan
             with os.fdopen(fd, "w") as fh:
                 fh.write(json.dumps({"owner": owner, "acquired": now}))
+            if not task_path.is_file():
+                # Completed since we read it: complete() unlinks the
+                # task before it releases the lease, so drop ours.
+                lease_path.unlink(missing_ok=True)
+                continue
             return ClaimedTask(
                 spec_hash=spec_hash,
                 payload=dict(task["payload"]),

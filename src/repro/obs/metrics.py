@@ -1,9 +1,7 @@
 """Hierarchical metrics registry: counters, gauges, histograms, probes.
 
-The registry is the pull-side complement to the push-style
-:class:`~repro.sim.trace.TraceLog`: components keep maintaining the
-plain integer counters they always had (``CacheArray.hits``,
-``Port.sent``, ``Simulator.executed``, ...), and a
+Components keep maintaining the plain integer counters they always
+had (``CacheArray.hits``, ``Simulator.executed``, ...), and a
 :class:`MetricsRegistry` *binds* those counters as named instruments —
 optionally alongside push-style counters/gauges/histograms owned by the
 registry itself.  Periodic simulated-time :meth:`MetricsRegistry.snapshot`
@@ -12,7 +10,7 @@ next to the final :meth:`MetricsRegistry.summary`.
 
 Because observation is pull-based, a system that never attaches a
 registry executes exactly the same instructions as before — the
-zero-overhead-when-off contract shared with the ``NullTracer`` pattern.
+zero-overhead-when-off contract shared with :data:`NULL_METRICS`.
 ``tests/test_obs.py::test_idle_registry_adds_no_work_to_the_drain``
 checks it exactly: a drain with an idle registry bound executes the
 same events and makes the same Python-level calls.  Scheduled
@@ -297,9 +295,9 @@ class ScopedRegistry:
 class NullRegistry:
     """Null-object registry: every instrument it hands out is inert.
 
-    Components that want to hold a metrics handle unconditionally (the
-    ``NULL_TRACER`` idiom) default to :data:`NULL_METRICS`; pushing into
-    a null instrument costs one no-op method call.
+    Components that want to hold a metrics handle unconditionally
+    default to :data:`NULL_METRICS`; pushing into a null instrument
+    costs one no-op method call.
     """
 
     __slots__ = ()

@@ -5,33 +5,16 @@ domains (e.g. a 400 MHz FPGA device and a 2.4 GHz host) coexist without
 floating-point drift.
 """
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.clock import Clock, GHZ, MHZ, NS, PS, US
-from repro.sim.component import Component, Port
+from repro.sim.engine import Simulator
+from repro.sim.component import Component
 from repro.sim.queueing import BoundedQueue, CreditPool, QueueFullError
-from repro.sim.stats import Counter, Histogram, RunningMean
-from repro.sim.trace import NULL_TRACER, NullTracer, TraceLog, TraceRecord, Tracer
+from repro.sim.stats import Histogram
 
 __all__ = [
-    "Event",
     "Simulator",
-    "Clock",
-    "GHZ",
-    "MHZ",
-    "NS",
-    "PS",
-    "US",
     "Component",
-    "Port",
     "BoundedQueue",
     "CreditPool",
     "QueueFullError",
-    "Counter",
     "Histogram",
-    "RunningMean",
-    "TraceLog",
-    "TraceRecord",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
 ]

@@ -1,62 +1,21 @@
-"""Component and port abstractions.
-
-A :class:`Component` owns a reference to the simulator and (optionally)
-a clock domain.  :class:`Port` gives point-to-point, latency-annotated
-message delivery between components; it is the Python analogue of the
-gem5 port pairs in Fig. 6 (cache port, PIO port, DMA port, mem ports).
-"""
+"""Component base class: a named block bound to one simulator."""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from repro.sim.clock import Clock
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACER, TraceLog, Tracer
 
 
 class Component:
-    """Base class for every simulated hardware block.
+    """Base class for every simulated hardware block."""
 
-    Every component carries a ``tracer``; by default it is the shared
-    null tracer, so ``self.tracer.emit(...)`` is zero-cost until a real
-    trace log is attached with :meth:`attach_trace`.
-    """
-
-    #: Class-level default: tracing disabled at zero cost.
-    tracer = NULL_TRACER
-
-    def __init__(self, sim: Simulator, name: str, clock: Optional[Clock] = None) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.clock = clock
-
-    def attach_trace(self, log: TraceLog) -> Tracer:
-        """Bind this component to ``log``; returns the new tracer."""
-        self.tracer = Tracer(log, self.name, lambda: self.sim.now)
-        return self.tracer
-
-    def register_metrics(self, registry) -> None:
-        """Bind this component's counters into a metrics registry.
-
-        The base implementation duck-types over the shared counter
-        attribute names (``hits``, ``sent``, ...) exactly like
-        :func:`repro.obs.metrics.instrument_system`; subclasses with
-        richer state override and add their own probes.  Pull-based, so
-        a component that is never registered pays nothing.
-        """
-        from repro.obs.metrics import _probe_counters
-
-        _probe_counters(registry, self.name, self)
-
-    def delay_cycles(self, n: float) -> int:
-        """Convert ``n`` cycles of this component's clock to picoseconds."""
-        if self.clock is None:
-            raise RuntimeError(f"component {self.name!r} has no clock domain")
-        return self.clock.cycles(n)
 
     def schedule(self, delay_ps: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule on the fast path (not cancellable, no label).
+        """Schedule ``callback(*args)`` to fire ``delay_ps`` from now.
 
         Keeps the negative-delay guard: this is the generic entry point
         for arbitrary components, and silently rewinding simulated time
@@ -72,49 +31,3 @@ class Component:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r})"
-
-
-class Port:
-    """One direction of a point-to-point link between two components.
-
-    Messages sent on the port arrive at the peer's handler after the
-    configured latency.  Bind the two directions separately::
-
-        req = Port(sim, "dev.req", latency_ps=1000)
-        req.connect(host.handle_request)
-        req.send(packet)
-    """
-
-    def __init__(self, sim: Simulator, name: str, latency_ps: int = 0) -> None:
-        self.sim = sim
-        self.name = name
-        self.latency_ps = latency_ps
-        self._handler: Optional[Callable[[Any], None]] = None
-        self.sent = 0
-        self.delivered = 0
-
-    def connect(self, handler: Callable[[Any], None]) -> None:
-        if self._handler is not None:
-            raise RuntimeError(f"port {self.name!r} is already connected")
-        self._handler = handler
-
-    @property
-    def connected(self) -> bool:
-        return self._handler is not None
-
-    def send(self, payload: Any, extra_delay_ps: int = 0) -> None:
-        """Deliver ``payload`` to the peer after port latency."""
-        if self._handler is None:
-            raise RuntimeError(f"port {self.name!r} is not connected")
-        self.sent += 1
-        delay_ps = self.latency_ps + extra_delay_ps
-        if delay_ps < 0:
-            raise ValueError(
-                f"port {self.name!r}: cannot deliver into the past (delay={delay_ps})"
-            )
-        self.sim.schedule_after(delay_ps, self._deliver, (payload,))
-
-    def _deliver(self, payload: Any) -> None:
-        self.delivered += 1
-        assert self._handler is not None
-        self._handler(payload)

@@ -1,4 +1,4 @@
-"""Statistics primitives: counters, running means, and histograms.
+"""Statistics primitive: a histogram with exact quantiles.
 
 Experiments report medians, percentiles and means the same way the
 paper's performance-monitoring unit does (request/response timestamps).
@@ -8,56 +8,6 @@ from __future__ import annotations
 
 import math
 from typing import Dict, Iterable, List, Optional
-
-
-class Counter:
-    """A named monotonically increasing counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "counter") -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self.name}={self.value})"
-
-
-class RunningMean:
-    """Streaming mean/variance (Welford's algorithm)."""
-
-    __slots__ = ("count", "_mean", "_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
 
 
 class Histogram:

@@ -61,9 +61,7 @@ class BuiltSystem:
         how a harness pays for a long warm-up once and measures several
         workloads from the same warmed state.  The calendar must be
         empty: a pending event's callback may close over this system,
-        and its copy would still act on this system.  The same holds
-        for the clock of a tracer attached with
-        :meth:`~repro.sim.component.Component.attach_trace`.
+        and its copy would still act on this system.
         """
         if self.sim.pending:
             raise RuntimeError(

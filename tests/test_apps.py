@@ -108,3 +108,9 @@ def test_engine_pcie_cost_scales_with_trace():
     short = engine.run_pcie([Access(0x1000)] * 4)
     long = engine.run_pcie([Access(0x1000)] * 8)
     assert long == pytest.approx(2 * short, rel=0.05)
+
+
+def test_engine_rejects_negative_compute_time():
+    # A negative think time would rewind simulated time once scheduled.
+    with pytest.raises(ValueError, match="compute_ps_per_access"):
+        AccessTraceEngine(asic_system(), compute_ps_per_access=-1)

@@ -332,6 +332,29 @@ def test_queue_retry_backoff_delays_reclaim(tmp_path):
     assert again.attempts == 1  # retry history survives the requeue
 
 
+def test_queue_claim_skips_a_spec_completed_under_its_read(tmp_path, monkeypatch):
+    # Worker B reads the task file; worker A then completes the spec
+    # (done marker written, task unlinked, lease released) before B
+    # leases it.  B's O_EXCL lease create succeeds, but B must not get
+    # the spec back, or it would run it twice.
+    payloads = _payloads(tiny_sweep(experiments=["table1"]))
+    queue = _make_queue(tmp_path / "run", payloads)
+    task_a = queue.claim("A", lease_timeout_s=30.0)
+    read_json = WorkQueue._read_json
+
+    def read_then_complete(path):
+        data = read_json(path)
+        if path.parent == queue.tasks_dir:
+            queue.complete(task_a, {"stub": True})
+        return data
+
+    monkeypatch.setattr(WorkQueue, "_read_json", staticmethod(read_then_complete))
+    assert queue.claim("B", lease_timeout_s=30.0) is None
+    assert queue.drained()
+    assert [h for h, _ in queue.done_records()] == [task_a.spec_hash]
+    assert not any(queue.leases_dir.iterdir())  # B dropped its lease
+
+
 # ------------------------------ Worker --------------------------------
 def test_worker_drains_queue_and_streams_records(tmp_path):
     run_dir = tmp_path / "run"

@@ -115,8 +115,8 @@ def test_callback_exception_does_not_corrupt_clock():
     def boom():
         raise RuntimeError("injected")
 
-    sim.schedule(100, boom)
-    sim.schedule(200, lambda: None)
+    sim.schedule_after(100, boom)
+    sim.schedule_after(200, lambda: None)
     with pytest.raises(RuntimeError):
         sim.run()
     # Time stopped at the failing event; the rest is still runnable.

@@ -1,5 +1,6 @@
 """Tests for the observability subsystem (repro.obs)."""
 
+import gc
 import json
 import sys
 
@@ -155,7 +156,7 @@ def test_instrument_system_binds_existing_counters():
     assert any(key.startswith("llc.") for key in (i.key for i in reg.instruments()))
     # Probes track the live counters without touching the system.
     before = reg.get("engine.events").read()
-    system.sim.schedule(10, lambda: None)
+    system.sim.schedule_after(10, lambda: None)
     system.sim.run()
     assert reg.get("engine.events").read() == before + 1
 
@@ -184,12 +185,17 @@ def _drain_work(monkeypatch, instrumented: bool):
             if event == "call" or event == "c_call":
                 calls[0] += 1
 
+        # A garbage collection inside the counted window would count the
+        # finalizer calls of objects that other tests left behind.
+        gc.collect()
+        gc.disable()
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
             run(sim, *args, **kwargs)
         finally:
             sys.setprofile(previous)
+            gc.enable()
         work.append((sim.executed, calls[0]))
 
     with monkeypatch.context() as patch:
@@ -218,7 +224,7 @@ def test_snapshotter_samples_and_never_keeps_sim_alive():
     reg = MetricsRegistry()
     reg.probe("now", lambda: sim.now)
     for t in (100, 250, 900):
-        sim.schedule(t, lambda: None)
+        sim.schedule_after(t, lambda: None)
     MetricSnapshotter(sim, reg, interval_ps=200).start()
     sim.run()
     # Ticks at 200/400/.../1000; the 1000 tick sees pending == 0 and

@@ -23,36 +23,36 @@ from repro.system import (
 
 # --------------------------- Event engine -----------------------------
 @settings(max_examples=60)
-@given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=60))
-def test_engine_fires_in_time_order(delays):
-    sim = Simulator()
-    fired = []
-    for delay in delays:
-        sim.schedule(delay, lambda d=delay: fired.append(d))
-    sim.run()
-    assert fired == sorted(fired)
-    assert len(fired) == len(delays)
-
-
-@settings(max_examples=30)
 @given(
     st.lists(
-        st.tuples(st.integers(0, 1_000), st.booleans()),
-        max_size=40,
+        st.tuples(st.integers(min_value=0, max_value=10_000), st.integers(0, 2)),
+        max_size=60,
     )
 )
-def test_engine_cancelled_events_never_fire(spec):
+def test_engine_fires_in_time_order(spec):
+    """Events fire in ``(time, scheduling index)`` order: ties keep the
+    order they were scheduled in, including events a callback schedules
+    at delay 0 while the drain runs."""
     sim = Simulator()
+    scheduled = []  # (when, index) of every event, in scheduling order
     fired = []
-    live = 0
-    for delay, cancel in spec:
-        event = sim.schedule(delay, lambda d=delay: fired.append(d))
-        if cancel:
-            event.cancel()
-        else:
-            live += 1
+
+    def schedule(delay, children):
+        key = (sim.now + delay, len(scheduled))
+        scheduled.append(key)
+        sim.schedule_after(delay, fire, (key, children))
+
+    def fire(key, children):
+        assert sim.now == key[0]
+        fired.append(key)
+        for _ in range(children):
+            schedule(0, 0)
+
+    for delay, children in spec:
+        schedule(delay, children)
     sim.run()
-    assert len(fired) == live
+    assert len(fired) == len(spec) + sum(children for _, children in spec)
+    assert fired == sorted(scheduled)
 
 
 # --------------------------- Interleaver ------------------------------

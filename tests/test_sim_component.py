@@ -1,23 +1,7 @@
-"""Tests for components and ports."""
+"""Tests for the component base class."""
 
-import pytest
-
-from repro.sim.clock import Clock
-from repro.sim.component import Component, Port
+from repro.sim.component import Component
 from repro.sim.engine import Simulator
-
-
-def test_component_delay_cycles():
-    sim = Simulator()
-    comp = Component(sim, "c", clock=Clock(2_500))
-    assert comp.delay_cycles(4) == 10_000
-
-
-def test_component_without_clock_raises():
-    sim = Simulator()
-    comp = Component(sim, "c")
-    with pytest.raises(RuntimeError):
-        comp.delay_cycles(1)
 
 
 def test_component_schedule_runs_callback():
@@ -27,42 +11,3 @@ def test_component_schedule_runs_callback():
     comp.schedule(100, seen.append, "x")
     sim.run()
     assert seen == ["x"]
-
-
-def test_port_delivers_after_latency():
-    sim = Simulator()
-    port = Port(sim, "p", latency_ps=500)
-    received = []
-    port.connect(received.append)
-    port.send({"op": "read"})
-    sim.run()
-    assert received == [{"op": "read"}]
-    assert sim.now == 500
-    assert port.sent == 1
-    assert port.delivered == 1
-
-
-def test_port_extra_delay():
-    sim = Simulator()
-    port = Port(sim, "p", latency_ps=100)
-    times = []
-    port.connect(lambda _msg: times.append(sim.now))
-    port.send("a", extra_delay_ps=400)
-    sim.run()
-    assert times == [500]
-
-
-def test_port_unconnected_send_raises():
-    sim = Simulator()
-    port = Port(sim, "p")
-    with pytest.raises(RuntimeError):
-        port.send("x")
-
-
-def test_port_double_connect_raises():
-    sim = Simulator()
-    port = Port(sim, "p")
-    port.connect(lambda m: None)
-    with pytest.raises(RuntimeError):
-        port.connect(lambda m: None)
-    assert port.connected

@@ -1,36 +1,8 @@
 """Tests for statistics primitives."""
 
-import math
-
 import pytest
 
-from repro.sim.stats import Counter, Histogram, RunningMean
-
-
-def test_counter_inc_and_reset():
-    c = Counter("c")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    c.reset()
-    assert c.value == 0
-
-
-def test_running_mean_matches_direct():
-    rm = RunningMean()
-    values = [1.0, 2.0, 3.5, -4.0, 10.0]
-    for v in values:
-        rm.add(v)
-    assert rm.mean == pytest.approx(sum(values) / len(values))
-    direct_var = sum((v - rm.mean) ** 2 for v in values) / (len(values) - 1)
-    assert rm.variance == pytest.approx(direct_var)
-    assert rm.stddev == pytest.approx(math.sqrt(direct_var))
-
-
-def test_running_mean_empty_variance():
-    rm = RunningMean()
-    rm.add(1.0)
-    assert rm.variance == 0.0
+from repro.sim.stats import Histogram
 
 
 def test_histogram_median_odd_even():

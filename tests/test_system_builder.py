@@ -192,7 +192,7 @@ def test_running_a_fork_leaves_the_original_untouched():
 
 def test_fork_refuses_a_pending_calendar():
     system = SystemBuilder(asic_system()).build("rao-cxl")
-    system.sim.schedule(10, lambda: None)
+    system.sim.schedule_after(10, lambda: None)
     with pytest.raises(RuntimeError, match="still holds 1 event"):
         system.fork()
 
