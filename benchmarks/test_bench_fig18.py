@@ -3,14 +3,14 @@
 from conftest import run_and_print
 
 from repro.harness.experiments import (
+    clear_shared_results,
     fig18a_deserialization,
     fig18b_serialization,
-    shared_rpc_comparison,
 )
 
 
 def test_bench_fig18a(benchmark):
-    shared_rpc_comparison.cache_clear()  # time the full pass, not a cache hit
+    clear_shared_results()  # time the full pass, not a cache hit
     result = run_and_print(benchmark, fig18a_deserialization, messages=200)
     speedup = result.series["speedup"]
     # Paper: 1.33x (Bench5) to 2.05x (Bench1).
@@ -22,7 +22,7 @@ def test_bench_fig18a(benchmark):
 
 
 def test_bench_fig18b(benchmark):
-    shared_rpc_comparison.cache_clear()  # time the full pass, not a cache hit
+    clear_shared_results()  # time the full pass, not a cache hit
     result = run_and_print(benchmark, fig18b_serialization, messages=200)
     mem = result.series["speedup_mem"]
     cache_pf = result.series["speedup_cache_pf"]

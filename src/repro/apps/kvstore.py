@@ -9,6 +9,7 @@ trace is replayed on the CXL and PCIe substrates.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -40,8 +41,13 @@ class KvStore:
         return _VALUE_BASE + slot * self.value_bytes
 
     def _probe(self, key: str) -> Tuple[int, bool]:
-        """Linear probing; returns (slot, found)."""
-        slot = hash(key) & (self.slots - 1)
+        """Linear probing; returns (slot, found).
+
+        Keys hash with CRC-32, not ``hash``, which Python salts per
+        process: the probe trace, and so every result, must not depend
+        on ``PYTHONHASHSEED``.
+        """
+        slot = zlib.crc32(key.encode()) & (self.slots - 1)
         for step in range(self.slots):
             index = (slot + step) & (self.slots - 1)
             self.probes += 1

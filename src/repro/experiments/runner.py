@@ -70,13 +70,13 @@ def _execute_spec(payload: Dict[str, object]) -> Dict[str, object]:
     registry entries are internally deterministic (instance-seeded
     RNGs), so repeats of the same params reproduce identical series.
     """
-    from repro.harness.experiments import run_experiment, shared_rpc_comparison
+    from repro.harness.experiments import clear_shared_results, run_experiment
 
     rng_state = random.getstate()
     random.seed(payload["seed"])
     # Persisted wall times must not depend on which specs shared a
-    # worker process: drop cross-spec memoization before timing.
-    shared_rpc_comparison.cache_clear()
+    # worker process: drop results shared across specs before timing.
+    clear_shared_results()
     start = time.perf_counter()
     record = {
         "spec_hash": payload["spec_hash"],

@@ -18,8 +18,7 @@ from typing import List, Optional
 from repro.config.system import RpcParams, SystemConfig
 from repro.nic.prefetcher import MultiStridePrefetcher, PrefetchBuffer
 from repro.rpc.hyperprotobench import BenchWorkload
-from repro.rpc.layout import ObjectLayout, SlabAllocator, UnitKind, layout_message
-from repro.rpc.message import decode_message, encode_message
+from repro.rpc.layout import ObjectLayout, UnitKind
 from repro.rpc.rpcnic import PipelineResult, decode_time_ps, encode_time_ps
 
 
@@ -36,15 +35,12 @@ class CxlRpcPipeline:
     def deserialize_bench(self, bench: BenchWorkload) -> PipelineResult:
         params = self.params
         times: List[int] = []
-        verified = True
-        for value, wire, stats in zip(bench.values, bench.encoded, bench.stats):
-            decoded = decode_message(bench.schema, wire)
-            verified = verified and decoded == value
+        for stats in bench.stats:
             # NC-P pushes overlap with decode; only the ring update is
             # exposed per message.
             t = decode_time_ps(params, stats) + params.ncp_ring_update_ps
             times.append(t)
-        return PipelineResult("CXL-NIC", bench.name, times, verified)
+        return PipelineResult("CXL-NIC", bench.name, times, all(bench.round_trips))
 
     # ------------------------------------------------------------------
     # Fig. 18b: serialization via CXL.mem
@@ -52,10 +48,7 @@ class CxlRpcPipeline:
     def serialize_bench_mem(self, bench: BenchWorkload) -> PipelineResult:
         params = self.params
         times: List[int] = []
-        verified = True
-        for value, wire, stats in zip(bench.values, bench.encoded, bench.stats):
-            encoded = encode_message(bench.schema, value)
-            verified = verified and encoded == wire
+        for stats in bench.stats:
             t = (
                 # CPU writes the object into device memory (write-combined
                 # CXL.mem stores; ~8% over host-memory construction).
@@ -65,7 +58,9 @@ class CxlRpcPipeline:
                 + encode_time_ps(params, stats)
             )
             times.append(t)
-        return PipelineResult("CXL-NIC.mem", bench.name, times, verified)
+        return PipelineResult(
+            "CXL-NIC.mem", bench.name, times, all(bench.round_trips)
+        )
 
     # ------------------------------------------------------------------
     # Fig. 18b: serialization via CXL.cache (+ optional prefetcher)
@@ -77,24 +72,19 @@ class CxlRpcPipeline:
         prefetcher: Optional[MultiStridePrefetcher] = None,
     ) -> PipelineResult:
         params = self.params
-        allocator = SlabAllocator(seed=3)
         pf = prefetcher if prefetcher is not None else (
             MultiStridePrefetcher() if prefetch else None
         )
         buffer = PrefetchBuffer() if pf is not None else None
         now_ps = 0
         times: List[int] = []
-        verified = True
-        for value, wire, stats in zip(bench.values, bench.encoded, bench.stats):
-            encoded = encode_message(bench.schema, value)
-            verified = verified and encoded == wire
-            layout = layout_message(bench.schema, value, allocator)
+        for layout, stats in zip(bench.layouts, bench.stats):
             fetch = self._fetch_ps(layout, pf, buffer, now_ps)
             t = params.notify_ps + fetch + encode_time_ps(params, stats)
             now_ps += t
             times.append(t)
         design = "CXL-NIC.cache+pf" if pf is not None else "CXL-NIC.cache"
-        return PipelineResult(design, bench.name, times, verified)
+        return PipelineResult(design, bench.name, times, all(bench.round_trips))
 
     def _fetch_ps(
         self,

@@ -12,9 +12,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List
 
-from repro.rpc.message import MessageStats, _stats, encode_message, generate_message
+from repro.rpc.layout import ObjectLayout, SlabAllocator, layout_message
+from repro.rpc.message import (
+    MessageStats,
+    _stats,
+    decode_message,
+    encode_message,
+    generate_message,
+)
 from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema, SchemaTable
 
 BENCH_NAMES = ("Bench0", "Bench1", "Bench2", "Bench3", "Bench4", "Bench5")
@@ -140,6 +148,26 @@ class BenchWorkload:
     @property
     def mean_nested(self) -> float:
         return sum(s.nested_messages for s in self.stats) / len(self.stats)
+
+    @cached_property
+    def round_trips(self) -> List[bool]:
+        """Per message: its wire bytes decode back to its value.
+
+        The codec check every pipeline reports as ``verified``.  It reads
+        only the bench, so it runs once per bench, not once per pipeline.
+        """
+        return [
+            decode_message(self.schema, wire) == value
+            for value, wire in zip(self.values, self.encoded)
+        ]
+
+    @cached_property
+    def layouts(self) -> List[ObjectLayout]:
+        """Each message's host object layout, placed in order from a
+        fresh ``SlabAllocator(seed=3)``: what the CXL.cache serializer
+        walks, with or without its prefetcher."""
+        allocator = SlabAllocator(seed=3)
+        return [layout_message(self.schema, value, allocator) for value in self.values]
 
 
 def make_bench(name: str, messages: int = 300, seed: int = 11) -> BenchWorkload:

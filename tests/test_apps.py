@@ -1,5 +1,10 @@
 """Tests for the application studies: graph offload and KV store."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -77,11 +82,14 @@ def test_kv_overwrite():
 
 def test_kv_collision_probing():
     store = KvStore(slots=8)
-    for i in range(7):
-        store.put(f"key{i}", bytes([i]))
-    for i in range(7):
-        assert store.get(f"key{i}") == bytes([i])
-    assert store.probes > 7  # collisions forced extra probes
+    # All five keys hash to slot 6 of 8, so the i-th one probes i slots.
+    keys = ["key0", "key15", "key22", "key29", "key36"]
+    for i, key in enumerate(keys):
+        store.put(key, bytes([i]))
+    for i, key in enumerate(keys):
+        assert store.get(key) == bytes([i])
+    operations = 2 * len(keys)
+    assert store.probes == 2 * sum(range(1, len(keys) + 1)) > operations
 
 
 def test_kv_slots_power_of_two():
@@ -93,6 +101,25 @@ def test_kv_offload_study():
     result = kv_offload_study(asic_system(), operations=200, keys=64)
     assert result.speedup > 3
     assert result.hmc_hit_rate > 0.3  # hot keys stay cached
+
+
+def test_kv_offload_study_does_not_depend_on_the_hash_seed():
+    script = (
+        "from repro.apps.kvstore import kv_offload_study; "
+        "from repro.config import asic_system; "
+        "print(repr(kv_offload_study(asic_system(), operations=200, keys=64)))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # --------------------------- Trace engine -----------------------------

@@ -6,6 +6,7 @@ compare generation, and the sweep/report/compare CLI exit codes.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,14 +25,20 @@ from repro.experiments import (
     preset_sweep,
     run_sweep,
 )
-from repro.experiments.runner import _pool_context
+from repro.calibration.microbench import CxlTestbench
+from repro.config import system_by_name
+from repro.experiments.runner import _execute_spec, _pool_context
 from repro.harness.experiments import (
     EXPERIMENTS,
+    clear_shared_results,
     fig13_load_latency,
     fig15_load_bandwidth,
+    headline_metrics,
+    run_experiment,
     shared_rpc_comparison,
     simulation_error,
 )
+from repro.sim.engine import Simulator
 
 TINY_SWEEP = {
     "name": "tiny",
@@ -393,6 +400,92 @@ def test_fig18_shares_one_rpc_comparison():
     again = shared_rpc_comparison("asic", 10)
     assert first is again
     assert shared_rpc_comparison("asic", 12) is not first
+    clear_shared_results()
+    assert shared_rpc_comparison("asic", 10) is not first
+
+
+@pytest.fixture
+def drained(monkeypatch):
+    """``drained(call)``: the events ``call()`` drains through ``Simulator.run``."""
+    count, run = [0], Simulator.run
+
+    def counting_run(self, *args, **kwargs):
+        executed = run(self, *args, **kwargs)
+        count[0] += executed
+        return executed
+
+    monkeypatch.setattr(Simulator, "run", counting_run)
+
+    def measure(call):
+        count[0] = 0
+        call()
+        return count[0]
+
+    return measure
+
+
+# Events each experiment drains on its own (tests/data/golden_paper.json
+# before sharing): mape is its own trials=4 fig13 plus a full fig15.
+FIG13_EVENTS, FIG15_EVENTS, MAPE_FIG13_EVENTS = 12_328, 90_112, 6_184
+
+
+def test_fig13_and_fig15_always_simulate_and_headline_and_mape_read_them(drained):
+    clear_shared_results()
+    for _ in range(2):
+        assert drained(lambda: run_experiment("fig15")) == FIG15_EVENTS
+    assert drained(lambda: run_experiment("mape")) == MAPE_FIG13_EVENTS
+    clear_shared_results()
+    assert drained(lambda: run_experiment("mape")) == MAPE_FIG13_EVENTS + FIG15_EVENTS
+    # mape stored the fig15 it had to run; headline runs only fig13.
+    assert drained(lambda: run_experiment("headline")) == FIG13_EVENTS
+    assert drained(lambda: run_experiment("headline")) == 0
+    # A run with parameters is not a default-argument result: not stored.
+    clear_shared_results()
+    run_experiment("fig13", trials=2)
+    assert drained(lambda: run_experiment("headline")) == FIG13_EVENTS + FIG15_EVENTS
+
+
+def test_headline_and_mape_print_the_same_with_and_without_shared_results():
+    golden = (Path(__file__).with_name("data") / "golden_run_all.txt").read_text()
+    alone = []
+    for name in ("headline", "mape"):
+        clear_shared_results()
+        alone.append(run_experiment(name).text)
+    clear_shared_results()
+    run_experiment("fig13")
+    run_experiment("fig15")
+    shared = [run_experiment(name).text for name in ("headline", "mape")]
+    assert shared == alone
+    assert all(text + "\n\n" in golden for text in shared)
+
+
+@pytest.mark.parametrize("profile", ["fpga", "asic"])
+def test_headline_ratios_are_the_fresh_64b_measurements(profile):
+    config = system_by_name(profile)
+    mem_lat = CxlTestbench(config).latency_mem_hit(trials=8).median_ns
+    dma_lat = CxlTestbench(config).dma_latency(64, repeats=20).median_ns
+    mem_bw = CxlTestbench(config).bandwidth_mem_hit().bandwidth_gbps
+    dma_bw = CxlTestbench(config).dma_bandwidth(64).bandwidth_gbps
+    clear_shared_results()
+    assert headline_metrics(profile).series["measured"] == {
+        "latency_reduction": 1.0 - mem_lat / dma_lat,
+        "bandwidth_ratio": mem_bw / dma_bw,
+    }
+
+
+def test_a_sweep_spec_never_reads_results_of_an_earlier_spec(drained):
+    def spec(experiment):
+        return {
+            "spec_hash": experiment, "experiment": experiment,
+            "params": {}, "repeat": 0, "seed": 1,
+        }
+
+    assert _execute_spec(spec("fig15"))["status"] == "ok"
+    records = []
+    assert drained(lambda: records.append(_execute_spec(spec("mape")))) == (
+        MAPE_FIG13_EVENTS + FIG15_EVENTS
+    )
+    assert records[0]["status"] == "ok"
 
 
 def test_simulation_error_accepts_precomputed_results():

@@ -2,18 +2,18 @@
 
 ``tests/data/golden_paper.json`` pins, per id of ``PAPER_EXPERIMENT_IDS``,
 the summed engine, LLC, HMC and DCOH counters of every system the
-experiment builds or forks.  Counts are exact on any host, so this is
-the perf gate for simulator work: one extra event per DMA transfer or
-per LLC request fails it.  Regenerate with ``PYTHONPATH=src python
-tests/golden_paper.py`` only on a deliberate behaviour change, and say
-why the counts moved.
+experiment builds or forks inside one ``repro run all`` pass.  Counts
+are exact on any host, so this is the perf gate for simulator work: one
+extra event per DMA transfer or per LLC request fails it.  Regenerate
+with ``PYTHONPATH=src python tests/golden_paper.py`` only on a
+deliberate behaviour change, and say why the counts moved.
 """
 
 import json
 
 import pytest
 
-from golden_paper import GOLDEN_PATH, measure
+from golden_paper import GOLDEN_PATH, measure, measure_pass
 
 from repro.cache.llc import SharedLLC
 from repro.devices.dma import DmaEngine
@@ -28,9 +28,15 @@ def test_golden_covers_every_paper_experiment_in_order():
     assert list(GOLDEN) == list(PAPER_EXPERIMENT_IDS)
 
 
+@pytest.fixture(scope="module")
+def paper_pass():
+    """Every paper experiment's counters, measured in one fresh pass."""
+    return measure_pass()
+
+
 @pytest.mark.parametrize("exp_id", PAPER_EXPERIMENT_IDS)
-def test_experiment_matches_golden(exp_id):
-    assert measure(exp_id) == GOLDEN[exp_id]
+def test_experiment_matches_golden(paper_pass, exp_id):
+    assert paper_pass[exp_id] == GOLDEN[exp_id]
 
 
 def _noop() -> None:

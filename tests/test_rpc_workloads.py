@@ -1,11 +1,14 @@
 """Tests for HyperProtoBench profiles, layouts, and the RPC pipelines."""
 
 import hashlib
+import sys
 
 import pytest
 
 from repro.config import asic_system
+from repro.rpc import harness as rpc_harness
 from repro.rpc.cxl_rpc import CxlRpcPipeline
+from repro.rpc.harness import run_rpc_comparison
 from repro.rpc.hyperprotobench import BENCH_NAMES, make_bench
 from repro.rpc.layout import (
     FIELDS_PER_DESCRIPTOR,
@@ -13,7 +16,7 @@ from repro.rpc.layout import (
     UnitKind,
     layout_message,
 )
-from repro.rpc.message import decode_message
+from repro.rpc.message import decode_message, encode_message
 from repro.rpc.rpcnic import RpcNicPipeline, decode_time_ps, encode_time_ps
 
 
@@ -135,6 +138,75 @@ def test_pipelines_verify_functionally():
     assert cxl.serialize_bench_mem(bench).verified
     assert cxl.serialize_bench_cache(bench).verified
     assert cxl.serialize_bench_cache(bench, prefetch=True).verified
+
+
+def _six_pipelines(config, bench):
+    cxl = CxlRpcPipeline(config)
+    return [
+        RpcNicPipeline(config).deserialize_bench(bench),
+        RpcNicPipeline(config).serialize_bench(bench),
+        cxl.deserialize_bench(bench),
+        cxl.serialize_bench_mem(bench),
+        cxl.serialize_bench_cache(bench),
+        cxl.serialize_bench_cache(bench, prefetch=True),
+    ]
+
+
+def _with_wrong_wire(bench):
+    """``bench`` with message 2's wire bytes replaced by message 3's."""
+    bench.encoded[2] = bench.encoded[3]
+    return bench
+
+
+def test_a_wire_that_does_not_decode_to_its_value_fails_verification(monkeypatch):
+    config = asic_system()
+    bench = _with_wrong_wire(make_bench("Bench1", messages=5))
+    assert [result.verified for result in _six_pipelines(config, bench)] == [False] * 6
+
+    def make_wrong_bench(name, **kwargs):
+        bench = make_bench(name, **kwargs)
+        return _with_wrong_wire(bench) if name == "Bench3" else bench
+
+    monkeypatch.setattr(rpc_harness, "make_bench", make_wrong_bench)
+    with pytest.raises(AssertionError, match="RpcNIC failed verification on Bench3"):
+        run_rpc_comparison(config, messages=5)
+
+
+def _top_level_calls(call, functions):
+    """Calls ``call()`` makes to each of ``functions``, not counting the
+    ones a function makes to itself (the codec recurses into nested
+    messages)."""
+    names = {function.__code__: function.__name__ for function in functions}
+    counts = dict.fromkeys(names.values(), 0)
+
+    def count(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code in names and frame.f_back.f_code is not code:
+            counts[names[code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+def test_rpc_comparison_codes_and_lays_out_each_message_once():
+    """Fig. 18's comparison encodes each message once (its wire bytes),
+    decodes it once (the round-trip check all six results report) and
+    lays it out once (both CXL.cache serializations walk one layout)."""
+    counts = _top_level_calls(
+        lambda: run_rpc_comparison(asic_system(), messages=200),
+        (encode_message, decode_message, layout_message),
+    )
+    messages = len(BENCH_NAMES) * 200
+    assert counts == {
+        "encode_message": messages,
+        "decode_message": messages,
+        "layout_message": messages,
+    }
 
 
 def test_cxl_deserialize_faster_than_rpcnic():
