@@ -21,13 +21,8 @@ Usage::
     python -m repro fault validate examples/faults/*.json
     python -m repro sweep --preset quick --jobs 4
     python -m repro sweep fault-tolerance --backend serial
-    python -m repro sweep --preset quick --backend queue --max-retries 4
     python -m repro sweep topology-scale --jobs 2
     python -m repro sweep my_sweep.json --out runs/mine
-    python -m repro sweep --preset quick --backend queue --jobs 2
-    python -m repro worker runs/quick
-    python -m repro status runs/quick
-    python -m repro status runs/quick --watch 2
     python -m repro timeline runs/quick --out trace.json
     python -m repro run fig13 --profile
     python -m repro sweep --preset quick --profile
@@ -345,37 +340,6 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
         out.write("sweep needs exactly one of: a spec file, or --preset NAME\n")
         out.write(f"presets: {', '.join(sorted(PRESETS))}\n")
         return 2
-    backend = args.backend
-    retry_flags = (
-        args.max_retries is not None or args.retry_backoff_s is not None
-    )
-    if retry_flags:
-        if args.max_retries is not None and args.max_retries < 0:
-            out.write(f"--max-retries must be >= 0, got {args.max_retries}\n")
-            return 2
-        if args.retry_backoff_s is not None and args.retry_backoff_s < 0:
-            out.write(
-                f"--retry-backoff-s must be >= 0, got {args.retry_backoff_s:g}\n"
-            )
-            return 2
-        if args.backend not in (None, "queue"):
-            out.write(
-                "--max-retries/--retry-backoff-s require the durable work "
-                f"queue (--backend queue), not {args.backend!r}\n"
-            )
-            return 2
-        from repro.experiments.exec import QueueBackend
-
-        # max_attempts counts the first try; N retries = N+1 attempts.
-        backend = QueueBackend(
-            max_attempts=(
-                args.max_retries + 1 if args.max_retries is not None else 3
-            ),
-            backoff_s=(
-                args.retry_backoff_s if args.retry_backoff_s is not None
-                else 0.5
-            ),
-        )
     try:
         if args.preset:
             sweep = preset_sweep(args.preset)
@@ -406,7 +370,7 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
             jobs=args.jobs,
             force=args.force,
             progress=lambda line: out.write(line + "\n"),
-            backend=backend,
+            backend=args.backend,
             repeats=args.repeats,
             telemetry=not args.no_telemetry,
             profile=args.profile,
@@ -421,59 +385,6 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
     )
     out.write(f"results: {outcome.out_dir}\n")
     return 1 if outcome.failed else 0
-
-
-def _cmd_worker(args: argparse.Namespace, out: IO[str]) -> int:
-    from repro.experiments import QueueError, run_worker
-
-    try:
-        outcome = run_worker(
-            args.run_dir,
-            worker_id=args.worker_id,
-            poll_s=args.poll_s,
-            wait_s=args.wait_s,
-            max_specs=args.max_specs,
-            progress=lambda line: out.write(line + "\n"),
-        )
-    except QueueError as exc:
-        out.write(f"{exc}\n")
-        out.write(
-            "start the scheduler first: repro sweep ... --backend queue "
-            f"--out {args.run_dir} (or raise --wait-s)\n"
-        )
-        return 2
-    out.write(
-        f"worker {outcome.worker_id}: {len(outcome.executed)} specs "
-        f"({len(outcome.failed)} failed, {outcome.retried} retried)\n"
-    )
-    return 1 if outcome.failed else 0
-
-
-def _cmd_status(args: argparse.Namespace, out: IO[str]) -> int:
-    import time as _time
-
-    from repro.experiments import ResultStore
-    from repro.obs import collect_status, render_status
-
-    run_dir = Path(args.run_dir)
-    store = ResultStore(run_dir)
-    from repro.obs.telemetry import telemetry_dir
-
-    if (
-        not store.exists()
-        and not store.sweep_path.is_file()
-        and not telemetry_dir(run_dir).is_dir()
-    ):
-        out.write(f"no run found under {args.run_dir}\n")
-        return 2
-    while True:
-        status = collect_status(run_dir)
-        out.write(render_status(status))
-        out.write("\n")
-        if args.watch is None or status["finished"]:
-            return 0
-        _time.sleep(args.watch)
-        out.write("\n")
 
 
 def _cmd_timeline(args: argparse.Namespace, out: IO[str]) -> int:
@@ -506,11 +417,6 @@ def _cmd_report(args: argparse.Namespace, out: IO[str]) -> int:
     report = RunReport(store)
     out.write(report.markdown())
     out.write("\n")
-    workers = report.worker_markdown()
-    if workers:
-        out.write("\n")
-        out.write(workers)
-        out.write("\n")
     profile = report.profile_markdown()
     if profile:
         out.write("\n")
@@ -662,19 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true", help="re-run specs even when cached"
     )
     sweep.add_argument(
-        "--backend", choices=["serial", "pool", "queue"], default=None,
-        help="executor backend (default: pool; 'queue' writes a durable "
-        "work queue that 'repro worker' processes can join)",
-    )
-    sweep.add_argument(
-        "--max-retries", type=int, default=None,
-        help="re-attempts per failed spec before it is marked failed "
-        "(queue backend only; default 2)",
-    )
-    sweep.add_argument(
-        "--retry-backoff-s", type=float, default=None,
-        help="base exponential backoff between spec attempts in seconds "
-        "(queue backend only; default 0.5)",
+        "--backend", choices=["serial", "pool"], default=None,
+        help="run specs in this process ('serial') or on a fork pool of "
+        "--jobs processes ('pool', the default)",
     )
     sweep.add_argument(
         "--repeats", type=int, default=None, metavar="N",
@@ -685,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--no-telemetry", action="store_true",
         help="do not write lifecycle events to <run-dir>/telemetry/ "
-        "(disables 'repro status'/'repro timeline' for this run)",
+        "(disables 'repro timeline' for this run)",
     )
     sweep.add_argument(
         "--profile", action="store_true",
@@ -703,41 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
         "names", nargs="*",
         help="plan name/reference (show) or JSON plan file(s) "
         "(validate; show also accepts a file)",
-    )
-
-    worker = sub.add_parser(
-        "worker",
-        help="join a queue-backend sweep: lease specs from a run "
-        "directory's work queue until it drains",
-    )
-    worker.add_argument(
-        "run_dir", help="run directory of a sweep started with --backend queue"
-    )
-    worker.add_argument(
-        "--worker-id", help="lease owner label (default: <host>-<pid>)"
-    )
-    worker.add_argument(
-        "--max-specs", type=int, default=None,
-        help="execute at most N specs before exiting",
-    )
-    worker.add_argument(
-        "--poll-s", type=float, default=0.2,
-        help="idle poll interval while waiting for claimable specs",
-    )
-    worker.add_argument(
-        "--wait-s", type=float, default=10.0,
-        help="how long to wait for the scheduler to create the queue",
-    )
-
-    status = sub.add_parser(
-        "status",
-        help="live view of a run directory: progress, queue depth, "
-        "per-worker throughput, retries, ETA",
-    )
-    status.add_argument("run_dir", help="run directory of a sweep")
-    status.add_argument(
-        "--watch", type=float, default=None, metavar="S",
-        help="re-render every S seconds until the run finishes",
     )
 
     timeline = sub.add_parser(
@@ -795,8 +656,6 @@ _COMMANDS = {
     "workload": _cmd_workload,
     "fault": _cmd_fault,
     "sweep": _cmd_sweep,
-    "worker": _cmd_worker,
-    "status": _cmd_status,
     "timeline": _cmd_timeline,
     "report": _cmd_report,
     "compare": _cmd_compare,

@@ -1,15 +1,15 @@
-"""Experiment orchestration: declarative sweeps, distributed execution,
-persistent results, and report generation.
+"""Experiment orchestration: declarative sweeps, serial or pooled
+execution, persistent results, and report generation.
 
 Layers (each its own module):
 
 * :mod:`repro.experiments.spec` — ``ExperimentSpec``/``SweepSpec``
   declarative descriptions with grid expansion and content hashing.
 * :mod:`repro.experiments.runner` — the sweep scheduler: expansion,
-  result cache, per-spec seeding, and dispatch to an executor backend.
-* :mod:`repro.experiments.exec` — the distributed execution subsystem:
-  advisory locks, the durable work queue, the worker loop behind
-  ``repro worker``, and the ``serial``/``pool``/``queue`` backends.
+  result cache, per-spec seeding, and execution in process
+  (``serial``) or on a fork pool (``pool``).
+* :mod:`repro.experiments.exec` — the advisory lock that makes the
+  scheduler a run directory's only writer.
 * :mod:`repro.experiments.store` — sharded JSONL ``ResultStore``
   persisting every result with spec hash, wall time, git metadata,
   and per-shard indexes for streaming aggregation.
@@ -25,8 +25,8 @@ Layers (each its own module):
 * :mod:`repro.experiments.presets` — built-in sweeps (``quick``,
   ``paper``, ``significance``).
 
-The CLI exposes the subsystem as ``repro sweep``, ``repro worker``,
-``repro report``, ``repro compare``, and ``repro analyze``.
+The CLI exposes the subsystem as ``repro sweep``, ``repro report``,
+``repro compare``, and ``repro analyze``.
 """
 
 from repro.experiments.presets import PRESETS, preset_sweep
@@ -52,15 +52,6 @@ from repro.experiments.store import (
     StoreCorruptionWarning,
     StoredResult,
 )
-from repro.experiments.exec import (
-    EXECUTORS,
-    QueueError,
-    UnknownExecutorError,
-    WorkQueue,
-    WorkerOutcome,
-    executor_by_name,
-    run_worker,
-)
 
 __all__ = [
     "PRESETS",
@@ -83,11 +74,4 @@ __all__ = [
     "ResultStore",
     "StoreCorruptionWarning",
     "StoredResult",
-    "EXECUTORS",
-    "QueueError",
-    "UnknownExecutorError",
-    "WorkQueue",
-    "WorkerOutcome",
-    "executor_by_name",
-    "run_worker",
 ]

@@ -1,63 +1,10 @@
-"""Distributed sweep execution.
+"""Advisory locks for run directories.
 
-The pieces behind ``run_sweep``'s pluggable execution:
-
-* :mod:`~repro.experiments.exec.locks` — advisory lockfiles with
-  heartbeats and stale takeover (run-level writer lock, per-shard
-  append locks).
-* :mod:`~repro.experiments.exec.queue` — the durable on-disk work
-  queue (leases, heartbeats, retry-with-backoff, done markers).
-* :mod:`~repro.experiments.exec.worker` — the worker loop behind both
-  locally spawned workers and the ``repro worker <run-dir>`` CLI.
-* :mod:`~repro.experiments.exec.backends` — the executor registry:
-  ``serial``, ``pool`` (default), and ``queue``.
-
-``worker`` and ``backends`` import the result store (which itself uses
-``locks``), so their names resolve lazily here to keep the package
-import-order agnostic.
+:mod:`~repro.experiments.exec.locks` holds the lockfile behind
+:meth:`~repro.experiments.store.ResultStore.writer_lock`: the scheduler
+that holds a run directory's ``store.lock`` is its only writer.
 """
 
-import importlib
-
 from repro.experiments.exec.locks import FileLock, LockError, LockHeldError
-from repro.experiments.exec.queue import (
-    ClaimedTask,
-    QueueConfig,
-    QueueError,
-    WorkQueue,
-)
 
-_LAZY = {
-    "WorkerOutcome": "worker",
-    "run_worker": "worker",
-    "EXECUTORS": "backends",
-    "ExecutionContext": "backends",
-    "ExecutorBackend": "backends",
-    "ExecutorError": "backends",
-    "PoolBackend": "backends",
-    "QueueBackend": "backends",
-    "SerialBackend": "backends",
-    "UnknownExecutorError": "backends",
-    "executor_by_name": "backends",
-}
-
-__all__ = [
-    "FileLock",
-    "LockError",
-    "LockHeldError",
-    "ClaimedTask",
-    "QueueConfig",
-    "QueueError",
-    "WorkQueue",
-] + sorted(_LAZY)
-
-
-def __getattr__(name):
-    try:
-        module_name = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    module = importlib.import_module(f"{__name__}.{module_name}")
-    return getattr(module, name)
+__all__ = ["FileLock", "LockError", "LockHeldError"]

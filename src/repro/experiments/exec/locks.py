@@ -1,15 +1,13 @@
-"""Advisory file locks for run directories and result shards.
+"""Advisory file locks for run directories.
 
 A lock is a plain lockfile created with ``O_EXCL`` (atomic on POSIX
-local filesystems and adequate over the shared filesystems the queue
-backend targets): existence means held.  The holder may
+local filesystems): existence means held.  The holder may
 :meth:`FileLock.refresh` the file's mtime as a heartbeat; acquirers
 treat a lockfile whose mtime is older than ``stale_after_s`` as
 abandoned by a crashed holder and take it over.  This is *advisory*
 coordination between cooperating ``repro`` processes — it keeps two
-sweeps from interleaving a run directory and serialises shard appends
-across queue workers, but it is not a hard mutual-exclusion primitive
-against arbitrary writers.
+sweeps from interleaving a run directory, but it is not a hard
+mutual-exclusion primitive against arbitrary writers.
 """
 
 from __future__ import annotations
@@ -61,14 +59,13 @@ class FileLock:
             return False
         return age > self.stale_after_s
 
-    def acquire(self, wait_s: float = 0.0, poll_s: float = 0.05) -> "FileLock":
-        """Take the lock, waiting up to ``wait_s`` for a live holder.
+    def acquire(self) -> "FileLock":
+        """Take the lock, or raise :class:`LockHeldError` if a live
+        holder has it.
 
         A stale lockfile (no heartbeat for ``stale_after_s``) is removed
-        and taken over immediately.  Raises :class:`LockHeldError` when
-        a live holder outlasts the wait budget.
+        and taken over immediately.
         """
-        deadline = time.monotonic() + wait_s
         payload = json.dumps(
             {"owner": self.owner, "pid": os.getpid(), "acquired": time.time()}
         )
@@ -77,20 +74,17 @@ class FileLock:
             try:
                 fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
             except FileExistsError:
-                if self._is_stale():
-                    # Crashed holder: remove and retry.  Two takeovers
-                    # can race here; O_EXCL picks exactly one winner.
-                    try:
-                        self.path.unlink()
-                    except OSError:
-                        pass
-                    continue
-                if time.monotonic() >= deadline:
+                if not self._is_stale():
                     raise LockHeldError(
                         f"lock {self.path} held by "
                         f"{self.holder() or 'unknown owner'}"
                     ) from None
-                time.sleep(poll_s)
+                # Crashed holder: remove and retry.  Two takeovers can
+                # race here; O_EXCL picks exactly one winner.
+                try:
+                    self.path.unlink()
+                except OSError:
+                    pass
                 continue
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)

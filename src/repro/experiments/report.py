@@ -156,66 +156,6 @@ class RunReport:
     def total_wall_time_s(self) -> float:
         return sum(r.wall_time_s for r in self.records)
 
-    @cached_property
-    def worker_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-worker throughput for queue-backend runs.
-
-        Keyed by worker id (records carry one only when a queue worker
-        wrote them — serial/process-backend runs report nothing here).
-        ``specs`` counts this worker's newest-per-spec records,
-        ``wall_s`` sums their execution time, and the ``*_per_sec``
-        rates divide by that busy time — i.e. throughput while
-        executing, insulated from queue idle gaps.  ``records_per_sec``
-        counts every stored record (retries included) over the same
-        busy window, so a worker burning time on failing specs shows a
-        records rate above its specs rate.
-        """
-        specs: Dict[str, int] = {}
-        wall: Dict[str, float] = {}
-        for record in self.records:
-            if not record.worker:
-                continue
-            specs[record.worker] = specs.get(record.worker, 0) + 1
-            wall[record.worker] = wall.get(record.worker, 0.0) + record.wall_time_s
-        records: Dict[str, int] = {}
-        for record in self.store.iter_records():
-            if record.worker:
-                records[record.worker] = records.get(record.worker, 0) + 1
-        stats: Dict[str, Dict[str, float]] = {}
-        for worker in sorted(specs):
-            busy = wall[worker]
-            stats[worker] = {
-                "specs": float(specs[worker]),
-                "records": float(records.get(worker, specs[worker])),
-                "wall_s": busy,
-                "specs_per_sec": specs[worker] / busy if busy else 0.0,
-                "records_per_sec": (
-                    records.get(worker, specs[worker]) / busy if busy else 0.0
-                ),
-            }
-        return stats
-
-    def worker_markdown(self) -> str:
-        """Per-worker throughput table (empty string without workers)."""
-        if not self.worker_stats:
-            return ""
-        rows = []
-        for worker, stats in self.worker_stats.items():
-            rows.append([
-                worker,
-                int(stats["specs"]),
-                int(stats["records"]),
-                f"{stats['wall_s']:.2f}",
-                f"{stats['specs_per_sec']:.2f}",
-                f"{stats['records_per_sec']:.2f}",
-            ])
-        return render_markdown_table(
-            ["worker", "specs", "records", "busy (s)",
-             "specs/sec", "records/sec"],
-            rows,
-            title="Worker throughput",
-        )
-
     def profile_markdown(self, limit: int = 12) -> str:
         """Aggregated ``--profile`` attribution (empty without profiles).
 

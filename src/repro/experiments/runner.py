@@ -1,16 +1,12 @@
-"""Sweep scheduler: expand, cache-check, dispatch to an executor backend.
+"""Sweep scheduler: expand, cache-check, run serially or on a fork pool.
 
-:func:`run_sweep` is a thin scheduler over
-:mod:`repro.experiments.exec`: it expands the
-:class:`~repro.experiments.spec.SweepSpec`, collapses duplicates,
-consults the run directory's sharded :class:`ResultStore` for specs
-whose content hash already has a successful record (the cache), takes
-the run-level writer lock, and hands the pending payloads to the chosen
-:class:`~repro.experiments.exec.backends.ExecutorBackend` — ``serial``,
-``pool`` (the historical fork pool, the default), or ``queue`` (the
-durable work queue that ``repro worker`` processes can join from any
-host sharing the filesystem).  Every backend persists records as they
-land, so an interrupted sweep resumes without re-executing completed
+:func:`run_sweep` expands the :class:`~repro.experiments.spec.SweepSpec`,
+collapses duplicates, and consults the run directory's sharded
+:class:`ResultStore` for specs whose content hash already has a
+successful record (the cache).  If any spec is pending, it takes the
+run-level writer lock and runs them — in process (``serial``) or on a
+fork pool (``pool``, the default).  Each record is persisted as it
+lands, so an interrupted sweep resumes without re-executing completed
 specs, and failures stay isolated per spec.
 """
 
@@ -21,17 +17,16 @@ import os
 import random
 import time
 import traceback
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from repro.experiments.exec.backends import (
-    ExecutionContext,
-    ExecutorBackend,
-    executor_by_name,
-)
 from repro.experiments.spec import ExperimentSpec, SpecError, SweepSpec
 from repro.experiments.store import ResultStore, StoredResult, git_metadata
+
+#: The ``backend`` names :func:`run_sweep` accepts.
+BACKENDS = ("pool", "serial")
 
 
 @dataclass
@@ -61,9 +56,8 @@ def _execute_spec(payload: Dict[str, object]) -> Dict[str, object]:
     """Worker entry point: run one spec, never raise.
 
     Top-level (picklable) so it works under both fork and spawn start
-    methods.  Returns a partial :class:`StoredResult` dict; the caller
-    (backend or queue worker) adds timestamps and git metadata before
-    persisting.
+    methods.  Returns a partial :class:`StoredResult` dict; the
+    scheduler adds timestamps and git metadata before persisting.
 
     The global ``random`` module is seeded from the spec for any
     experiment that consumes ambient randomness; note the current
@@ -150,48 +144,77 @@ def _pool_context():
         return multiprocessing.get_context("spawn")
 
 
+def _executed(
+    payloads: List[Dict[str, object]], backend: str, jobs: int
+) -> Iterator[Dict[str, object]]:
+    """Run ``payloads``, yielding each spec's raw record as it finishes.
+
+    In the calling process when ``backend`` is ``serial``, with one job
+    or for one payload.  Otherwise on a fork pool of up to ``jobs``
+    processes.
+    """
+    if backend == "serial" or jobs <= 1 or len(payloads) <= 1:
+        yield from map(_execute_spec, payloads)
+        return
+    pool = _pool_context().Pool(processes=min(jobs, len(payloads)))
+    try:
+        # Unordered: a slow head-of-line spec must not delay persisting
+        # specs that already finished behind it.
+        yield from pool.imap_unordered(_execute_spec, payloads)
+    except BaseException:
+        # Abort outstanding specs instead of draining a long sweep
+        # before the real error (or Ctrl-C) can surface.
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+
+
 def run_sweep(
     sweep: SweepSpec,
     out_dir: Union[str, Path],
     jobs: Optional[int] = None,
     force: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    backend: Union[str, ExecutorBackend, None] = None,
+    backend: Optional[str] = None,
     repeats: Optional[int] = None,
     telemetry: bool = True,
     profile: bool = False,
 ) -> SweepOutcome:
-    """Expand ``sweep``, run uncached specs via ``backend``, persist.
+    """Expand ``sweep``, run its uncached specs, persist each record.
 
     ``force`` re-runs specs even when the store already holds a
     successful record for their hash.  ``progress`` (if given) receives
-    one human-readable line per spec as results land.  ``backend``
-    names a registered executor (``serial``/``pool``/``queue``) or is a
-    ready :class:`ExecutorBackend` instance; default ``pool``.  An
-    explicit ``jobs`` is honoured uncapped (``0`` means "no local
-    workers" and only makes sense with the ``queue`` backend, where
-    external ``repro worker`` processes supply the labour).
-    ``repeats`` (if given) overrides the sweep's own repeat count —
-    the ``--repeats N`` CLI path — and must be >= 1.
+    one human-readable line per spec as results land.  ``backend`` is
+    ``"pool"`` (the default, also for ``None``) or ``"serial"``.  An
+    explicit ``jobs`` sizes the pool uncapped and must be >= 1.
+    ``repeats`` (if given) overrides the sweep's own repeat count — the
+    ``--repeats N`` CLI path — and must be >= 1.
 
     ``telemetry`` (default on) makes the scheduler emit schema-validated
-    lifecycle events into ``<run-dir>/telemetry/`` — and, because the
-    directory's presence is the enable switch, queue workers then emit
-    their own (see :mod:`repro.obs.telemetry`).  Telemetry observes
-    scheduling only; experiment results are unaffected.  ``profile``
-    runs every spec under the simulator profiler and persists the
-    per-component attribution on its record (``--profile``).
+    lifecycle events into ``<run-dir>/telemetry/`` (see
+    :mod:`repro.obs.telemetry`).  Telemetry observes scheduling only;
+    experiment results are unaffected.  ``profile`` runs every spec
+    under the simulator profiler and persists the per-component
+    attribution on its record (``--profile``).
     """
+    backend = backend or "pool"
+    if backend not in BACKENDS:
+        raise SpecError(
+            f"unknown sweep backend {backend!r}; options: {', '.join(BACKENDS)}"
+        )
+    if jobs is None:
+        jobs = default_jobs()
+    elif jobs < 1:
+        raise SpecError(f"jobs must be >= 1, got {jobs}")
     if repeats is not None:
         if repeats < 1:
             raise SpecError(f"repeats must be >= 1, got {repeats}")
         sweep.repeats = repeats
     sweep.validate()
     specs = sweep.expand()
-    if isinstance(backend, ExecutorBackend):
-        executor = backend
-    else:
-        executor = executor_by_name(backend or "pool")
     store = ResultStore(out_dir)
     prior = store.load_sweep_name()
     if prior is not None and prior != sweep.name:
@@ -199,17 +222,9 @@ def run_sweep(
             f"run directory {store.root} already holds sweep {prior!r}; "
             f"refusing to mix in {sweep.name!r} — use a different --out"
         )
-    store.save_sweep(sweep.to_dict())
     outcome = SweepOutcome(
-        sweep=sweep.name, out_dir=Path(out_dir), backend=executor.name
+        sweep=sweep.name, out_dir=Path(out_dir), backend=backend
     )
-    emitter = None
-    if telemetry:
-        from repro.obs.telemetry import TelemetryWriter
-
-        # Creating the writer creates <run-dir>/telemetry/, which is
-        # the switch queue workers (local or external) key off.
-        emitter = TelemetryWriter(Path(out_dir), "scheduler")
 
     # Identical specs (e.g. a duplicated grid value) collapse to one
     # before any accounting, so cached/executed totals agree across
@@ -219,17 +234,9 @@ def run_sweep(
         unique.setdefault(spec.spec_hash, spec)
 
     cached_hashes = set() if force else store.ok_hashes()
-    pending: List[ExperimentSpec] = []
-    cached_specs: List[ExperimentSpec] = []
-    for spec in unique.values():
-        if spec.spec_hash in cached_hashes:
-            outcome.cached += 1
-            cached_specs.append(spec)
-            if progress:
-                progress(f"cached  {spec.label} ({spec.spec_hash})")
-        else:
-            pending.append(spec)
-
+    pending = [s for s in unique.values() if s.spec_hash not in cached_hashes]
+    cached_specs = [s for s in unique.values() if s.spec_hash in cached_hashes]
+    outcome.cached = len(cached_specs)
     payloads = [
         {
             "spec_hash": s.spec_hash,
@@ -243,21 +250,59 @@ def run_sweep(
     if profile:
         for payload in payloads:
             payload["profile"] = True
-    resolved_jobs = jobs if jobs is not None else default_jobs()
-    run_start = time.perf_counter()
-    if emitter is not None:
-        emitter.emit(
-            "run_started",
-            sweep=sweep.name,
-            total=len(unique),
-            cached=outcome.cached,
-            backend=executor.name,
-            jobs=resolved_jobs,
-        )
-        for spec in cached_specs:
-            emitter.emit("spec_cached", spec_hash=spec.spec_hash)
 
-    def finish() -> SweepOutcome:
+    # One scheduler per run directory: advisory, heartbeated on every
+    # persisted record, stale-taken-over if a prior scheduler crashed.
+    # Taken before the first write, so a refused sweep leaves the live
+    # run untouched; a fully cached sweep writes no record and takes none.
+    with (store.writer_lock() if payloads else nullcontext()) as lock:
+        store.save_sweep(sweep.to_dict())
+        emitter = None
+        if telemetry:
+            from repro.obs.telemetry import TelemetryWriter
+
+            emitter = TelemetryWriter(Path(out_dir), "scheduler")
+        run_start = time.perf_counter()
+        if emitter is not None:
+            emitter.emit(
+                "run_started",
+                sweep=sweep.name,
+                total=len(unique),
+                cached=outcome.cached,
+                backend=backend,
+                jobs=jobs,
+            )
+        for spec in cached_specs:
+            if emitter is not None:
+                emitter.emit("spec_cached", spec_hash=spec.spec_hash)
+            if progress:
+                progress(f"cached  {spec.label} ({spec.spec_hash})")
+        if payloads:
+            labels = {s.spec_hash: s.label for s in pending}
+            git = git_metadata(repo_dir=None)
+            # Each record is persisted as it lands (not after the run
+            # drains), so an interrupted sweep keeps every completed
+            # spec in the cache.
+            with closing(_executed(payloads, backend, jobs)) as results:
+                for raw in results:
+                    record = StoredResult(
+                        timestamp=time.time(), sweep=sweep.name, **git, **raw
+                    )
+                    store.append(record)
+                    outcome.executed.append(record)
+                    lock.refresh()
+                    label = labels[record.spec_hash]
+                    if emitter is not None:
+                        emitter.emit(
+                            "record",
+                            spec_hash=record.spec_hash,
+                            status=record.status,
+                            wall_s=record.wall_time_s,
+                            label=label,
+                        )
+                    if progress:
+                        state = "ok     " if record.ok else "FAILED "
+                        progress(f"{state} {label} ({record.wall_time_s:.2f}s)")
         if emitter is not None:
             emitter.emit(
                 "run_finished",
@@ -266,36 +311,4 @@ def run_sweep(
                 failed=len(outcome.failed),
                 wall_s=time.perf_counter() - run_start,
             )
-        return outcome
-
-    if not payloads:
-        return finish()
-    labels = {s.spec_hash: s.label for s in pending}
-    ctx = ExecutionContext(
-        store=store,
-        jobs=resolved_jobs,
-        sweep=sweep.name,
-        git=git_metadata(repo_dir=None),
-    )
-    # One scheduler per run directory: advisory, heartbeated on every
-    # persisted record, stale-taken-over if a prior scheduler crashed.
-    with store.writer_lock() as lock:
-        # Every backend persists records as they land (not after the
-        # run drains), so an interrupted sweep keeps every completed
-        # spec in the cache.
-        for record in executor.execute(payloads, ctx):
-            outcome.executed.append(record)
-            lock.refresh()
-            if emitter is not None:
-                emitter.emit(
-                    "record",
-                    spec_hash=record.spec_hash,
-                    status=record.status,
-                    wall_s=record.wall_time_s,
-                    label=labels.get(record.spec_hash, record.spec_hash),
-                )
-            if progress:
-                state = "ok     " if record.ok else "FAILED "
-                label = labels.get(record.spec_hash, record.spec_hash)
-                progress(f"{state} {label} ({record.wall_time_s:.2f}s)")
-    return finish()
+    return outcome

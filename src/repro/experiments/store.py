@@ -14,10 +14,9 @@ yields shard by shard, and ``latest()``/``ok_hashes()`` fold that
 stream (or the indexes alone), so a million-record run never
 materialises every record at once.
 
-Writers coordinate through advisory lockfiles: the scheduler holds a
+A run directory has one writer: the sweep scheduler holding its
 run-level ``store.lock`` (one sweep per directory at a time, with
-stale-lock takeover), and every append takes a per-shard lock so the
-``queue`` backend's independent workers can interleave safely.
+stale-lock takeover), so appends need no lock of their own.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ INDEX_SUFFIX = ".idx"
 #: granularity stays fine-grained, large enough that a quick sweep
 #: stays single-shard.
 DEFAULT_SHARD_MAX_BYTES = 4 * 1024 * 1024
-
-#: How long an append waits on a shard lock before assuming the holder
-#: is gone (appends hold locks for milliseconds).
-_SHARD_LOCK_STALE_S = 30.0
 
 #: A run-level lock with no heartbeat for this long is stale.  The
 #: scheduler refreshes it on every persisted record.
@@ -74,7 +69,7 @@ class StoredResult:
     sweep: str = ""
     git_commit: Optional[str] = None
     git_dirty: Optional[bool] = None
-    worker: Optional[str] = None     # queue-backend worker id, if any
+    worker: Optional[str] = None     # always None; old queue runs set it
     profile: Optional[Dict[str, object]] = None  # --profile attribution
 
     @property
@@ -222,8 +217,7 @@ class ResultStore:
         Advisory: a live holder blocks a second ``run_sweep`` on the
         same directory; a crashed holder's lock goes stale after
         :data:`RUN_LOCK_STALE_S` without heartbeats and is taken over.
-        ``queue``-backend workers do *not* take this lock — they
-        serialise on per-shard locks inside :meth:`append`.
+        Its holder is the run directory's only writer.
         """
         return FileLock(
             self.root / WRITE_LOCK_FILE,
@@ -235,81 +229,26 @@ class ResultStore:
     def append(self, record: StoredResult) -> Path:
         """Durably append one record, rolling shards at the size cap.
 
-        The write happens under the target shard's advisory lock, so
-        concurrent writers (queue workers on any host sharing the
-        filesystem) interleave whole records, never partial lines.  The
-        index line lands *after* the record: a crash between the two
-        costs at worst one cache miss, never a phantom record.
+        The caller holds :meth:`writer_lock`, so no other process
+        appends meanwhile.  The index line lands *after* the record: a
+        crash between the two costs at worst one cache miss, never a
+        phantom record.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         line = json.dumps(asdict(record)) + "\n"
         seq = self._current_seq()
-        while True:
-            shard = self._shard_path(seq)
-            lock = FileLock(
-                shard.with_suffix(shard.suffix + ".lock"),
-                stale_after_s=_SHARD_LOCK_STALE_S,
-            )
-            lock.acquire(wait_s=_SHARD_LOCK_STALE_S)
-            try:
-                if (
-                    shard.is_file()
-                    and shard.stat().st_size >= self.shard_max_bytes
-                ):
-                    seq += 1
-                    continue  # full: roll over to the next shard
-                with shard.open("a") as fh:
-                    fh.write(line)
-                with self.index_path(shard).open("a") as fh:
-                    fh.write(f"{record.spec_hash} {record.status}\n")
-                return shard
-            finally:
-                lock.release()
+        shard = self._shard_path(seq)
+        if shard.is_file() and shard.stat().st_size >= self.shard_max_bytes:
+            shard = self._shard_path(seq + 1)  # full: roll over
+        with shard.open("a") as fh:
+            fh.write(line)
+        with self.index_path(shard).open("a") as fh:
+            fh.write(f"{record.spec_hash} {record.status}\n")
+        return shard
 
     def append_many(self, records: List[StoredResult]) -> List[Path]:
-        """Durably append a batch under one lock acquire per shard.
-
-        Same layout and crash ordering as :meth:`append` (records before
-        index lines, roll-over at the size cap mid-batch), but the
-        common case — a batch that fits the current shard — costs one
-        lock round-trip and one buffered write instead of one per
-        record.  Queue workers drain their completion backlog through
-        this.
-        """
-        if not records:
-            return []
-        self.root.mkdir(parents=True, exist_ok=True)
-        pending = list(records)
-        shards: List[Path] = []
-        seq = self._current_seq()
-        while pending:
-            shard = self._shard_path(seq)
-            lock = FileLock(
-                shard.with_suffix(shard.suffix + ".lock"),
-                stale_after_s=_SHARD_LOCK_STALE_S,
-            )
-            lock.acquire(wait_s=_SHARD_LOCK_STALE_S)
-            try:
-                size = shard.stat().st_size if shard.is_file() else 0
-                if size >= self.shard_max_bytes:
-                    seq += 1
-                    continue  # full: roll over to the next shard
-                lines: List[str] = []
-                index_lines: List[str] = []
-                while pending and size < self.shard_max_bytes:
-                    record = pending.pop(0)
-                    line = json.dumps(asdict(record)) + "\n"
-                    lines.append(line)
-                    index_lines.append(f"{record.spec_hash} {record.status}\n")
-                    size += len(line)
-                with shard.open("a") as fh:
-                    fh.write("".join(lines))
-                with self.index_path(shard).open("a") as fh:
-                    fh.write("".join(index_lines))
-                shards.extend([shard] * len(lines))
-            finally:
-                lock.release()
-        return shards
+        """:meth:`append` each record in order; the shard of each."""
+        return [self.append(record) for record in records]
 
     # ----------------------------- reading -----------------------------
     def _open_shard(self, path: Path) -> IO[str]:

@@ -1,13 +1,13 @@
-"""Unified observability layer: metrics, telemetry, status, profiling.
+"""Unified observability layer: metrics, telemetry, timeline, profiling.
 
 Four pieces, one contract — **zero overhead when off**:
 
 * :mod:`repro.obs.metrics` — pull-based :class:`MetricsRegistry` with
   simulated-time snapshots over the counters components already keep.
 * :mod:`repro.obs.telemetry` — schema-validated JSONL lifecycle events
-  from the sweep scheduler and queue workers.
-* :mod:`repro.obs.status` / :mod:`repro.obs.timeline` — the readers:
-  live ``repro status`` and Chrome-trace ``repro timeline``.
+  from the sweep scheduler.
+* :mod:`repro.obs.timeline` — their reader: Chrome-trace
+  ``repro timeline``.
 * :mod:`repro.obs.profiler` — opt-in (``--profile``) simulator
   profiling with per-component event and time attribution.
 """
@@ -21,7 +21,6 @@ from repro.obs.metrics import (
     metric_key,
 )
 from repro.obs.profiler import SimProfiler, profile
-from repro.obs.status import collect_status, render_status
 from repro.obs.telemetry import (
     EVENT_KINDS,
     SCHEMA_VERSION,
@@ -44,12 +43,10 @@ __all__ = [
     "TelemetrySchemaError",
     "TelemetryWriter",
     "build_timeline",
-    "collect_status",
     "instrument_system",
     "metric_key",
     "profile",
     "read_events",
-    "render_status",
     "telemetry_dir",
     "validate_event",
     "write_timeline",

@@ -1,34 +1,25 @@
-"""Run/worker telemetry: schema-validated JSONL lifecycle events.
+"""Sweep telemetry: schema-validated JSONL lifecycle events.
 
-The sweep scheduler and every queue worker append newline-delimited
-JSON events to ``<run-dir>/telemetry/<source>.jsonl`` while a run is in
-flight.  One file per source means no cross-process write contention on
-shared filesystems (the same single-writer-per-file discipline the
-sharded :class:`~repro.experiments.store.ResultStore` uses); readers
-merge-sort by timestamp.
+The sweep scheduler appends newline-delimited JSON events to
+``<run-dir>/telemetry/scheduler.jsonl`` while a run is in flight.
+Readers merge every ``*.jsonl`` file of the directory, sorted by
+timestamp.
 
 Every event carries the base fields ``schema``/``ts``/``kind``/
 ``source`` plus kind-specific required fields (see :data:`EVENT_KINDS`).
 :func:`validate_event` enforces the schema on write (always) and on
 read (``strict=True``), so a telemetry directory is a machine-checkable
-artifact — CI's obs-smoke job validates every event of a real queue
+artifact — CI's obs-smoke job validates every event of a real pool
 sweep against it.
-
-The presence of the ``telemetry/`` directory is the worker-side enable
-switch: the scheduler creates it when telemetry is on, and
-:meth:`TelemetryWriter.attach` returns ``None`` when it is absent, so
-externally launched ``repro worker`` processes need no extra flag.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import socket
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 SCHEMA_VERSION = 1
 
@@ -37,18 +28,10 @@ TELEMETRY_DIR = "telemetry"
 #: Required kind-specific fields per event kind (beyond the base
 #: ``schema``/``ts``/``kind``/``source`` carried by every event).
 EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
-    # Scheduler lifecycle.
     "run_started": ("sweep", "total", "cached", "backend", "jobs"),
     "run_finished": ("sweep", "executed", "failed", "wall_s"),
     "spec_cached": ("spec_hash",),
     "record": ("spec_hash", "status", "wall_s"),
-    # Worker lifecycle.
-    "worker_started": ("worker",),
-    "worker_finished": ("worker", "completed", "wall_s"),
-    "task_claimed": ("worker", "task_id"),
-    "task_finished": ("worker", "task_id", "status", "wall_s"),
-    "task_retried": ("worker", "task_id", "attempt", "error"),
-    "heartbeat": ("worker", "leased"),
 }
 
 _BASE_FIELDS = ("schema", "ts", "kind", "source")
@@ -101,8 +84,7 @@ def telemetry_dir(run_dir: Path) -> Path:
 class TelemetryWriter:
     """Appends schema-validated events to one per-source JSONL file.
 
-    Thread-safe: worker heartbeat threads emit concurrently with the
-    worker main loop, so open-append-close happens under a lock.
+    Thread-safe: open-append-close happens under a lock.
     """
 
     def __init__(self, run_dir: Path, source: str):
@@ -111,17 +93,6 @@ class TelemetryWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self.emitted = 0
-
-    @classmethod
-    def attach(cls, run_dir: Path, source: str) -> Optional["TelemetryWriter"]:
-        """Writer iff the run has telemetry enabled, else ``None``.
-
-        Telemetry is enabled when ``<run-dir>/telemetry/`` exists — the
-        scheduler creates it, so external workers inherit the setting.
-        """
-        if not telemetry_dir(run_dir).is_dir():
-            return None
-        return cls(run_dir, source)
 
     def emit(self, kind: str, **fields: object) -> Dict[str, object]:
         event: Dict[str, object] = {
@@ -138,11 +109,6 @@ class TelemetryWriter:
                 handle.write(line + "\n")
             self.emitted += 1
         return event
-
-
-def default_source() -> str:
-    """``{hostname}-{pid}``, matching the worker-id convention."""
-    return f"{socket.gethostname()}-{os.getpid()}"
 
 
 def read_events(
@@ -179,11 +145,3 @@ def read_events(
     events.sort(key=lambda e: (e["ts"], e["source"], e["kind"]))
     return events, skipped
 
-
-def events_by_kind(
-    events: Iterable[Dict[str, object]]
-) -> Dict[str, List[Dict[str, object]]]:
-    out: Dict[str, List[Dict[str, object]]] = {}
-    for event in events:
-        out.setdefault(str(event["kind"]), []).append(event)
-    return out

@@ -3,10 +3,9 @@
 Converts a run directory's telemetry into the Chrome trace-event JSON
 format (the ``{"traceEvents": [...]}`` object form), loadable in
 Perfetto or ``chrome://tracing``.  Each telemetry source becomes a
-trace "process"; each worker becomes a "thread" within it.  Finished
-specs render as complete ("X") slices spanning their wall duration,
-retries as instant ("i") markers, and run start/finish as instants on
-the scheduler row.
+trace thread of the scheduler process.  Each persisted record renders
+as a complete ("X") slice spanning its spec's wall duration, and run
+start/finish as instants.
 
 Timestamps: trace-event ``ts`` is microseconds.  All events are
 rebased to the earliest telemetry timestamp so traces start near zero
@@ -24,9 +23,7 @@ from repro.obs.telemetry import read_events
 
 TIMELINE_FILE = "timeline.json"
 
-#: Stable synthetic pids per source role (Perfetto sorts by pid).
 _SCHEDULER_PID = 1
-_WORKER_PID_BASE = 10
 
 
 def build_timeline(run_dir: Union[str, Path]) -> Dict[str, object]:
@@ -40,88 +37,31 @@ def build_timeline(run_dir: Union[str, Path]) -> Dict[str, object]:
     def us(ts: object) -> float:
         return (float(ts) - epoch) * 1e6  # type: ignore[arg-type]
 
-    # One trace thread per (pid, tid); metadata rows name them.
-    pids: Dict[str, int] = {}
+    # One trace thread per source; metadata rows name them.
     tids: Dict[str, int] = {}
 
     def thread_for(event: Dict[str, object]) -> Dict[str, int]:
-        worker = event.get("worker")
-        if isinstance(worker, str):
-            pid = pids.setdefault(worker, _WORKER_PID_BASE + len(pids))
-            name = worker
-        else:
-            pid = _SCHEDULER_PID
-            name = f"scheduler ({event['source']})"
+        name = f"scheduler ({event['source']})"
         if name not in tids:
             tids[name] = len(tids) + 1
             trace.append(
                 {
-                    "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                    "args": {"name": name},
+                    "ph": "M", "name": "process_name", "pid": _SCHEDULER_PID,
+                    "tid": 0, "args": {"name": name},
                 }
             )
             trace.append(
                 {
-                    "ph": "M", "name": "thread_name", "pid": pid,
+                    "ph": "M", "name": "thread_name", "pid": _SCHEDULER_PID,
                     "tid": tids[name], "args": {"name": "specs"},
                 }
             )
-        return {"pid": pid, "tid": tids[name]}
+        return {"pid": _SCHEDULER_PID, "tid": tids[name]}
 
-    have_task_slices = False
     for event in events:
         kind = event["kind"]
         where = thread_for(event)
-        if kind == "task_finished":
-            have_task_slices = True
-            wall_s = float(event["wall_s"])  # type: ignore[arg-type]
-            trace.append(
-                {
-                    "ph": "X",
-                    "name": str(event.get("label") or event["task_id"]),
-                    "cat": "spec",
-                    "ts": us(event["ts"]) - wall_s * 1e6,
-                    "dur": wall_s * 1e6,
-                    "args": {
-                        "spec_hash": event["task_id"],
-                        "status": event["status"],
-                    },
-                    **where,
-                }
-            )
-        elif kind == "task_retried":
-            trace.append(
-                {
-                    "ph": "i",
-                    "name": f"retry {event['task_id']}",
-                    "cat": "retry",
-                    "s": "t",
-                    "ts": us(event["ts"]),
-                    "args": {
-                        "attempt": event["attempt"],
-                        "error": str(event["error"])[:200],
-                    },
-                    **where,
-                }
-            )
-        elif kind in ("run_started", "run_finished", "worker_started",
-                      "worker_finished"):
-            trace.append(
-                {
-                    "ph": "i", "name": str(kind), "cat": "lifecycle",
-                    "s": "p", "ts": us(event["ts"]), "args": {},
-                    **where,
-                }
-            )
-
-    if not have_task_slices:
-        # Pool/serial runs have no per-task worker telemetry; fall back
-        # to the scheduler's per-record events so the trace still shows
-        # one slice per executed spec.
-        for event in events:
-            if event["kind"] != "record":
-                continue
-            where = thread_for(event)
+        if kind == "record":
             wall_s = float(event["wall_s"])  # type: ignore[arg-type]
             trace.append(
                 {
@@ -134,6 +74,14 @@ def build_timeline(run_dir: Union[str, Path]) -> Dict[str, object]:
                         "spec_hash": event["spec_hash"],
                         "status": event["status"],
                     },
+                    **where,
+                }
+            )
+        elif kind in ("run_started", "run_finished"):
+            trace.append(
+                {
+                    "ph": "i", "name": str(kind), "cat": "lifecycle",
+                    "s": "p", "ts": us(event["ts"]), "args": {},
                     **where,
                 }
             )

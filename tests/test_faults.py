@@ -558,17 +558,6 @@ def test_cli_fault_validate(tmp_path):
     assert "FAIL" in out and "'rate'" in out
 
 
-def test_cli_sweep_retry_flags_validated():
-    code, out = run_cli("sweep", "quick", "--max-retries", "-1")
-    assert code == 2 and "--max-retries" in out
-    code, out = run_cli("sweep", "quick", "--retry-backoff-s", "-0.1")
-    assert code == 2 and "--retry-backoff-s" in out
-    code, out = run_cli(
-        "sweep", "quick", "--max-retries", "2", "--backend", "pool"
-    )
-    assert code == 2 and "queue" in out
-
-
 def test_cli_sweep_fault_tolerance_serial(tmp_path):
     out_dir = tmp_path / "ft"
     code, out = run_cli(

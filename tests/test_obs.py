@@ -9,7 +9,7 @@ import pytest
 from cli_helpers import run_cli
 
 from repro.config import fpga_system, system_by_name
-from repro.experiments import SweepSpec, run_sweep
+from repro.experiments import ResultStore, SweepSpec, run_sweep
 from repro.obs import (
     EVENT_KINDS,
     MetricError,
@@ -20,12 +20,10 @@ from repro.obs import (
     TelemetrySchemaError,
     TelemetryWriter,
     build_timeline,
-    collect_status,
     instrument_system,
     metric_key,
     profile,
     read_events,
-    render_status,
     telemetry_dir,
     validate_event,
     write_timeline,
@@ -280,9 +278,9 @@ def test_every_kind_lists_required_fields():
 def test_writer_emits_and_reader_merges(tmp_path):
     a = TelemetryWriter(tmp_path, "a")
     b = TelemetryWriter(tmp_path, "b")
-    a.emit("worker_started", worker="a")
-    b.emit("worker_started", worker="b")
-    a.emit("heartbeat", worker="a", leased=1)
+    a.emit("spec_cached", spec_hash="h1")
+    b.emit("spec_cached", spec_hash="h2")
+    a.emit("record", spec_hash="h3", status="ok", wall_s=0.5)
     assert a.emitted == 2
     events, skipped = read_events(tmp_path)
     assert skipped == 0
@@ -294,18 +292,8 @@ def test_writer_emits_and_reader_merges(tmp_path):
 def test_writer_rejects_schema_violations(tmp_path):
     writer = TelemetryWriter(tmp_path, "s")
     with pytest.raises(TelemetrySchemaError):
-        writer.emit("task_finished", worker="w")  # missing fields
+        writer.emit("record", spec_hash="h")  # missing fields
     assert writer.emitted == 0
-
-
-def test_attach_gates_on_directory_presence(tmp_path):
-    assert TelemetryWriter.attach(tmp_path, "w") is None
-    telemetry_dir(tmp_path).mkdir(parents=True)
-    writer = TelemetryWriter.attach(tmp_path, "w")
-    assert writer is not None
-    writer.emit("worker_started", worker="w")
-    events, _ = read_events(tmp_path)
-    assert events[0]["kind"] == "worker_started"
 
 
 def test_read_events_skips_or_raises_on_malformed(tmp_path):
@@ -323,69 +311,30 @@ def test_read_events_empty_without_directory(tmp_path):
     assert read_events(tmp_path) == ([], 0)
 
 
-# --------------------------- status/timeline --------------------------
-def test_sweep_emits_telemetry_and_status_reports(tmp_path):
+# ----------------------------- timeline -------------------------------
+def test_sweep_emits_scheduler_telemetry(tmp_path):
     run_dir = tmp_path / "run"
     outcome = run_sweep(tiny_sweep(), run_dir, jobs=1)
     assert outcome.ok
     events, skipped = read_events(run_dir, strict=True)
     assert skipped == 0
-    kinds = {e["kind"] for e in events}
-    assert {"run_started", "run_finished", "record"} <= kinds
-    status = collect_status(run_dir)
-    assert status["sweep"] == "tiny"
-    assert status["total"] == 2
-    assert status["done"] == 2
-    assert status["remaining"] == 0
-    assert status["finished"] is True
-    assert status["eta_s"] == 0.0
-    text = render_status(status)
-    assert "sweep tiny" in text
-    assert "2/2 specs (100%)" in text
-    assert "state: finished" in text
+    by_kind = {}
+    for event in events:
+        assert event["source"] == "scheduler"
+        by_kind.setdefault(event["kind"], []).append(event)
+    assert sorted(by_kind) == ["record", "run_finished", "run_started"]
+    assert len(by_kind["record"]) == 2
+    (started,), (finished,) = by_kind["run_started"], by_kind["run_finished"]
+    assert started["total"] == 2 and started["backend"] == "pool"
+    assert finished["executed"] == 2 and finished["failed"] == 0
 
 
 def test_sweep_telemetry_off_writes_nothing(tmp_path):
     run_dir = tmp_path / "run"
     run_sweep(tiny_sweep(), run_dir, jobs=1, telemetry=False)
     assert not telemetry_dir(run_dir).exists()
-    status = collect_status(run_dir)
-    assert status["telemetry_events"] == 0
-    assert status["done"] == 2  # store still answers
-    assert "telemetry: none" in render_status(status)
-
-
-def test_status_tracks_in_flight_workers(tmp_path):
-    now = 1000.0
-    writer = TelemetryWriter(tmp_path, "sched")
-    base = {"schema": 1, "source": "sched"}
-    rows = [
-        {**base, "ts": now - 60, "kind": "run_started", "sweep": "s",
-         "total": 10, "cached": 0, "backend": "queue", "jobs": 2},
-        {**base, "ts": now - 50, "kind": "task_finished", "worker": "w1",
-         "task_id": "h1", "status": "ok", "wall_s": 2.0},
-        {**base, "ts": now - 5, "kind": "task_finished", "worker": "w1",
-         "task_id": "h2", "status": "error", "wall_s": 4.0},
-        {**base, "ts": now - 4, "kind": "task_retried", "worker": "w1",
-         "task_id": "h2", "attempt": 1, "error": "boom"},
-        {**base, "ts": now - 300, "kind": "heartbeat", "worker": "w2",
-         "leased": 1},
-    ]
-    with open(writer.path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(validate_event(row)) + "\n")
-    status = collect_status(tmp_path, now=now)
-    assert status["total"] == 10 and status["backend"] == "queue"
-    assert status["finished"] is False
-    w1, w2 = status["workers"]
-    assert w1["worker"] == "w1" and w1["finished"] == 2
-    assert w1["failed"] == 1 and w1["retries"] == 1
-    assert w1["mean_wall_s"] == pytest.approx(3.0)
-    assert w1["active"] is True
-    assert w2["active"] is False  # stale: last seen 300s ago
-    text = render_status(status)
-    assert "w1" in text and "[active]" in text and "[idle]" in text
-    assert "1 retry" in text
+    assert read_events(run_dir) == ([], 0)
+    assert len(ResultStore(run_dir).latest()) == 2  # store still answers
 
 
 def test_timeline_builds_valid_trace_events(tmp_path):
@@ -396,7 +345,7 @@ def test_timeline_builds_valid_trace_events(tmp_path):
     assert timeline["displayTimeUnit"] == "ms"
     phases = {e["ph"] for e in events}
     assert {"M", "i", "X"} <= phases
-    # Serial runs fall back to scheduler record events for slices.
+    # One slice per persisted record.
     slices = [e for e in events if e["ph"] == "X"]
     assert len(slices) == 2
     for entry in slices:
@@ -526,22 +475,13 @@ def test_sweep_profile_attaches_attribution(tmp_path):
 
 
 # ------------------------------- CLI ----------------------------------
-def test_cli_status_and_timeline(tmp_path):
+def test_cli_timeline_writes_trace(tmp_path):
     run_dir = tmp_path / "run"
     assert run_sweep(tiny_sweep(), run_dir, jobs=1).ok
-    code, out = run_cli("status", str(run_dir))
-    assert code == 0
-    assert "sweep tiny" in out and "state: finished" in out
     code, out = run_cli("timeline", str(run_dir))
     assert code == 0
     assert "timeline.json" in out
     assert json.loads((run_dir / "timeline.json").read_text())["traceEvents"]
-
-
-def test_cli_status_rejects_missing_run(tmp_path):
-    code, out = run_cli("status", str(tmp_path / "nope"))
-    assert code == 2
-    assert "no run found" in out
 
 
 def test_cli_timeline_requires_telemetry(tmp_path):
