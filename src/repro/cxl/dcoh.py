@@ -63,17 +63,21 @@ class Dcoh(Component):
         self,
         addr: int,
         on_done: Callable[[DcohResult], None],
+        delay_ps: int = 0,
         exclusive: bool = False,
         extra_rt_ps: int = 0,
     ) -> None:
         """Coherently read ``addr``; ``on_done(result)`` fires at completion.
 
-        ``extra_rt_ps`` adds NUMA routing distance (round trip) for
-        targets on distant nodes.
+        The request reaches the DCOH ``delay_ps`` (non-negative) from
+        now, after the caller's own issue stages (e.g. LSU think and
+        issue time), so the tag-lookup event covers them and the DCOH
+        request stage.  ``extra_rt_ps`` adds NUMA routing distance
+        (round trip) for targets on distant nodes.
         """
         self.reads += 1
         self.sim.schedule_after(
-            self._request_ps,
+            delay_ps + self._request_ps,
             self._tag_lookup,
             (addr & LINE_MASK, on_done, exclusive, extra_rt_ps),
         )
@@ -95,24 +99,17 @@ class Dcoh(Component):
                 tag_done + self._data_ps + self._response_ps - now, on_done, (result,)
             )
             return
-        # Miss (or ownership upgrade): go to the host home agent.
-        self.sim.schedule_after(
-            tag_done - now,
-            self._to_host,
-            (addr, on_done, exclusive, extra_rt_ps),
-        )
-
-    def _to_host(
-        self,
-        addr: int,
-        on_done: Callable[[DcohResult], None],
-        exclusive: bool,
-        extra_rt_ps: int,
-    ) -> None:
+        # Miss (or ownership upgrade): cross the Flex Bus to the host
+        # home agent once the tag lookup is done, at the link latency
+        # of that moment.
         outbound_extra = extra_rt_ps // 2
         miss = _HostMiss(self, addr, on_done, exclusive, extra_rt_ps - outbound_extra)
-        self.flexbus.traffic[FlexBusChannel.CACHE] += 1
-        self.sim.schedule_after(self.flexbus.oneway_ps + outbound_extra, miss.at_host)
+        flexbus = self.flexbus
+        flexbus.traffic[FlexBusChannel.CACHE] += 1
+        self.sim.schedule_after(
+            tag_done - now + flexbus.oneway_at(tag_done) + outbound_extra,
+            miss.at_host,
+        )
 
     # ------------------------------------------------------------------
     # D2H coherent write: read-for-ownership then silent M upgrade
@@ -121,8 +118,10 @@ class Dcoh(Component):
         self,
         addr: int,
         on_done: Callable[[DcohResult], None],
+        delay_ps: int = 0,
         extra_rt_ps: int = 0,
     ) -> None:
+        """Read ``addr`` for ownership, then upgrade it to M; as :meth:`read`."""
         self.writes += 1
         addr &= LINE_MASK
 
@@ -145,7 +144,7 @@ class Dcoh(Component):
                 )
             on_done(result)
 
-        self.read(addr, owned, exclusive=True, extra_rt_ps=extra_rt_ps)
+        self.read(addr, owned, delay_ps, True, extra_rt_ps)
 
     # ------------------------------------------------------------------
     # NC-P: push a line into the host LLC, invalidating the HMC copy
@@ -162,8 +161,7 @@ class Dcoh(Component):
             if on_done is not None:
                 on_done()
 
-        self.flexbus.traffic[FlexBusChannel.CACHE] += 1
-        self.schedule(self._request_ps + self.flexbus.oneway_ps, at_host)
+        self._cross_to_host(at_host)
 
     # ------------------------------------------------------------------
     # Explicit dirty eviction (Fig. 7 phase 3)
@@ -187,8 +185,18 @@ class Dcoh(Component):
             self.hmc.invalidate(addr)
             on_done()
 
-        self.flexbus.traffic[FlexBusChannel.CACHE] += 1
-        self.schedule(self._request_ps + self.flexbus.oneway_ps, at_host)
+        self._cross_to_host(at_host)
+
+    def _cross_to_host(self, at_host: Callable[[], None]) -> None:
+        """Request stage, then the Flex Bus to the host; ``at_host`` on arrival.
+
+        The crossing starts when the request stage ends, so the link is
+        priced at that moment, not now.
+        """
+        flexbus = self.flexbus
+        flexbus.traffic[FlexBusChannel.CACHE] += 1
+        crossing = self.sim.now + self._request_ps
+        self.schedule(self._request_ps + flexbus.oneway_at(crossing), at_host)
 
 
 def _ignore() -> None:
@@ -196,12 +204,14 @@ def _ignore() -> None:
 
 
 class _HostMiss:
-    """One HMC miss in flight: Flex Bus out, home agent, Flex Bus back.
+    """One HMC miss in flight: home agent, Flex Bus back, HMC fill.
 
-    Its bound methods are the event callbacks of the three stages, so a
-    miss allocates this one record instead of three closures.  The Flex
-    Bus latency is read when each crossing starts (a fault plan can make
-    it time-varying).
+    ``Dcoh._tag_lookup`` creates it and schedules its arrival at the
+    host, which already includes the outbound Flex Bus crossing.  Its
+    bound methods are the callbacks of the stages after that, so a miss
+    allocates this one record instead of closures.  Each crossing is
+    priced at the link latency of the moment it starts (a fault plan
+    can make it time-varying).
     """
 
     __slots__ = (

@@ -83,9 +83,12 @@ class LoadStoreUnit(Component):
             self.pmu.issued(req_id, self.sim.now)
 
             def done(_result: DcohResult) -> None:
+                # The completion stays an event: it leaves the clock at
+                # the last completion, where the next run starts, and
+                # DRAM refresh depends on absolute time.
                 self.schedule(complete_ps, finish, req_id)
 
-            self.schedule(issue_ps, self.dcoh.read, addr, done, exclusive, extra_rt_ps)
+            self.dcoh.read(addr, done, issue_ps, exclusive, extra_rt_ps)
 
         def finish(req_id: int) -> None:
             self.pmu.completed(req_id, self.sim.now)
@@ -139,7 +142,7 @@ class LoadStoreUnit(Component):
                 self.pmu.completed(rid, self.sim.now)
                 credits.release()
 
-            self.dcoh.read(addr, done, exclusive)
+            self.dcoh.read(addr, done, exclusive=exclusive)
             # Next issue slot on the following device cycle.
             self.schedule(issue_ii, try_issue)
 

@@ -221,9 +221,10 @@ class FaultController:
         """Make a degraded link's FlexBus time-varying.
 
         The FlexBus belongs to the device endpoint of the link; its
-        ``oneway_ps`` is swapped (via a dynamic subclass) for one that
-        multiplies the profile latency by the controller's active
-        degrade factor at ``sim.now``.  With no window active the
+        ``oneway_at`` and ``oneway_ps`` are swapped (via a dynamic
+        subclass) for ones that multiply the profile latency by the
+        controller's active degrade factor at the crossing's start
+        (``sim.now`` for ``oneway_ps``).  With no window active the
         factor is exactly 1.0 and the original integer comes back, so
         traffic outside fault windows is untouched.
         """
@@ -237,13 +238,16 @@ class FaultController:
             base_cls = type(bus)
 
             class _DegradedFlexBus(base_cls):  # type: ignore[misc, valid-type]
+                def oneway_at(self, t_ps: int) -> int:
+                    base = self.profile.phy_oneway_ps
+                    factor = controller.link_factor(key, t_ps)
+                    return base if factor == 1.0 else int(round(base * factor))
+
                 # A class-level property shadows the plain instance
                 # attribute that FlexBus sets.
                 @property
                 def oneway_ps(self) -> int:
-                    base = self.profile.phy_oneway_ps
-                    factor = controller.link_factor(key, self.sim.now)
-                    return base if factor == 1.0 else int(round(base * factor))
+                    return self.oneway_at(self.sim.now)
 
             _DegradedFlexBus.__name__ = f"{base_cls.__name__}(degraded)"
             bus.__class__ = _DegradedFlexBus

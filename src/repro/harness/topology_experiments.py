@@ -60,7 +60,7 @@ def _latency_chain(lsu, addrs: List[int], out: List[int]) -> None:
             out.append(lsu.sim.now - state["issued_ps"])
             issue_next()
 
-        lsu.schedule(issue_ps, lsu.dcoh.read, addr, done)
+        lsu.dcoh.read(addr, done, issue_ps)
 
     issue_next()
 

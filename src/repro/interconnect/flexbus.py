@@ -37,10 +37,19 @@ class FlexBus(Component):
     ) -> None:
         super().__init__(sim, name)
         self.profile = profile
-        # A plain attribute: read once per crossing.  A fault plan that
-        # degrades the link shadows it with a time-varying property.
+        # A plain attribute: the latency of a crossing that starts now,
+        # read once per crossing.  A fault plan that degrades the link
+        # shadows it with a time-varying property.
         self.oneway_ps = profile.phy_oneway_ps
         self.traffic: Dict[FlexBusChannel, int] = {c: 0 for c in FlexBusChannel}
+
+    def oneway_at(self, t_ps: int) -> int:
+        """One-way latency of a crossing that starts at ``t_ps``.
+
+        For a caller that schedules the crossing before it starts.  A
+        fault plan that degrades the link overrides it.
+        """
+        return self.oneway_ps
 
     def traverse(
         self,

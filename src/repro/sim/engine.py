@@ -51,7 +51,6 @@ class Simulator:
         self._seq: int = 0
         # Entries are (when, seq, callback, args).
         self._heap: List[tuple] = []
-        self._executed: int = 0
 
     @property
     def pending(self) -> int:
@@ -60,8 +59,13 @@ class Simulator:
 
     @property
     def executed(self) -> int:
-        """Total number of events that have fired."""
-        return self._executed
+        """Total number of events that have fired.
+
+        Every scheduled event is either still in the calendar or has
+        fired (nothing is cancelled), so this is the number scheduled
+        less the number pending, and the drain loop counts nothing.
+        """
+        return self._seq - len(self._heap)
 
     def schedule_after(
         self,
@@ -81,7 +85,7 @@ class Simulator:
         """Drain the calendar; returns the number of events this call fired."""
         if _PROFILER is not None:
             return self._run_profiled(_PROFILER)
-        executed_before = self._executed
+        executed_before = self.executed
         # Hot loop: hoist the heap and heappop into locals.  The heap
         # list object is stable across callbacks (callbacks only push
         # onto it), so holding a reference is safe.
@@ -90,9 +94,8 @@ class Simulator:
         while heap:
             when, _seq, callback, args = heappop(heap)
             self.now = when
-            self._executed += 1
             callback(*args)
-        return self._executed - executed_before
+        return self._seq - executed_before
 
     def _run_profiled(self, profiler) -> int:
         """Profiled mirror of :meth:`run`.
@@ -105,7 +108,7 @@ class Simulator:
         """
         from time import perf_counter
 
-        executed_before = self._executed
+        executed_before = self.executed
         heap = self._heap
         heappop = heapq.heappop
         record = profiler.record
@@ -113,7 +116,7 @@ class Simulator:
         while heap:
             when, _seq, callback, args = heappop(heap)
             self.now = when
-            self._executed += 1
             record(callback, args)
-        profiler.add_run(perf_counter() - run_start, self._executed - executed_before)
-        return self._executed - executed_before
+        executed = self._seq - executed_before
+        profiler.add_run(perf_counter() - run_start, executed)
+        return executed

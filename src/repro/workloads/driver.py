@@ -494,10 +494,14 @@ class _LsuChain:
 
     Each op waits its ``delay_ps`` think time after the previous
     completion, then pays the LSU issue/complete stages around the DCOH
-    access — the per-op latency excludes the think time.  Several chains
-    coexist on one simulator (and even one LSU), so nothing here drains
-    the engine.  The op rows are plain per-column lists read by index,
-    and the bound methods are the event callbacks.
+    access — the per-op latency excludes the think time.  Only the DCOH
+    access fires events: the op's think and issue time are the delay of
+    its DCOH request (``Dcoh.read``'s ``delay_ps``), and ``done`` books
+    the completion stage ahead, at ``now + complete_ps``, and issues the
+    next op from there.  Several chains coexist on one simulator (and
+    even one LSU), so nothing here drains the engine.  The op rows are
+    plain per-column lists read by index, and the bound methods are the
+    event callbacks.
     """
 
     __slots__ = (
@@ -533,47 +537,48 @@ class _LsuChain:
         self.issued_ps = 0
 
     def issue_next(self) -> None:
+        self._issue_after(0)
+
+    def _issue_after(self, wait_ps: int) -> None:
+        """Issue the next op, its think time counted from ``wait_ps`` ahead.
+
+        The think time is not checked here: ``OpBatch`` rejects negative
+        delays.
+        """
         index = self.index
         if index < len(self.addrs):
             self.index = index + 1
-            # Think time goes through lsu.schedule: it keeps the
-            # negative-delay guard.
-            self.lsu.schedule(self.delays[index], self.start)
-
-    def start(self) -> None:
-        now = self.sim.now
-        self.issued_ps = now
-        if self.first_issue_ps < 0:
-            self.first_issue_ps = now
-        self._access()
-
-    def _access(self) -> None:
-        row = self.index - 1
-        access = self.write if self.writes[row] else self.read
-        self.sim.schedule_after(self.issue_ps, access, (self.addrs[row], self.done))
+            wait_ps += self.delays[index]
+            issued = self.sim.now + wait_ps
+            self.issued_ps = issued
+            if self.first_issue_ps < 0:
+                self.first_issue_ps = issued
+            access = self.write if self.writes[index] else self.read
+            access(self.addrs[index], self.done, wait_ps + self.issue_ps)
 
     def done(self, _result) -> None:
-        self.sim.schedule_after(self.complete_ps, self.finish)
-
-    def finish(self) -> None:
-        now = self.sim.now
-        self.latencies.append(now - self.issued_ps)
+        complete_ps = self.complete_ps
+        finished = self.sim.now + complete_ps
+        self.latencies.append(finished - self.issued_ps)
         self.bytes += self.sizes[self.index - 1]
-        self.last_done_ps = now
-        self.issue_next()
+        self.last_done_ps = finished
+        self._issue_after(complete_ps)
 
 
 class _FaultedLsuChain(_LsuChain):
     """Fault-aware :class:`_LsuChain`.
 
-    With no fault active the chain schedules exactly the same event
-    sequence as the plain chain (the guards are synchronous checks that
-    fall through), so an empty plan reproduces a plain run
-    bit-identically.  When the op's path is faulted: strict mode raises
+    It keeps each op's start (after the think time) and finish (after
+    the completion stage) as events of their own: path faults are
+    checked at the start, and corruption draws are taken at the finish,
+    so they are consumed in simulator event order.  When the op's path
+    is faulted: strict mode raises
     :class:`~repro.faults.controller.FaultActiveError` out of the
     simulator; degraded mode retries with bounded backoff and finally
     counts the op as dropped.  Corrupted completions retransmit
     (re-paying the issue/access/complete pipeline) with the same bound.
+    With no fault active those two events add no time, so an empty plan
+    reproduces a plain run's measurement bit-identically.
     """
 
     __slots__ = ("controller", "nodes", "keys", "attempt", "redeliver")
@@ -591,7 +596,10 @@ class _FaultedLsuChain(_LsuChain):
         self.issued_ps = -1
         self.attempt = 0
         self.redeliver = 0
-        super().issue_next()
+        index = self.index
+        if index < len(self.addrs):
+            self.index = index + 1
+            self.lsu.schedule(self.delays[index], self.start)
 
     def start(self) -> None:
         controller = self.controller
@@ -620,7 +628,12 @@ class _FaultedLsuChain(_LsuChain):
             stats.record_drop()
             self.issue_next()
             return
-        self._access()
+        row = self.index - 1
+        access = self.write if self.writes[row] else self.read
+        access(self.addrs[row], self.done, self.issue_ps)
+
+    def done(self, _result) -> None:
+        self.sim.schedule_after(self.complete_ps, self.finish)
 
     def finish(self) -> None:
         controller = self.controller
@@ -646,7 +659,10 @@ class _FaultedLsuChain(_LsuChain):
             self.issue_next()
             return
         stats.record_completion(now)
-        super().finish()
+        self.latencies.append(now - self.issued_ps)
+        self.bytes += self.sizes[self.index - 1]
+        self.last_done_ps = now
+        self.issue_next()
 
     def _describe(self) -> str:
         row = self.index - 1

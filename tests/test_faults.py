@@ -298,11 +298,67 @@ def test_degraded_link_latency_is_time_varying():
     ).install(system)
     bus = system.nodes["dev0"].flexbus
     base = bus.oneway_ps  # sim.now == 0: before the window
+    assert bus.oneway_at(10_000_000) == int(round(base * 4.0))
     system.sim.now = 10_000_000  # inside the 2us..32us window
     assert bus.oneway_ps == int(round(base * 4.0))
+    assert bus.oneway_at(0) == base
     system.sim.now = 40_000_000  # recovered
     assert bus.oneway_ps == base
     assert controller.link_factor(("dev0", "host"), 10_000_000) == 4.0
+
+
+def _dev0_degraded_from(at_ps):
+    """dev0's DCOH on asic fanout-2, its host link 4x slower from ``at_ps`` on."""
+    from repro.system import SystemBuilder, topology_by_name
+
+    system = SystemBuilder(system_by_name("asic")).build(
+        topology_by_name("fanout-2")
+    )
+    plan = FaultPlan(
+        name="late-degrade",
+        events=(
+            FaultEvent("link_degrade", "dev0--host", at_ps=at_ps, factor=4.0),
+        ),
+    )
+    FaultController(plan).install(system)
+    return system.nodes["dev0"].dcoh
+
+
+def _completion_ps(dcoh, issue):
+    """Issue one op at t=0 through ``issue(on_done)``; its completion time."""
+    done = []
+    issue(lambda *_: done.append(dcoh.sim.now))
+    dcoh.sim.run()
+    (end,) = done
+    return end
+
+
+@pytest.mark.parametrize("at_ps", [1_335, 2_000, 3_335])
+def test_miss_crossing_is_priced_when_the_tag_lookup_ends(at_ps):
+    # The tag lookup runs from 1,334 to 3,335 ps and the crossing to the
+    # host starts at its end, so a window that opens inside the lookup
+    # slows both crossings.  Priced when the lookup starts, the way out
+    # would pay the healthy link: 553,982 ps, as for a window that opens
+    # just after the crossing starts.
+    dcoh = _dev0_degraded_from(at_ps)
+    assert _completion_ps(dcoh, lambda done: dcoh.read(0x20_0000, done)) == 581_227
+    late = _dev0_degraded_from(3_336)
+    assert _completion_ps(late, lambda done: late.read(0x20_0000, done)) == 553_982
+
+
+@pytest.mark.parametrize("op", ["nc_push", "evict"])
+def test_push_and_evict_crossings_are_priced_when_the_request_stage_ends(op):
+    def completion(at_ps):
+        dcoh = _dev0_degraded_from(at_ps)
+        dcoh.hmc.fill(0x20_0000)
+        return _completion_ps(dcoh, lambda done: getattr(dcoh, op)(0x20_0000, done))
+
+    # The crossing starts when the request stage ends: a window that
+    # opens inside the stage slows it like one open from the start.
+    request_ps = _dev0_degraded_from(0)._request_ps
+    assert request_ps == 1_334
+    assert completion(request_ps) == completion(0)
+    assert completion(request_ps + 1) < completion(0)
 
 
 def test_degraded_time_merges_overlapping_windows():

@@ -19,6 +19,7 @@ from repro.experiments.stats import (
     StatsError,
     _exact_u_counts,
     _resample_indices,
+    _row_statistic,
     a12,
     bootstrap_ci,
     bootstrap_diff_ci,
@@ -227,6 +228,40 @@ class TestBootstrap:
             bootstrap_diff_ci([1.0], [2.0], confidence=0.0)
         with pytest.raises(StatsError):
             bootstrap_diff_ci([1.0], [2.0], resamples=0)
+
+
+def _per_row(sample, statistic, seed, resamples=400):
+    """The reference: one statistic call per resample row."""
+    fn = {"median": np.median, "mean": np.mean}[statistic]
+    a = np.asarray(sample, dtype=float)
+    idx = _resample_indices(a.size, resamples, seed)
+    return np.asarray([float(fn(a[row])) for row in idx])
+
+
+def _interval(values):
+    """The percentile interval at confidence 0.95, tails as the module computes them."""
+    tail = (1.0 - 0.95) / 2.0 * 100.0
+    lo, hi = np.percentile(values, [tail, 100.0 - tail])
+    return float(lo), float(hi)
+
+
+def _sample(n, salt):
+    """A fixed sample of ``n`` values with ties (rounded to 0.5)."""
+    return [round(math.sin(i * 12.9898 + salt) * 437.5) / 2 for i in range(n)]
+
+
+@pytest.mark.parametrize("statistic", ["median", "mean"])
+@pytest.mark.parametrize("n", [1, 2, 3, 150, 151])
+def test_named_statistics_reduce_all_rows_as_the_per_row_loop(n, statistic):
+    a, b = _sample(n, 1.0), _sample(n + 1, 2.0)
+    rows = np.asarray(a)[_resample_indices(n, 400, 3)]
+    assert np.array_equal(_row_statistic(statistic)(rows), _per_row(a, statistic, 3))
+    assert bootstrap_ci(a, statistic, resamples=400, seed=3) == _interval(
+        _per_row(a, statistic, 3)
+    )
+    assert bootstrap_diff_ci(a, b, statistic, resamples=400, seed=3) == _interval(
+        _per_row(a, statistic, 3) - _per_row(b, statistic, 3 ^ 0x5DEECE66D)
+    )
 
 
 # ------------------------- property-based tests ------------------------

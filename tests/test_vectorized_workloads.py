@@ -148,8 +148,11 @@ def test_driver_surfaces_batch_validation_errors():
         "bad-delays",
         generate_batch=lambda rng: OpBatch(**_columns(delays=[0, 5, -7])),
     )
-    with pytest.raises(WorkloadSchemaError, match="'delays'.*-7 at row 2"):
-        WorkloadDriver(asic_system()).run(bad, topology="supernode(2)", seed=1)
+    # The LSU chains schedule think time unchecked: the batch check is
+    # the only guard against a negative delay rewinding simulated time.
+    for topology in ("supernode(2)", "fanout-2"):
+        with pytest.raises(WorkloadSchemaError, match="'delays'.*-7 at row 2"):
+            WorkloadDriver(asic_system()).run(bad, topology=topology, seed=1)
 
 
 def test_numpy_rng_is_seed_deterministic():
