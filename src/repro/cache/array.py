@@ -76,6 +76,23 @@ class CacheArray:
         self.evictions = 0
         self.dirty_evictions = 0
 
+    def __deepcopy__(self, memo: dict) -> "CacheArray":
+        # A forked system copies every warmed line; building the set
+        # stores directly skips the generic protocol's dispatch per dict
+        # and per int.  Every attribute but ``_sets`` is an int or a
+        # str, so a shallow copy of the rest is exact.
+        array = CacheArray.__new__(CacheArray)
+        memo[id(self)] = array
+        array.__dict__.update(self.__dict__)
+        array._sets = {
+            index: {
+                tag: memo.get(id(block)) or block.__deepcopy__(memo)
+                for tag, block in cache_set.items()
+            }
+            for index, cache_set in self._sets.items()
+        }
+        return array
+
     def index_tag(self, addr: int) -> Tuple[int, int]:
         """Decompose ``addr`` into ``(set index, tag)``.
 

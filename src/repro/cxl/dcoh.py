@@ -255,8 +255,14 @@ class _HostMiss:
     def back_at_device(self) -> None:
         dcoh = self.dcoh
         addr = self.addr
+        array = dcoh.hmc.array
         state = MesiState.EXCLUSIVE if self.exclusive else MesiState.SHARED
-        _block, victim = dcoh.hmc.array.insert(addr, state)
+        held = array.peek(addr)
+        if held is not None and held.state.writable:
+            # A request that missed before this device's RdOwn filled the
+            # line must not demote it: the device still owns it, E or M.
+            state = held.state
+        _block, victim = array.insert(addr, state)
         dirty_victim = victim is not None and victim[1].dirty
         if dirty_victim:
             dcoh.evictions_issued += 1

@@ -313,7 +313,7 @@ def bootstrap_ci(
         raise StatsError(f"resamples must be >= 1, got {resamples}")
     reduce_rows = _row_statistic(statistic)
     stats = reduce_rows(a[_resample_indices(a.size, resamples, seed)])
-    tail = (1.0 - confidence) / 2.0 * 100.0
+    tail = (100.0 - 100.0 * confidence) / 2.0
     lo, hi = np.percentile(stats, [tail, 100.0 - tail])
     return float(lo), float(hi)
 
@@ -341,6 +341,6 @@ def bootstrap_diff_ci(
     idx_a = _resample_indices(a.size, resamples, seed)
     idx_b = _resample_indices(b.size, resamples, seed ^ 0x5DEECE66D)
     diffs = reduce_rows(a[idx_a]) - reduce_rows(b[idx_b])
-    tail = (1.0 - confidence) / 2.0 * 100.0
+    tail = (100.0 - 100.0 * confidence) / 2.0
     lo, hi = np.percentile(diffs, [tail, 100.0 - tail])
     return float(lo), float(hi)

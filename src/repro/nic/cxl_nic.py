@@ -9,7 +9,7 @@ makes results visible to the host without explicit writebacks.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.cache.llc import SharedLLC
 from repro.config.system import SystemConfig
@@ -73,64 +73,12 @@ class CxlRaoNic(NicBase):
         Requests are dealt round-robin to PEs; each PE is serial, and
         line locking serializes racing PEs on the same address.
         """
-        proc_ps = self.config.rao.request_proc_ps
-        modify_ps = self.config.rao.modify_ps
-        evict_ps = self.config.rao.dirty_evict_ps
-        pe_ps = self.config.device.cycles_ps(self.config.rao.pe_access_cycles)
         start_ps = self.sim.now
         reads_before = self.dcoh.reads
         pending = list(requests)
-        cursor = [0]
-
-        def pe_loop() -> None:
-            if cursor[0] >= len(pending):
-                return
-            request = pending[cursor[0]]
-            cursor[0] += 1
-            self.schedule(proc_ps // 2, do_reads, request, list(request.reads))
-
-        def do_reads(request: RaoRequest, reads: List[int]) -> None:
-            if reads:
-                addr = reads.pop(0)
-
-                def read_done(result: DcohResult) -> None:
-                    self._count(result)
-                    stall = pe_ps + (evict_ps if result.dirty_victim else 0)
-                    self.schedule(stall, do_reads, request, reads)
-
-                self.dcoh.read(addr, read_done, exclusive=False)
-                return
-            self.schedule(0, acquire, request)
-
-        def acquire(request: RaoRequest) -> None:
-            # Atomicity: another PE holding the line's lock serializes us.
-            block = self.hmc.peek(request.target)
-            if block is not None and block.locked:
-                self.schedule(modify_ps + pe_ps, acquire, request)
-                return
-
-            def owned(result: DcohResult) -> None:
-                self._count(result)
-                # Lock the line against snoops for the RMW window.
-                self.hmc.lock(request.target)
-                stall = pe_ps + (evict_ps if result.dirty_victim else 0)
-                if result.dirty_victim:
-                    self.dirty_evict_stalls += 1
-                self.schedule(stall + modify_ps, commit, request)
-
-            self.dcoh.read(request.target, owned, exclusive=True)
-
-        def commit(request: RaoRequest) -> None:
-            current = self.values.read(request.target)
-            new, _old = apply_atomic(request.op, current, request.operand)
-            self.values.write(request.target, new)
-            self.hmc.mark_modified(request.target)
-            self.hmc.unlock(request.target)
-            self.send_response(request)
-            self.schedule(proc_ps - proc_ps // 2, pe_loop)
-
+        stream = iter(pending)
         for _ in range(min(self.pe_count, len(pending))):
-            pe_loop()
+            _RaoPe(self, stream).claim(0)
         self.sim.run()
         return RaoRunResult(
             ops=len(pending),
@@ -144,6 +92,109 @@ class CxlRaoNic(NicBase):
             self.hmc_hits += 1
         else:
             self.hmc_misses += 1
+
+
+class _RaoPe:
+    """One RAO PE working through the run's shared request stream.
+
+    Only protocol steps fire events.  A request's RX stage is the delay
+    of its first DCOH read (``Dcoh.read``'s ``delay_ps``), or of its
+    lock acquire when it reads no index; ``read_done`` issues the next
+    index read or the acquire after the PE's stall; ``acquire`` checks
+    the line lock at its own time; ``commit`` sends the response and
+    claims the next request, whose RX stage follows the response's TX
+    stage.  When the stream runs out, one event ends the last TX stage.
+    The bound methods are the event callbacks, so a PE refers to its
+    NIC but nothing refers back: a finished run leaves no cycle.
+    """
+
+    __slots__ = (
+        "nic", "sim", "dcoh_read", "hmc", "stream", "rx_ps", "tx_ps",
+        "modify_ps", "evict_ps", "pe_ps", "request", "next_read",
+    )
+
+    def __init__(self, nic: CxlRaoNic, stream: Iterator[RaoRequest]) -> None:
+        config = nic.config
+        rao = config.rao
+        self.nic = nic
+        self.sim = nic.sim
+        self.dcoh_read = nic.dcoh.read
+        self.hmc = nic.hmc
+        self.stream = stream
+        self.rx_ps = rao.request_proc_ps // 2
+        self.tx_ps = rao.request_proc_ps - self.rx_ps
+        self.modify_ps = rao.modify_ps
+        self.evict_ps = rao.dirty_evict_ps
+        self.pe_ps = config.device.cycles_ps(rao.pe_access_cycles)
+        self.request: Optional[RaoRequest] = None
+        self.next_read = 0
+
+    @property
+    def name(self) -> str:
+        """The NIC's name, so profilers charge the PE's events to it."""
+        return self.nic.name
+
+    def claim(self, after_ps: int) -> None:
+        """Take the next request; its RX stage starts ``after_ps`` from now.
+
+        With the stream run out, one event still ends the TX stage that
+        runs until then, so the run's elapsed time includes it.
+        """
+        request = next(self.stream, None)
+        if request is None:
+            self.sim.schedule_after(after_ps, self.tx_done)
+            return
+        self.request = request
+        self.next_read = 0
+        self._step(after_ps + self.rx_ps)
+
+    def _step(self, delay_ps: int) -> None:
+        """Issue the next index read, else the acquire, ``delay_ps`` from now."""
+        reads = self.request.reads
+        index = self.next_read
+        if index < len(reads):
+            self.next_read = index + 1
+            self.dcoh_read(reads[index], self.read_done, delay_ps)
+        else:
+            self.sim.schedule_after(delay_ps, self.acquire)
+
+    def read_done(self, result: DcohResult) -> None:
+        self.nic._count(result)
+        self._step(self.pe_ps + (self.evict_ps if result.dirty_victim else 0))
+
+    def acquire(self) -> None:
+        # Atomicity: another PE holding the line's lock serializes us.
+        target = self.request.target
+        block = self.hmc.peek(target)
+        if block is not None and block.locked:
+            self.sim.schedule_after(self.modify_ps + self.pe_ps, self.acquire)
+            return
+        self.dcoh_read(target, self.owned, exclusive=True)
+
+    def owned(self, result: DcohResult) -> None:
+        nic = self.nic
+        nic._count(result)
+        # Lock the line against snoops for the RMW window.
+        self.hmc.lock(self.request.target)
+        stall = self.pe_ps
+        if result.dirty_victim:
+            stall += self.evict_ps
+            nic.dirty_evict_stalls += 1
+        self.sim.schedule_after(stall + self.modify_ps, self.commit)
+
+    def commit(self) -> None:
+        request = self.request
+        nic = self.nic
+        current = nic.values.read(request.target)
+        new, _old = apply_atomic(request.op, current, request.operand)
+        nic.values.write(request.target, new)
+        self.hmc.mark_modified(request.target)
+        self.hmc.unlock(request.target)
+        nic.send_response(request)
+        self.claim(self.tx_ps)
+
+    def tx_done(self) -> None:
+        """End of the PE's last TX stage."""
 
 
 from repro.system.registry import register_component  # noqa: E402

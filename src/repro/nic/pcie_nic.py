@@ -10,8 +10,7 @@ serialization that caps PCIe RAO throughput (§V-A.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.config.system import SystemConfig
 from repro.devices.dma import DmaEngine
@@ -34,56 +33,27 @@ class PcieRaoNic(NicBase):
         super().__init__(sim, name, values)
         self.config = config
         self.dma = DmaEngine(sim, config.dma, name=f"{name}.dma")
+        # Per-RAO costs, worked out once from the frozen profiles.
+        self._load_ps = config.dma.transfer_ps(64)
+        self._rao_ps = (
+            config.rao.request_proc_ps + self.dma.rmw_pair_ps() + config.rao.modify_ps
+        )
         self.reads_issued = 0
         self.writes_issued = 0
 
     def run(self, requests: List[RaoRequest]) -> RaoRunResult:
-        """Process the request stream to completion."""
-        proc_ps = self.config.rao.request_proc_ps
-        modify_ps = self.config.rao.modify_ps
-        start_ps = self.sim.now
+        """Process the request stream to completion.
+
+        The NIC is alone on its DMA engine and strictly serial, so each
+        64 B transfer (index loads, then the RMW pair) starts the moment
+        the previous one completes.  A RAO therefore costs its RX and TX
+        stages (``request_proc_ps``), one DMA transfer per index load,
+        the read/write pair (``DmaEngine.rmw_pair_ps``) and the ALU op,
+        and fires one event, at the end of its TX stage.
+        """
         pending = list(requests)
-        index = 0
-
-        def next_request() -> None:
-            nonlocal index
-            if index >= len(pending):
-                return
-            request = pending[index]
-            index += 1
-            # RX parse + queue occupies the request pipeline.
-            self.schedule(proc_ps // 2, do_reads, request, list(request.reads))
-
-        def do_reads(request: RaoRequest, reads: List[int]) -> None:
-            if reads:
-                addr = reads.pop(0)
-                self.reads_issued += 1
-                # Index-array loads are themselves DMA round trips.
-                self.dma.transfer(64, lambda: do_reads(request, reads))
-                return
-            self.schedule(0, rmw_read, request)
-
-        def rmw_read(request: RaoRequest) -> None:
-            self.reads_issued += 1
-            self.dma.transfer(64, lambda: modify(request))
-
-        def modify(request: RaoRequest) -> None:
-            current = self.values.read(request.target)
-            new, _old = apply_atomic(request.op, current, request.operand)
-            self.values.write(request.target, new)
-            self.schedule(modify_ps, rmw_write, request)
-
-        def rmw_write(request: RaoRequest) -> None:
-            self.writes_issued += 1
-            # The RAW hazard rule: wait for this write's ack before the
-            # next RAO may begin.
-            self.dma.transfer(64, lambda: respond(request))
-
-        def respond(request: RaoRequest) -> None:
-            self.send_response(request)
-            self.schedule(proc_ps - proc_ps // 2, next_request)
-
-        next_request()
+        start_ps = self.sim.now
+        self._issue(iter(pending))
         self.sim.run()
         return RaoRunResult(
             ops=len(pending),
@@ -91,6 +61,33 @@ class PcieRaoNic(NicBase):
             reads_issued=self.reads_issued,
             writes_issued=self.writes_issued,
         )
+
+    def _issue(self, stream: Iterator[RaoRequest]) -> None:
+        """Schedule the next RAO's completion at the end of its TX stage."""
+        request = next(stream, None)
+        if request is None:
+            return
+        reads = len(request.reads)
+        self.sim.schedule_after(
+            self._rao_ps + reads * self._load_ps, self._complete, (request, reads, stream)
+        )
+
+    def _complete(
+        self, request: RaoRequest, reads: int, stream: Iterator[RaoRequest]
+    ) -> None:
+        """Book one RAO: its DMA transfers, the atomic and the response."""
+        # Index-array loads are DMA round trips of their own; the RAW
+        # hazard rule waited for the write's ack before this RAO ended.
+        self.reads_issued += reads + 1
+        self.writes_issued += 1
+        dma = self.dma
+        dma.transfers += reads + 2
+        dma.bytes_moved += 64 * (reads + 2)
+        current = self.values.read(request.target)
+        new, _old = apply_atomic(request.op, current, request.operand)
+        self.values.write(request.target, new)
+        self.send_response(request)
+        self._issue(stream)
 
 
 from repro.system.registry import register_component  # noqa: E402

@@ -69,7 +69,7 @@ def test_fig17_simulates_the_rao_warm_up_once(monkeypatch):
     A fork carries its parent's counters, so the golden counts the
     warm-up once per pattern and cannot see the saving.  Count the
     warm-ups and the events actually drained instead: the golden's
-    361,999 minus five of the six 14,336-event warm-ups.
+    255,509 minus five of the six 14,336-event warm-ups.
     """
     warms, drained = [0], [0]
     warm, run = CxlRaoNic.warm, Simulator.run
@@ -87,4 +87,4 @@ def test_fig17_simulates_the_rao_warm_up_once(monkeypatch):
     monkeypatch.setattr(Simulator, "run", counting_run)
     run_experiment("fig17")
     assert warms[0] == 1
-    assert drained[0] == GOLDEN["fig17"]["sim.executed"] - 5 * 14_336 == 290_319
+    assert drained[0] == GOLDEN["fig17"]["sim.executed"] - 5 * 14_336 == 183_829

@@ -239,9 +239,8 @@ def _per_row(sample, statistic, seed, resamples=400):
 
 
 def _interval(values):
-    """The percentile interval at confidence 0.95, tails as the module computes them."""
-    tail = (1.0 - 0.95) / 2.0 * 100.0
-    lo, hi = np.percentile(values, [tail, 100.0 - tail])
+    """The percentile interval at confidence 0.95: the 2.5th and 97.5th percentiles."""
+    lo, hi = np.percentile(values, [2.5, 97.5])
     return float(lo), float(hi)
 
 
@@ -262,6 +261,18 @@ def test_named_statistics_reduce_all_rows_as_the_per_row_loop(n, statistic):
     assert bootstrap_diff_ci(a, b, statistic, resamples=400, seed=3) == _interval(
         _per_row(a, statistic, 3) - _per_row(b, statistic, 3 ^ 0x5DEECE66D)
     )
+
+
+@pytest.mark.parametrize("confidence, tail", [(0.95, 2.5), (0.90, 5.0), (0.99, 0.5)])
+def test_interval_ends_are_the_exact_percentiles(confidence, tail):
+    """``(1 - 0.95) / 2 * 100`` is 2.500000000000002, not 2.5: at n=2 it
+    moved the difference of means' lower end off ``np.percentile(..., 2.5)``."""
+    a, b = _sample(2, 1.0), _sample(3, 2.0)
+    diffs = _per_row(a, "mean", 3) - _per_row(b, "mean", 3 ^ 0x5DEECE66D)
+    expected = tuple(float(v) for v in np.percentile(diffs, [tail, 100.0 - tail]))
+    assert bootstrap_diff_ci(
+        a, b, "mean", confidence=confidence, resamples=400, seed=3
+    ) == expected
 
 
 # ------------------------- property-based tests ------------------------
