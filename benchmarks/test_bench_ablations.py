@@ -10,6 +10,7 @@ import dataclasses
 import pytest
 from conftest import run_and_print
 
+from repro.cache.hierarchy import HierarchicalDomain
 from repro.calibration.microbench import CxlTestbench
 from repro.config import asic_system
 from repro.harness.tables import render_series
@@ -141,3 +142,39 @@ def test_bench_ablation_rpc_nesting(benchmark):
     result = run_and_print(benchmark, run)
     gains = result.series["gain"]
     assert gains["Bench2"] < gains["Bench1"]
+
+
+def test_bench_ablation_hierarchical_coherence(benchmark):
+    """Fabric-message reduction from two-level coherence as the
+    supernode scales (the coherence-traffic-storm mitigation)."""
+
+    def run():
+        series = {"hierarchical": {}, "flat": {}, "reduction": {}}
+        for children in (2, 4, 8):
+            domain = HierarchicalDomain(children=children)
+            accesses = 0
+            for round_ in range(64):
+                for i, child in enumerate(sorted(domain.locals)):
+                    # 7/8 local working-set hits, 1/8 shared-line traffic.
+                    if round_ % 8 == 0:
+                        domain.access(child, 0x100, exclusive=True)
+                    else:
+                        domain.access(child, 0x10000 * (i + 1) + (round_ % 4) * 64)
+                    accesses += 1
+            hier = domain.total_fabric_messages
+            flat = domain.flat_equivalent_messages(accesses)
+            series["hierarchical"][children] = hier
+            series["flat"][children] = flat
+            series["reduction"][children] = 1 - hier / flat
+        return _Result(
+            series,
+            render_series(
+                "children",
+                series,
+                title="Ablation: hierarchical coherence fabric messages",
+            ),
+        )
+
+    result = run_and_print(benchmark, run)
+    for children, reduction in result.series["reduction"].items():
+        assert reduction > 0.4  # local agents absorb most traffic

@@ -8,7 +8,6 @@ from repro.cache.mesi import (
     check_transition,
     ProtocolError,
 )
-from repro.cache.l1 import L1Cache
 from repro.cache.llc import SharedLLC, LlcOp
 from repro.cache.hmc import HostMemoryCache
 from repro.cache.hierarchy import GlobalAgent, HierarchicalDomain, LocalAgent
@@ -22,7 +21,6 @@ __all__ = [
     "ALLOWED_TRANSITIONS",
     "check_transition",
     "ProtocolError",
-    "L1Cache",
     "SharedLLC",
     "LlcOp",
     "HostMemoryCache",

@@ -93,19 +93,6 @@ class CacheArray:
         }
         return array
 
-    def index_tag(self, addr: int) -> Tuple[int, int]:
-        """Decompose ``addr`` into ``(set index, tag)``.
-
-        Exposed so a controller that probes a line and later fills it
-        (after a simulated round trip) can compute the decomposition
-        once and pass it back through ``insert(probe=...)``.
-        """
-        shifted = addr >> self._line_shift
-        return shifted & self._set_mask, shifted >> self._set_bits
-
-    # Backwards-compatible internal alias.
-    _index_tag = index_tag
-
     def lookup(self, addr: int, touch: bool = True, count: bool = True) -> Optional[CacheBlock]:
         """Return the valid block holding ``addr``, or None.
 
@@ -173,26 +160,19 @@ class CacheArray:
         return None
 
     def insert(
-        self,
-        addr: int,
-        state: MesiState,
-        probe: Optional[Tuple[int, int]] = None,
+        self, addr: int, state: MesiState
     ) -> Tuple[CacheBlock, Optional[Tuple[int, CacheBlock]]]:
         """Fill ``addr`` with ``state``; returns ``(block, victim)``.
 
         ``victim`` is ``(victim_addr, victim_block)`` when a valid line
         had to be replaced, else None.  Locked lines are never chosen as
         victims; inserting into a set whose lines are all locked raises.
-        ``probe`` reuses an ``index_tag(addr)`` result computed at
-        lookup time.  Fills never count hit/miss statistics.
+        Fills never count hit/miss statistics.
         """
         if state is _INVALID:
             raise ValueError("cannot insert an invalid line")
-        if probe is None:
-            shifted = addr >> self._line_shift
-            index, tag = shifted & self._set_mask, shifted >> self._set_bits
-        else:
-            index, tag = probe
+        shifted = addr >> self._line_shift
+        index, tag = shifted & self._set_mask, shifted >> self._set_bits
         cache_set = self._sets.get(index)
         if cache_set is None:
             cache_set = self._sets[index] = {}

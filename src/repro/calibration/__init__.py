@@ -1,4 +1,4 @@
-"""Hardware calibration: reference measurements, metrics, fitting."""
+"""Hardware calibration: reference measurements, error metrics, testbench."""
 
 from repro.calibration.reference import (
     DMA_BANDWIDTH_GBPS,
@@ -12,7 +12,6 @@ from repro.calibration.reference import (
 )
 from repro.calibration.metrics import absolute_percentage_error, mape
 from repro.calibration.microbench import CxlTestbench
-from repro.calibration.calibrator import Calibrator, CalibrationTarget
 
 __all__ = [
     "DMA_BANDWIDTH_GBPS",
@@ -26,6 +25,4 @@ __all__ = [
     "absolute_percentage_error",
     "mape",
     "CxlTestbench",
-    "Calibrator",
-    "CalibrationTarget",
 ]

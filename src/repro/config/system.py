@@ -50,8 +50,6 @@ class HostParams:
 
     clock_ghz: float = 2.4
     cores: int = 48
-    l1_size: int = 48 * 1024
-    l1_ways: int = 12
     llc_size: int = 96 * 1024 * 1024
     llc_ways: int = 12
     llc_access_ps: int = 80_000        # LLC lookup + directory check

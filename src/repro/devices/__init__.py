@@ -1,9 +1,8 @@
-"""Device models: LSU microbenchmark unit, DMA engines, XPU, PMU."""
+"""Device models: LSU microbenchmark unit, DMA engines, PMU."""
 
 from repro.devices.pmu import Pmu
 from repro.devices.lsu import LoadStoreUnit, LsuReport
 from repro.devices.dma import DmaEngine, DmaReport
-from repro.devices.xpu import Xpu, ProcessingElement
 
 __all__ = [
     "Pmu",
@@ -11,6 +10,4 @@ __all__ = [
     "LsuReport",
     "DmaEngine",
     "DmaReport",
-    "Xpu",
-    "ProcessingElement",
 ]

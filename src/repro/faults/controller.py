@@ -157,22 +157,6 @@ class FaultController:
     def degraded(self) -> bool:
         return self.mode == "degraded"
 
-    def register_metrics(self, registry) -> None:
-        """Bind fault-effect counters into a metrics registry.
-
-        Pull-based probes over :attr:`stats` (see
-        :mod:`repro.obs.metrics`): the fault hot paths keep mutating
-        plain integers and pay nothing for observation.
-        """
-        scope = registry.scoped("faults")
-        stats = self.stats
-        scope.probe("attempted", lambda: stats.attempted)
-        scope.probe("completed", lambda: stats.completed)
-        scope.probe("dropped", lambda: stats.dropped)
-        scope.probe("retries", lambda: stats.retries)
-        scope.probe("corrupted", lambda: stats.corrupted)
-        scope.probe("availability", lambda: stats.availability)
-
     # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------

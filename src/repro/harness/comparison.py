@@ -95,7 +95,7 @@ def capability_flags() -> Dict[str, bool]:
         "Cohet Support": True,        # repro.core
         "CXL.cache Support": True,    # repro.cxl.dcoh / repro.cache.llc
         "CXL.mem&io Support": True,   # repro.cxl.mem / repro.cxl.io
-        "CXL XPU Models": True,       # repro.devices.xpu / repro.nic
+        "CXL XPU Models": True,       # repro.nic / repro.rpc (RAO and RPC NICs)
         "Full System": True,          # repro.kernel + repro.core
         "Hardware Calibration": True, # repro.calibration
     }

@@ -1,12 +1,10 @@
-"""Interconnect models: links, PCIe, CXL Flex Bus, NoC/UPI topology."""
+"""Interconnect models: PCIe, CXL Flex Bus, NoC/UPI topology."""
 
-from repro.interconnect.link import Link
 from repro.interconnect.pcie import PcieLink, Tlp, TlpType
 from repro.interconnect.flexbus import FlexBus, FlexBusChannel
 from repro.interconnect.noc import NocTopology, NodeCoord
 
 __all__ = [
-    "Link",
     "PcieLink",
     "Tlp",
     "TlpType",

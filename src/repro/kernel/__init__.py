@@ -6,7 +6,6 @@ from repro.kernel.ats import Atc, Iommu
 from repro.kernel.hmm import Hmm, MigrationError
 from repro.kernel.driver import XpuDriver
 from repro.kernel.fabric import FabricManager, ResourceError
-from repro.kernel.migration import AdaptiveMigrator, MigrationDecision
 
 __all__ = [
     "PAGE_SIZE",
@@ -23,6 +22,4 @@ __all__ = [
     "XpuDriver",
     "FabricManager",
     "ResourceError",
-    "AdaptiveMigrator",
-    "MigrationDecision",
 ]

@@ -4,7 +4,6 @@ from repro.mem.address import AddressRange, Interleaver, line_base, line_offset
 from repro.mem.dram import DramBankModel, DramAccess
 from repro.mem.controller import MemoryController
 from repro.mem.interface import MemoryInterface
-from repro.mem.technologies import TECHNOLOGIES, NvmBankModel, make_controller
 
 __all__ = [
     "AddressRange",
@@ -15,7 +14,4 @@ __all__ = [
     "DramAccess",
     "MemoryController",
     "MemoryInterface",
-    "TECHNOLOGIES",
-    "NvmBankModel",
-    "make_controller",
 ]

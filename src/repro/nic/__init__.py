@@ -4,7 +4,6 @@ from repro.nic.base import HostValues, MemoryTranslationTable, NicBase, RaoRunRe
 from repro.nic.pcie_nic import PcieRaoNic
 from repro.nic.cxl_nic import CxlRaoNic
 from repro.nic.prefetcher import MultiStridePrefetcher
-from repro.nic.rdma import RdmaFabric, RemoteNode
 
 __all__ = [
     "HostValues",
@@ -14,6 +13,4 @@ __all__ = [
     "PcieRaoNic",
     "CxlRaoNic",
     "MultiStridePrefetcher",
-    "RdmaFabric",
-    "RemoteNode",
 ]

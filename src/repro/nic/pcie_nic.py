@@ -53,13 +53,14 @@ class PcieRaoNic(NicBase):
         """
         pending = list(requests)
         start_ps = self.sim.now
+        reads_before, writes_before = self.reads_issued, self.writes_issued
         self._issue(iter(pending))
         self.sim.run()
         return RaoRunResult(
             ops=len(pending),
             elapsed_ps=self.sim.now - start_ps,
-            reads_issued=self.reads_issued,
-            writes_issued=self.writes_issued,
+            reads_issued=self.reads_issued - reads_before,
+            writes_issued=self.writes_issued - writes_before,
         )
 
     def _issue(self, stream: Iterator[RaoRequest]) -> None:

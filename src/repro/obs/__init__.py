@@ -1,9 +1,7 @@
-"""Unified observability layer: metrics, telemetry, timeline, profiling.
+"""Unified observability layer: telemetry, timeline, profiling.
 
-Four pieces, one contract — **zero overhead when off**:
+Three pieces, one contract — **zero overhead when off**:
 
-* :mod:`repro.obs.metrics` — pull-based :class:`MetricsRegistry` with
-  simulated-time snapshots over the counters components already keep.
 * :mod:`repro.obs.telemetry` — schema-validated JSONL lifecycle events
   from the sweep scheduler.
 * :mod:`repro.obs.timeline` — their reader: Chrome-trace
@@ -12,14 +10,6 @@ Four pieces, one contract — **zero overhead when off**:
   profiling with per-component event and time attribution.
 """
 
-from repro.obs.metrics import (
-    MetricError,
-    MetricSnapshotter,
-    MetricsRegistry,
-    NULL_METRICS,
-    instrument_system,
-    metric_key,
-)
 from repro.obs.profiler import SimProfiler, profile
 from repro.obs.telemetry import (
     EVENT_KINDS,
@@ -34,17 +24,11 @@ from repro.obs.timeline import build_timeline, write_timeline
 
 __all__ = [
     "EVENT_KINDS",
-    "MetricError",
-    "MetricSnapshotter",
-    "MetricsRegistry",
-    "NULL_METRICS",
     "SCHEMA_VERSION",
     "SimProfiler",
     "TelemetrySchemaError",
     "TelemetryWriter",
     "build_timeline",
-    "instrument_system",
-    "metric_key",
     "profile",
     "read_events",
     "telemetry_dir",

@@ -17,7 +17,6 @@ from repro.rpc.message import (
 )
 from repro.rpc.hyperprotobench import BENCH_NAMES, BenchWorkload, make_bench
 from repro.rpc.layout import AccessUnit, ObjectLayout, UnitKind, layout_message
-from repro.rpc.engines import FieldEvent, HwDeserializer, HwSerializer
 from repro.rpc.rpcnic import RpcNicPipeline
 from repro.rpc.cxl_rpc import CxlRpcPipeline
 from repro.rpc.harness import RpcComparison, run_rpc_comparison
@@ -44,9 +43,6 @@ __all__ = [
     "ObjectLayout",
     "UnitKind",
     "layout_message",
-    "FieldEvent",
-    "HwDeserializer",
-    "HwSerializer",
     "RpcNicPipeline",
     "CxlRpcPipeline",
     "RpcComparison",

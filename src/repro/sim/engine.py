@@ -24,8 +24,7 @@ from typing import Any, Callable, List, Tuple
 
 # Active profiler, or None.  Module-global (not per-Simulator) so that
 # attaching a profiler costs exactly one branch per run() call and the
-# unprofiled drain loop stays byte-for-byte identical — the same
-# zero-overhead-when-off contract as NULL_METRICS.  Installed via
+# unprofiled drain loop stays byte-for-byte identical.  Installed via
 # set_profiler(); use repro.obs.profiler.profile() as the public entry.
 _PROFILER = None
 

@@ -115,8 +115,6 @@ class WorkloadDriver:
         fault_mode: str = "strict",
         fault_retries: int = 3,
         fault_backoff_ps: int = 500_000,
-        metrics=None,
-        metrics_interval_ps: int = 1_000_000,
     ) -> WorkloadMeasurement:
         """Expand ``workload`` under ``seed`` and issue it through ``topology``.
 
@@ -137,19 +135,6 @@ class WorkloadDriver:
         ``availability``/``recovery``/``lat_p99_ns`` series.  With
         ``fault=None`` this method is byte-for-byte the historical
         no-fault path.
-
-        ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
-        opts into observation: the built system's counters bind as
-        pull-based probes (:func:`~repro.obs.metrics.instrument_system`,
-        plus the fault controller's stats when present), and LSU-mode
-        runs additionally take a registry snapshot every
-        ``metrics_interval_ps`` of simulated time.  A final snapshot at
-        end-of-run always lands.  Observation never perturbs the
-        measurement: the returned series are bit-identical with or
-        without a registry attached (one caveat: under a fault plan the
-        availability window's end rounds up to the last snapshot tick,
-        since observation keeps the clock alive up to one interval past
-        the final op).
         """
         resolved_workload = resolve_workload(workload)
         batch = resolved_workload.batch(seed)
@@ -172,20 +157,6 @@ class WorkloadDriver:
                 mode=fault_mode,
                 retry=RetryPolicy(fault_retries, fault_backoff_ps),
             ).install(system)
-        if metrics is not None:
-            from repro.obs.metrics import MetricSnapshotter, instrument_system
-
-            instrument_system(system, metrics)
-            if controller is not None:
-                controller.register_metrics(metrics)
-            # Periodic simulated-time snapshots only make sense where a
-            # shared event calendar advances (LSU mode); the snapshot
-            # event reads instruments and reschedules itself while live
-            # work remains, so it never extends the run.
-            if resolved_topology.by_kind("lsu"):
-                MetricSnapshotter(
-                    system.sim, metrics, metrics_interval_ps
-                ).start()
         if resolved_topology.by_kind("supernode.fabric"):
             series = self._drive_supernode(
                 system, resolved_topology, batch, controller
@@ -203,8 +174,6 @@ class WorkloadDriver:
                 f"'supernode.fabric' node to drive a workload through "
                 f"(kinds present: {', '.join(kinds)})"
             )
-        if metrics is not None:
-            metrics.snapshot(system.sim.now)
         if controller is not None:
             if mode == "lsu":
                 controller.end_ps = system.sim.now

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cache.block import MesiState
-from repro.cache.l1 import L1Cache
 from repro.cache.llc import LlcOp, SharedLLC
 from repro.cache.hmc import HostMemoryCache
 from repro.cache.messages import MessageType, NullProtocolTrace, ProtocolTrace
@@ -16,7 +15,7 @@ from repro.mem.interface import MemoryInterface
 from repro.sim.engine import Simulator
 
 
-def build(with_l1=False, trace=None):
+def build(trace=None):
     config = fpga_system()
     sim = Simulator()
     memif = MemoryInterface(config.host.memif_oneway_ps)
@@ -26,8 +25,7 @@ def build(with_l1=False, trace=None):
         MemoryController(DramParams(jitter_ps=0), channels=2, seed=1),
     )
     llc = SharedLLC(sim, config.host, memif, trace=trace)
-    l1 = L1Cache(sim, config.host, llc) if with_l1 else None
-    return sim, llc, l1, config
+    return sim, llc, config
 
 
 class FakePeer:
@@ -51,7 +49,7 @@ def run_request(sim, llc, requester, op, addr):
 
 
 def test_llc_miss_fetches_from_memory():
-    sim, llc, _l1, config = build()
+    sim, llc, config = build()
     llc.register_peer("dev", FakePeer(MessageType.RSP_I))
     t = run_request(sim, llc, "dev", LlcOp.RD_OWN, 0x1000)
     assert llc.holds(0x1000)
@@ -64,7 +62,7 @@ def test_llc_miss_fetches_from_memory():
 
 
 def test_llc_hit_skips_memory():
-    sim, llc, _l1, config = build()
+    sim, llc, config = build()
     llc.register_peer("dev", FakePeer(MessageType.RSP_I))
     llc.demote(0x2000)
     t = run_request(sim, llc, "dev", LlcOp.RD_OWN, 0x2000)
@@ -73,15 +71,15 @@ def test_llc_hit_skips_memory():
 
 def test_rd_own_snoops_modified_peer_fig7():
     """Phase 1 of Fig. 7: RdOwn -> SnpInv -> RspIFwdM -> writeback -> GO-E."""
-    sim, llc, l1, _config = build(with_l1=True, trace=ProtocolTrace())
+    sim, llc, _config = build(trace=ProtocolTrace())
     hmc_peer = FakePeer(MessageType.RSP_I)
     llc.register_peer("hmc", hmc_peer)
-    addr = 0x3000
     # CoreX-L1 holds the line Modified; LLC directory knows it.
+    l1 = FakePeer(MessageType.RSP_I_FWD_M)
+    llc.register_peer("core0-L1", l1)
+    addr = 0x3000
     llc.demote(addr)
-    entry = llc.directory_entry(addr)
-    entry.owner = l1.name
-    l1.install(addr, MesiState.MODIFIED)
+    llc.directory_entry(addr).owner = "core0-L1"
 
     run_request(sim, llc, "hmc", LlcOp.RD_OWN, addr)
     types = llc.trace.types()
@@ -94,14 +92,14 @@ def test_rd_own_snoops_modified_peer_fig7():
     ]
     positions = [types.index(t) for t in expected_order]
     assert positions == sorted(positions)
-    # Ownership moved to the HMC; the L1 copy is gone.
+    # Ownership moved to the HMC; the L1 was told to drop its copy.
     assert llc.directory_entry(addr).owner == "hmc"
-    assert l1.array.peek(addr) is None
+    assert l1.snoops == [(MessageType.SNP_INV, addr)]
     assert llc.writebacks == 1
 
 
 def test_rd_shared_leaves_sharers():
-    sim, llc, _l1, _config = build()
+    sim, llc, _config = build()
     llc.register_peer("a", FakePeer(MessageType.RSP_I))
     llc.register_peer("b", FakePeer(MessageType.RSP_I))
     run_request(sim, llc, "a", LlcOp.RD_SHARED, 0x4000)
@@ -112,7 +110,7 @@ def test_rd_shared_leaves_sharers():
 
 
 def test_rd_own_invalidates_sharers():
-    sim, llc, _l1, _config = build()
+    sim, llc, _config = build()
     a, b = FakePeer(MessageType.RSP_I), FakePeer(MessageType.RSP_I)
     llc.register_peer("a", a)
     llc.register_peer("b", b)
@@ -126,7 +124,7 @@ def test_rd_own_invalidates_sharers():
 
 def test_dirty_evict_ladder():
     """Phase 3 of Fig. 7: DirtyEvict -> GO-WritePull -> Data -> GO-I."""
-    sim, llc, _l1, _config = build(trace=ProtocolTrace())
+    sim, llc, _config = build(trace=ProtocolTrace())
     llc.register_peer("hmc", FakePeer(MessageType.RSP_I))
     addr = 0x6000
     run_request(sim, llc, "hmc", LlcOp.RD_OWN, addr)
@@ -146,7 +144,7 @@ def test_dirty_evict_ladder():
 
 
 def test_dirty_evict_from_non_owner_rejected():
-    sim, llc, _l1, _config = build()
+    sim, llc, _config = build()
     llc.register_peer("a", FakePeer(MessageType.RSP_I))
     llc.register_peer("b", FakePeer(MessageType.RSP_I))
     run_request(sim, llc, "a", LlcOp.RD_OWN, 0x7000)
@@ -156,7 +154,7 @@ def test_dirty_evict_from_non_owner_rejected():
 
 
 def test_nc_push_installs_dirty_line():
-    sim, llc, _l1, _config = build()
+    sim, llc, _config = build()
     llc.register_peer("dev", FakePeer(MessageType.RSP_I))
     run_request(sim, llc, "dev", LlcOp.NC_PUSH, 0x8000)
     entry = llc.directory_entry(0x8000)
@@ -166,7 +164,7 @@ def test_nc_push_installs_dirty_line():
 
 
 def test_clean_evict_clears_directory():
-    sim, llc, _l1, _config = build()
+    sim, llc, _config = build()
     llc.register_peer("dev", FakePeer(MessageType.RSP_I))
     run_request(sim, llc, "dev", LlcOp.RD_SHARED, 0x9000)
     run_request(sim, llc, "dev", LlcOp.CLEAN_EVICT, 0x9000)
@@ -175,7 +173,7 @@ def test_clean_evict_clears_directory():
 
 
 def test_racing_requests_serialize_per_line():
-    sim, llc, _l1, _config = build()
+    sim, llc, _config = build()
     llc.register_peer("a", FakePeer(MessageType.RSP_I))
     llc.register_peer("b", FakePeer(MessageType.RSP_I))
     order = []
@@ -187,7 +185,7 @@ def test_racing_requests_serialize_per_line():
 
 
 def test_mem_path_ii_throttles_misses():
-    sim, llc, _l1, config = build()
+    sim, llc, config = build()
     llc.register_peer("dev", FakePeer(MessageType.RSP_I))
     completions = []
     for i in range(8):
@@ -205,7 +203,7 @@ def test_mem_path_ii_throttles_misses():
 # ----------------------------------------------------------------------
 
 def test_read_request_counts_exactly_one_miss_then_one_hit():
-    sim, llc, _l1, _config = build()
+    sim, llc, _config = build()
     llc.register_peer("dev", FakePeer(MessageType.RSP_I))
     run_request(sim, llc, "dev", LlcOp.RD_SHARED, 0x9000)
     # One counted probe per read: the miss, despite the extra timing
@@ -218,7 +216,7 @@ def test_read_request_counts_exactly_one_miss_then_one_hit():
 
 
 def test_evictions_do_not_count_lookup_stats():
-    sim, llc, _l1, _config = build()
+    sim, llc, _config = build()
     llc.register_peer("dev", FakePeer(MessageType.RSP_I))
     run_request(sim, llc, "dev", LlcOp.RD_OWN, 0x2000)
     hits, misses = llc.array.hits, llc.array.misses
@@ -227,7 +225,7 @@ def test_evictions_do_not_count_lookup_stats():
 
 
 def test_disabled_trace_records_nothing_but_timing_matches():
-    sim_a, llc_a, _l1, _config = build(trace=ProtocolTrace())
+    sim_a, llc_a, _config = build(trace=ProtocolTrace())
     llc_a.register_peer("dev", FakePeer(MessageType.RSP_I))
     t_a = run_request(sim_a, llc_a, "dev", LlcOp.RD_OWN, 0x4000)
     assert len(llc_a.trace) > 0
@@ -249,7 +247,7 @@ def test_disabled_trace_records_nothing_but_timing_matches():
 
 
 def test_trace_is_opt_in():
-    sim, llc, _l1, _config = build()
+    sim, llc, _config = build()
     assert isinstance(llc.trace, NullProtocolTrace)
     llc.register_peer("dev", FakePeer(MessageType.RSP_I))
     run_request(sim, llc, "dev", LlcOp.RD_OWN, 0x4000)

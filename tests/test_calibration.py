@@ -8,7 +8,6 @@ paper's reported simulation error (~3%).
 import pytest
 
 from repro.calibration import reference
-from repro.calibration.calibrator import CalibrationTarget, Calibrator
 from repro.calibration.metrics import absolute_percentage_error, mape, mape_by_key
 from repro.calibration.microbench import CxlTestbench
 from repro.config import asic_system, fpga_system
@@ -122,30 +121,3 @@ def test_mape_by_key():
     with pytest.raises(ValueError):
         mape_by_key({"x": 1}, {"y": 1})
 
-
-# ----------------------------- Calibrator -----------------------------
-def test_calibrator_fits_linear_model():
-    target = CalibrationTarget("t", reference=500.0)
-    fit, measured = Calibrator(lambda p: 2 * p + 100, target).fit(0, 1_000)
-    assert measured == pytest.approx(500.0, rel=1e-3)
-    assert fit == pytest.approx(200.0, rel=1e-2)
-
-
-def test_calibrator_decreasing_direction():
-    target = CalibrationTarget("bw", reference=10.0)
-    fit, measured = Calibrator(
-        lambda p: 1_000.0 / p, target, increasing=False
-    ).fit(1, 1_000)
-    assert measured == pytest.approx(10.0, rel=1e-3)
-
-
-def test_calibrator_unbracketed_raises():
-    target = CalibrationTarget("t", reference=1e9)
-    with pytest.raises(ValueError):
-        Calibrator(lambda p: p, target).fit(0, 10)
-
-
-def test_calibration_target_within():
-    target = CalibrationTarget("t", reference=100.0, tolerance=0.03)
-    assert target.within(102.9)
-    assert not target.within(104)

@@ -4,11 +4,9 @@ import pytest
 
 from repro.calibration.microbench import CxlTestbench
 from repro.config import asic_system, fpga_system, system_by_name
-from repro.config.presets import ASIC_1500
 from repro.devices.dma import DmaEngine
 from repro.devices.lsu import LsuReport
 from repro.devices.pmu import Pmu
-from repro.devices.xpu import ProcessingElement, WorkItem, Xpu
 from repro.sim.engine import Simulator
 from repro.sim.stats import Histogram
 
@@ -143,33 +141,3 @@ def test_dma_rmw_pair_serialized():
     dma = DmaEngine(Simulator(), config.dma)
     assert dma.rmw_pair_ps() == 2 * config.dma.transfer_ps(64)
 
-
-# ------------------------------- XPU ----------------------------------
-def test_pe_runs_serially():
-    sim = Simulator()
-    pe = ProcessingElement(sim, ASIC_1500, "pe0")
-    done = []
-    pe.submit(WorkItem(lambda: done.append(sim.now), compute_ps=100))
-    pe.submit(WorkItem(lambda: done.append(sim.now), compute_ps=100))
-    sim.run()
-    assert done == [100, 200]
-    assert pe.completed == 2
-    assert pe.idle
-
-
-def test_xpu_spreads_work():
-    sim = Simulator()
-    xpu = Xpu(sim, ASIC_1500, pe_count=2)
-    done = []
-    for i in range(4):
-        xpu.submit(WorkItem(lambda i=i: done.append(i), compute_ps=100))
-    sim.run()
-    assert sorted(done) == [0, 1, 2, 3]
-    assert xpu.completed == 4
-    # Work went to both PEs.
-    assert all(pe.completed == 2 for pe in xpu.pes)
-
-
-def test_xpu_needs_pes():
-    with pytest.raises(ValueError):
-        Xpu(Simulator(), ASIC_1500, pe_count=0)

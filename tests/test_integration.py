@@ -7,7 +7,6 @@ from repro.config import asic_system, fpga_system
 from repro.core.cohet import CohetSystem, DeviceSpec
 from repro.core.runtime import Kernel
 from repro.cxl.device import DeviceType
-from repro.kernel.migration import AdaptiveMigrator
 from repro.kernel.page_table import PAGE_SIZE
 
 
@@ -70,11 +69,9 @@ def test_migration_then_kernel_still_correct():
     system = system_with_expander()
     p = system.process
     xpu_node = system.driver("xpu0").memory_node
-    migrator = AdaptiveMigrator(system.hmm, min_samples=4)
     buf = p.malloc(2 * PAGE_SIZE)
     p.write_bytes(buf, b"stable-data", accessor_node=0)
-    for _ in range(10):
-        migrator.record_access(buf, accessor_node=xpu_node)
+    system.hmm.migrate_page(buf, target_node=xpu_node)
     assert system.page_table.entry(buf).node == xpu_node
     # Data survived the migration; both sides read it coherently.
     assert p.read_bytes(buf, 11, accessor_node=0) == b"stable-data"

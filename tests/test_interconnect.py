@@ -1,47 +1,12 @@
-"""Tests for links, PCIe, Flex Bus, and the NUMA topology."""
+"""Tests for PCIe, Flex Bus, and the NUMA topology."""
 
 import pytest
 
 from repro.config.presets import ASIC_1500, FPGA_400, PCIE_FPGA_400, NUMA_EXTRA_PS
 from repro.interconnect.flexbus import FlexBus, FlexBusChannel
-from repro.interconnect.link import Link
 from repro.interconnect.noc import DEFAULT_COORDS, NocTopology
 from repro.interconnect.pcie import MmioPath, PcieLink, Tlp, TlpType
 from repro.sim.engine import Simulator
-
-
-# ------------------------------- Link ---------------------------------
-def test_link_latency_and_serialization():
-    sim = Simulator()
-    link = Link(sim, "l", latency_ps=1_000, gbps=64.0)
-    times = []
-    link.send(64, on_delivered=lambda: times.append(sim.now))
-    sim.run()
-    assert times == [1_000 + 1_000]  # 64B at 64GB/s = 1ns + 1ns latency
-
-
-def test_link_backpressure_stacks():
-    sim = Simulator()
-    link = Link(sim, "l", latency_ps=0, gbps=1.0)  # 1 GB/s -> 1ps per byte... slow
-    times = []
-    link.send(1_000, on_delivered=lambda: times.append(sim.now))
-    link.send(1_000, on_delivered=lambda: times.append(sim.now))
-    sim.run()
-    assert times[1] - times[0] == link.serialization_ps(1_000)
-
-
-def test_link_payload_handler():
-    sim = Simulator()
-    link = Link(sim, "l", latency_ps=10, gbps=64.0)
-    got = []
-    link.send(64, payload={"x": 1}, handler=got.append)
-    sim.run()
-    assert got == [{"x": 1}]
-
-
-def test_link_invalid_bandwidth():
-    with pytest.raises(ValueError):
-        Link(Simulator(), "l", 0, gbps=0)
 
 
 # ------------------------------- PCIe ---------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.kernel.ats import Atc, Iommu
 from repro.kernel.hmm import Hmm, MigrationError
-from repro.kernel.numa import NodeKind, NumaNode, NumaRegistry
+from repro.kernel.numa import NodeKind, NumaNode, NumaRegistry, OutOfMemory
 from repro.kernel.page_table import PAGE_SIZE, PageFault, UnifiedPageTable
 from repro.mem.address import AddressRange
 
@@ -104,6 +104,27 @@ def test_migrate_unbacked_page_rejected():
     pt.map(0x10000)
     with pytest.raises(MigrationError):
         hmm.migrate_page(0x10000, target_node=1)
+
+
+def test_migration_to_a_full_node_leaves_the_page_in_place():
+    pt, _reg, hmm, _atc = build(xpu_pages=1)
+    blocked, resumed = [], []
+    hmm.register_device(
+        "dev0", memory_node=1,
+        block_access=blocked.append, resume_access=resumed.append,
+    )
+    pt.map(0x90000)
+    hmm.handle_fault(0x90000, accessor_node=1)  # fills the XPU's frame
+    pt.map(0x10000)
+    hmm.handle_fault(0x10000, accessor_node=0)
+    entry = pt.entry(0x10000)
+    pfn, gen = entry.pfn, pt.generation
+    with pytest.raises(OutOfMemory):
+        hmm.migrate_page(0x10000, target_node=1)
+    assert (entry.node, entry.pfn, pt.generation) == (0, pfn, gen)
+    assert not entry.blocked
+    assert resumed == blocked == [entry.vpn]
+    assert hmm.migrations == 0
 
 
 def test_device_callbacks_block_and_resume():

@@ -120,12 +120,15 @@ def test_warm_fills_hmc_dirty():
 
 def test_reads_issued_counts_only_the_run():
     """SG reads three indices and the target per op on either NIC; the
-    CXL NIC's warm-up reads must not be reported as the run's."""
+    CXL NIC's warm-up reads and an earlier run's transfers must not be
+    reported as the run's."""
     requests = make_workload("SG", ops=64).requests
     pcie = PcieRaoNic(Simulator(), asic_system(), HostValues())
     cxl = cxl_nic()
     cxl.warm()
-    assert pcie.run(requests).reads_issued == 256
+    for _ in range(2):
+        result = pcie.run(requests)
+        assert (result.reads_issued, result.writes_issued) == (256, 64)
     assert cxl.run(requests).reads_issued == 256
 
 

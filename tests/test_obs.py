@@ -8,20 +8,14 @@ import pytest
 
 from cli_helpers import run_cli
 
-from repro.config import fpga_system, system_by_name
+from repro.config import system_by_name
 from repro.experiments import ResultStore, SweepSpec, run_sweep
 from repro.obs import (
     EVENT_KINDS,
-    MetricError,
-    MetricSnapshotter,
-    MetricsRegistry,
-    NULL_METRICS,
     SimProfiler,
     TelemetrySchemaError,
     TelemetryWriter,
     build_timeline,
-    instrument_system,
-    metric_key,
     profile,
     read_events,
     telemetry_dir,
@@ -40,213 +34,6 @@ TINY = {
 
 def tiny_sweep():
     return SweepSpec.from_dict(TINY)
-
-
-# ----------------------------- metrics --------------------------------
-def test_metric_key_sorts_labels():
-    assert metric_key("port.sent", {}) == "port.sent"
-    assert (
-        metric_key("port.sent", {"dir": "rx", "chan": 2})
-        == "port.sent{chan=2,dir=rx}"
-    )
-
-
-def test_counter_gauge_histogram_basics():
-    reg = MetricsRegistry()
-    c = reg.counter("ops")
-    c.inc()
-    c.inc(4)
-    g = reg.gauge("depth")
-    g.set(7)
-    h = reg.histogram("lat")
-    h.observe(10.0)
-    h.observe_many([20.0, 30.0])
-    assert c.read() == 5
-    assert g.read() == 7.0
-    assert h.read() == 3  # snapshot value is the sample count
-    assert h.summary()["median"] == 20.0
-    assert len(reg) == 3 and "ops" in reg
-
-
-def test_registration_is_idempotent_per_key():
-    reg = MetricsRegistry()
-    a = reg.counter("hits", node="lsu0")
-    b = reg.counter("hits", node="lsu0")
-    assert a is b
-    assert reg.counter("hits", node="lsu1") is not a
-
-
-def test_kind_conflict_raises_metric_error():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(MetricError) as err:
-        reg.gauge("x")
-    assert "already registered" in str(err.value)
-
-
-def test_probe_reads_live_value():
-    reg = MetricsRegistry()
-    state = {"n": 1}
-    p = reg.probe("live", lambda: state["n"])
-    assert p.read() == 1.0
-    state["n"] = 9
-    assert p.read() == 9.0
-
-
-def test_scoped_registry_prefixes_and_nests():
-    reg = MetricsRegistry()
-    llc = reg.scoped("llc")
-    llc.counter("hits")
-    llc.scoped("array").gauge("ways")
-    assert "llc.hits" in reg
-    assert "llc.array.ways" in reg
-    assert reg.get("llc.hits").kind == "counter"
-
-
-def test_snapshot_builds_time_series_and_summary():
-    reg = MetricsRegistry()
-    c = reg.counter("n")
-    reg.histogram("h").observe(5.0)
-    reg.snapshot(100)
-    c.inc(3)
-    reg.snapshot(200)
-    series = reg.series()
-    assert series["n"] == [(100, 0.0), (200, 3.0)]
-    assert reg.snapshots == 2
-    summary = reg.summary()
-    assert summary["n"] == 3.0
-    assert summary["h"]["count"] == 1  # histograms summarise to quantiles
-    payload = reg.to_dict()
-    assert payload["series"]["n"] == [[100, 0.0], [200, 3.0]]
-    json.dumps(payload)  # JSON-ready
-
-
-def test_render_limits_and_aligns():
-    reg = MetricsRegistry()
-    for i in range(5):
-        reg.counter(f"metric.{i}")
-    text = reg.render(limit=2)
-    assert "5 instrument(s)" in text
-    assert "(3 more)" in text
-    assert "no instruments" in MetricsRegistry().render()
-
-
-def test_null_registry_is_inert():
-    inst = NULL_METRICS.counter("x")
-    inst.inc()
-    inst.set(2.0)
-    inst.observe(1.0)
-    assert inst.read() == 0.0
-    assert NULL_METRICS.gauge("y") is inst
-    assert NULL_METRICS.probe("z", lambda: 1) is inst
-    assert NULL_METRICS.scoped("a") is NULL_METRICS
-    assert NULL_METRICS.snapshot(0) == {}
-
-
-def test_instrument_system_binds_existing_counters():
-    from repro.system import SystemBuilder, resolve_topology
-
-    system = SystemBuilder(fpga_system()).build(resolve_topology("fanout-2"))
-    reg = MetricsRegistry()
-    bound = instrument_system(system, reg)
-    assert bound == len(reg) >= 3
-    assert "engine.events" in reg
-    assert any(key.startswith("llc.") for key in (i.key for i in reg.instruments()))
-    # Probes track the live counters without touching the system.
-    before = reg.get("engine.events").read()
-    system.sim.schedule_after(10, lambda: None)
-    system.sim.run()
-    assert reg.get("engine.events").read() == before + 1
-
-
-def _drain_work(monkeypatch, instrumented: bool):
-    """``(events, calls)`` of one fanout-2 LSU drain.
-
-    ``calls`` counts the Python and C function calls made inside
-    ``Simulator.run``; ``instrumented`` attaches an idle registry to
-    the built system through :func:`instrument_system`.
-    """
-    from repro.system import SystemBuilder
-
-    build, run = SystemBuilder.build, Simulator.run
-    work = []
-
-    def build_with_idle_registry(self, *args, **kwargs):
-        system = build(self, *args, **kwargs)
-        instrument_system(system, MetricsRegistry())
-        return system
-
-    def counted_run(sim, *args, **kwargs):
-        calls = [0]
-
-        def count(_frame, event, _arg):
-            if event == "call" or event == "c_call":
-                calls[0] += 1
-
-        # A garbage collection inside the counted window would count the
-        # finalizer calls of objects that other tests left behind.
-        gc.collect()
-        gc.disable()
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            run(sim, *args, **kwargs)
-        finally:
-            sys.setprofile(previous)
-            gc.enable()
-        work.append((sim.executed, calls[0]))
-
-    with monkeypatch.context() as patch:
-        if instrumented:
-            patch.setattr(SystemBuilder, "build", build_with_idle_registry)
-        patch.setattr(Simulator, "run", counted_run)
-        WorkloadDriver(system_by_name("asic")).run(
-            "rw-mix(2000,0.5)", topology="fanout-2", seed=7, streams=2
-        )
-    (drain,) = work
-    return drain
-
-
-def test_idle_registry_adds_no_work_to_the_drain(monkeypatch):
-    """Instrumentation off adds no work: with an idle registry bound,
-    the same drain executes the same events and makes the same calls."""
-    _drain_work(monkeypatch, instrumented=False)  # warm first-call caches
-    plain = _drain_work(monkeypatch, instrumented=False)
-    observed = _drain_work(monkeypatch, instrumented=True)
-    assert plain[0] > 0 and plain[1] > plain[0]
-    assert observed == plain
-
-
-def test_snapshotter_samples_and_never_keeps_sim_alive():
-    sim = Simulator()
-    reg = MetricsRegistry()
-    reg.probe("now", lambda: sim.now)
-    for t in (100, 250, 900):
-        sim.schedule_after(t, lambda: None)
-    MetricSnapshotter(sim, reg, interval_ps=200).start()
-    sim.run()
-    # Ticks at 200/400/.../1000; the 1000 tick sees pending == 0 and
-    # does not reschedule, so the sim drains.
-    assert sim.pending == 0
-    times = [t for t, _ in reg.series()["now"]]
-    assert times[0] == 200 and times[-1] == 1000
-    with pytest.raises(MetricError):
-        MetricSnapshotter(sim, reg, interval_ps=0)
-
-
-def test_driver_metrics_do_not_perturb_measurement():
-    driver = WorkloadDriver(fpga_system())
-    plain = driver.run("mixed(32)", topology="fanout-2", seed=7, streams=2)
-    reg = MetricsRegistry()
-    observed = driver.run(
-        "mixed(32)", topology="fanout-2", seed=7, streams=2,
-        metrics=reg, metrics_interval_ps=50_000,
-    )
-    assert observed.to_dict() == plain.to_dict()  # bit-identical contract
-    assert reg.snapshots >= 1
-    summary = reg.summary()
-    assert summary["engine.events"] > 0
-    assert any(k.startswith("llc.") for k in summary)
 
 
 # ---------------------------- telemetry -------------------------------
@@ -435,6 +222,62 @@ def test_profiled_run_matches_unprofiled():
     assert prof.total_events == plain[0]
     assert prof.runs == 1
     assert prof.run_wall_s > 0
+
+
+def _drive():
+    WorkloadDriver(system_by_name("asic")).run(
+        "rw-mix(2000,0.5)", topology="fanout-2", seed=7, streams=2
+    )
+
+
+def _drain_work(monkeypatch):
+    """``(events, calls)`` of one fanout-2 LSU drain.
+
+    ``calls`` counts the Python and C function calls made inside
+    ``Simulator.run``.
+    """
+    run = Simulator.run
+    work = []
+
+    def counted_run(sim, *args, **kwargs):
+        calls = [0]
+
+        def count(_frame, event, _arg):
+            if event == "call" or event == "c_call":
+                calls[0] += 1
+
+        # A garbage collection inside the counted window would count the
+        # finalizer calls of objects that other tests left behind.
+        gc.collect()
+        gc.disable()
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            run(sim, *args, **kwargs)
+        finally:
+            sys.setprofile(previous)
+            gc.enable()
+        work.append((sim.executed, calls[0]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "run", counted_run)
+        _drive()
+    (drain,) = work
+    return drain
+
+
+def test_exited_profiler_adds_no_work_to_the_drain(monkeypatch):
+    """Instrumentation off adds no work: after a profiled drive has
+    exited, the same drain executes the same events and makes the same
+    calls as one that was never profiled."""
+    _drain_work(monkeypatch)  # warm first-call caches
+    plain = _drain_work(monkeypatch)
+    with profile() as prof:
+        _drive()
+    after = _drain_work(monkeypatch)
+    assert plain[0] > 0 and plain[1] > plain[0]
+    assert prof.total_events == plain[0]
+    assert after == plain
 
 
 def test_profiler_render_and_to_dict():
