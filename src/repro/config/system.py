@@ -48,8 +48,6 @@ class DramParams:
 class HostParams:
     """Host-side (CPU socket) parameters, shared by all device profiles."""
 
-    clock_ghz: float = 2.4
-    cores: int = 48
     llc_size: int = 96 * 1024 * 1024
     llc_ways: int = 12
     llc_access_ps: int = 80_000        # LLC lookup + directory check

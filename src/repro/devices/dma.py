@@ -10,11 +10,11 @@ descriptor's processing, so throughput is payload/(desc_ii + wire).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 from repro.config.system import DmaParams
 from repro.devices.pmu import Pmu
-from repro.interconnect.pcie import PcieLink, TlpType
+from repro.interconnect.pcie import PcieLink
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.sim.stats import Histogram
@@ -52,7 +52,7 @@ class DmaEngine(Component):
     # ------------------------------------------------------------------
     # One-shot transfer (latency path, Fig. 14)
     # ------------------------------------------------------------------
-    def transfer(self, size: int, on_done: Optional[Callable[[], None]] = None) -> int:
+    def transfer(self, size: int) -> int:
         """Start a one-shot DMA; returns the completion time (ps)."""
         if size <= 0:
             raise ValueError("transfer size must be positive")
@@ -62,28 +62,12 @@ class DmaEngine(Component):
         done = start + self.params.setup_ps + self.params.wire_ps(size)
         # The engine frees up once it has handed the payload to the link.
         self._engine_free_ps = start + self.params.setup_ps
-        if on_done is not None:
-            self.schedule(done - self.sim.now, on_done)
         return done
 
     def measure_latency(self, size: int, repeats: int = 100) -> DmaReport:
         """Serialized one-shot transfers; median reproduces Fig. 14."""
         self.pmu.reset()
-        remaining = [repeats]
-
-        def issue() -> None:
-            if remaining[0] <= 0:
-                return
-            remaining[0] -= 1
-            req_id = repeats - remaining[0]
-            self.pmu.issued(req_id, self.sim.now)
-            self.transfer(size, lambda: complete(req_id))
-
-        def complete(req_id: int) -> None:
-            self.pmu.completed(req_id, self.sim.now)
-            issue()
-
-        issue()
+        self._timed_transfers(size, repeats)
         self.sim.run()
         return DmaReport(
             latencies=self.pmu.latencies,
@@ -91,6 +75,20 @@ class DmaEngine(Component):
             transfers=repeats,
             bytes_moved=repeats * size,
         )
+
+    def _timed_transfers(self, size: int, left: int) -> None:
+        """Start the next of ``left`` serialized transfers and record it.
+
+        Its completion time is known at the start, and its completion
+        event starts the one after; the bound method is the callback, so
+        a finished run leaves no cycle.
+        """
+        if left:
+            now = self.sim.now
+            done = self.transfer(size)
+            self.pmu.issued(left, now)
+            self.pmu.completed(left, done)
+            self.sim.schedule_after(done - now, self._timed_transfers, (size, left - 1))
 
     # ------------------------------------------------------------------
     # Pipelined descriptor stream (bandwidth path, Fig. 16)
@@ -102,12 +100,14 @@ class DmaEngine(Component):
         base = self.sim.now
         per_descriptor = self.params.pipelined_ps(size)
         completion = base + self.params.setup_ps  # first completion after setup
+        pmu = self.pmu
         for req_id in range(descriptors):
-            self.pmu.issued(req_id, base)
+            pmu.issued(req_id, base)
             completion += per_descriptor
-            self.schedule(
-                completion - self.sim.now, self.pmu.completed, req_id, completion
-            )
+            pmu.completed(req_id, completion)
+        # Every completion time is known up front: one event ends the
+        # clock at the last, where the next run starts.
+        self.sim.schedule_after(completion - base, self.clock_mark)
         self.sim.run()
         bandwidth = self.pmu.bandwidth_gbps(size, warmup=warmup)
         self.transfers += descriptors

@@ -1,27 +1,29 @@
 """Load/store unit: the CXL.cache calibration microbenchmark (§VI-A.3).
 
 The LSU generates host-memory requests with configurable access
-patterns.  Two modes:
+patterns.  Every run is an :class:`LsuChain` in one of two modes:
 
-* latency mode — requests are serialized (the next issues only after
-  the previous completes), reproducing the median-latency methodology
-  of Figs. 12/13;
-* bandwidth mode — requests are pipelined under an outstanding-window
-  credit pool, reproducing Fig. 15.
+* serial — the next request issues only after the previous completes,
+  reproducing the median-latency methodology of Figs. 12/13;
+* windowed — up to the profile's ``max_outstanding`` requests are in
+  flight and one issues per device cycle, reproducing Fig. 15.
+
+``run_latency``/``run_bandwidth`` drain one chain alone on the LSU's
+simulator; the workload driver and the topology experiments run several
+chains at once on one system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from functools import partial
+from typing import List, Optional, Sequence
 
 from repro.cxl.dcoh import Dcoh
-from repro.cxl.transactions import DcohResult
 from repro.devices.pmu import Pmu
 from repro.mem.address import CACHELINE
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
-from repro.sim.queueing import CreditPool
 from repro.sim.stats import Histogram
 
 
@@ -56,9 +58,6 @@ class LoadStoreUnit(Component):
         self.profile = dcoh.profile
         self.pmu = Pmu(f"{name}.pmu")
 
-    # ------------------------------------------------------------------
-    # Latency mode
-    # ------------------------------------------------------------------
     def run_latency(
         self,
         addrs: Sequence[int],
@@ -66,46 +65,10 @@ class LoadStoreUnit(Component):
         extra_rt_ps: int = 0,
     ) -> LsuReport:
         """Serialized loads over ``addrs``; returns per-request latencies."""
-        self.pmu.reset()
-        hits_before = self.dcoh.hmc.array.hits
-        issue_ps = self.profile.cycles_ps(self.profile.lsu_issue_cycles)
-        complete_ps = self.profile.cycles_ps(self.profile.lsu_complete_cycles)
-        pending = list(addrs)
-        index = 0
-
-        def issue_next() -> None:
-            nonlocal index
-            if index >= len(pending):
-                return
-            req_id = index
-            addr = pending[index]
-            index += 1
-            self.pmu.issued(req_id, self.sim.now)
-
-            def done(_result: DcohResult) -> None:
-                # The completion stays an event: it leaves the clock at
-                # the last completion, where the next run starts, and
-                # DRAM refresh depends on absolute time.
-                self.schedule(complete_ps, finish, req_id)
-
-            self.dcoh.read(addr, done, issue_ps, exclusive, extra_rt_ps)
-
-        def finish(req_id: int) -> None:
-            self.pmu.completed(req_id, self.sim.now)
-            issue_next()
-
-        issue_next()
-        self.sim.run()
-        return LsuReport(
-            latencies=self.pmu.latencies,
-            bandwidth_gbps=None,
-            hmc_hits=self.dcoh.hmc.array.hits - hits_before,
-            requests=len(pending),
+        return self._drain(
+            LsuChain(self, addrs, exclusive=exclusive, extra_rt_ps=extra_rt_ps)
         )
 
-    # ------------------------------------------------------------------
-    # Bandwidth mode
-    # ------------------------------------------------------------------
     def run_bandwidth(
         self,
         addrs: Sequence[int],
@@ -113,47 +76,29 @@ class LoadStoreUnit(Component):
     ) -> LsuReport:
         """Pipelined loads under the profile's outstanding window;
         bandwidth is timed from the first request."""
-        self.pmu.reset()
+        return self._drain(LsuChain(self, addrs, exclusive=exclusive, windowed=True))
+
+    def _drain(self, chain: LsuChain) -> LsuReport:
+        """Run ``chain`` alone to its end and report its loads, and the
+        bandwidth of a windowed chain."""
         hits_before = self.dcoh.hmc.array.hits
-        credits = CreditPool(self.profile.max_outstanding, f"{self.name}.mshr")
-        issue_ii = self.profile.clock_period_ps  # one issue slot per cycle
-        pending = list(addrs)
-        index = 0
-
-        def try_issue() -> None:
-            if index >= len(pending):
-                return
-            if credits.acquire(on_grant=issue_one):
-                issue_one()
-
-        def issue_one() -> None:
-            # Runs while holding one credit (granted now or handed over
-            # by a completing request's release()).
-            nonlocal index
-            if index >= len(pending):
-                credits.release()
-                return
-            req_id = index
-            addr = pending[index]
-            index += 1
-            self.pmu.issued(req_id, self.sim.now)
-
-            def done(_result: DcohResult, rid: int = req_id) -> None:
-                self.pmu.completed(rid, self.sim.now)
-                credits.release()
-
-            self.dcoh.read(addr, done, exclusive=exclusive)
-            # Next issue slot on the following device cycle.
-            self.schedule(issue_ii, try_issue)
-
-        try_issue()
-        self.sim.run()
-        bandwidth = self.pmu.bandwidth_gbps(CACHELINE, from_issue=True)
+        sim = self.sim
+        chain.begin()
+        sim.run()
+        if chain.last_done_ps > sim.now:
+            # The last completion stage fired no event: one event ends
+            # the clock there, where the next run starts, since DRAM
+            # refresh depends on absolute time.
+            sim.schedule_after(chain.last_done_ps - sim.now, self.clock_mark)
+            sim.run()
+        self.pmu.reset()
+        latencies = self.pmu.latencies
+        latencies.extend(chain.latencies)
         return LsuReport(
-            latencies=self.pmu.latencies,
-            bandwidth_gbps=bandwidth,
+            latencies=latencies,
+            bandwidth_gbps=chain.bandwidth_gbps if chain.window else None,
             hmc_hits=self.dcoh.hmc.array.hits - hits_before,
-            requests=len(pending),
+            requests=len(chain.addrs),
         )
 
     # ------------------------------------------------------------------
@@ -166,6 +111,147 @@ class LoadStoreUnit(Component):
 
     def sequential_lines(self, base: int, count: int) -> List[int]:
         return [base + i * CACHELINE for i in range(count)]
+
+
+class LsuChain:
+    """One stream of ops issued by one LSU, in serial or windowed mode.
+
+    Serial (the default): each op waits its ``delays`` think time after
+    the previous completion, then pays the LSU issue/complete stages
+    around the DCOH access; its latency excludes the think time.
+    Windowed: loads only, up to the profile's ``max_outstanding`` in
+    flight.  A load issues one device cycle after the previous one, or
+    at the completion that frees its window slot if that is later, and
+    its latency is the DCOH access alone.
+
+    Only the DCOH access fires events.  An op's think and issue time,
+    or its wait for an issue slot, are the delay of its DCOH request
+    (``Dcoh.read``'s ``delay_ps``), and the completion callback books
+    the completion stage ahead and issues the next op from there.
+    Several chains coexist on one simulator (and even one LSU), so
+    nothing here drains the engine.  The op rows are plain per-column
+    lists read by index.  The bound methods are the event callbacks (a
+    windowed load's is bound to its issue time too, since several loads
+    of one line can be in flight), so a chain refers to its LSU but
+    nothing refers back: a finished run leaves no cycle.
+    """
+
+    __slots__ = (
+        "lsu", "sim", "read", "write", "issue_ps", "complete_ps",
+        "writes", "addrs", "sizes", "delays", "index", "window", "issue_ii_ps",
+        "latencies", "bytes", "first_issue_ps", "last_done_ps", "issued_ps",
+    )
+
+    def __init__(
+        self,
+        lsu: LoadStoreUnit,
+        addrs: Sequence[int],
+        writes: Optional[List[bool]] = None,
+        sizes: Optional[List[int]] = None,
+        delays: Optional[List[int]] = None,
+        exclusive: bool = False,
+        extra_rt_ps: int = 0,
+        windowed: bool = False,
+    ) -> None:
+        profile = lsu.profile
+        dcoh = lsu.dcoh
+        self.lsu = lsu
+        self.sim = lsu.sim
+        self.read = (
+            partial(dcoh.read, exclusive=exclusive, extra_rt_ps=extra_rt_ps)
+            if exclusive or extra_rt_ps
+            else dcoh.read
+        )
+        self.write = dcoh.write
+        self.issue_ps = profile.cycles_ps(profile.lsu_issue_cycles)
+        self.complete_ps = profile.cycles_ps(profile.lsu_complete_cycles)
+        count = len(addrs)
+        self.addrs = addrs  # system addresses
+        self.writes = [False] * count if writes is None else writes
+        self.sizes = [CACHELINE] * count if sizes is None else sizes
+        self.delays = [0] * count if delays is None else delays
+        self.index = 0  # rows issued so far; serial, the op in flight is index - 1
+        self.window = profile.max_outstanding if windowed else 0
+        self.issue_ii_ps = profile.clock_period_ps  # one issue slot per cycle
+        self.latencies: List[int] = []
+        self.bytes = 0
+        self.first_issue_ps = -1
+        self.last_done_ps = 0
+        self.issued_ps = 0  # the last issue
+
+    @property
+    def name(self) -> str:
+        """The LSU's name, so profilers charge the chain's events to it."""
+        return self.lsu.name
+
+    @property
+    def bandwidth_gbps(self) -> float:
+        """Bytes completed per first-issue-to-last-completion span (0.0 if none)."""
+        elapsed = self.last_done_ps - self.first_issue_ps
+        return self.bytes / elapsed * 1_000 if elapsed > 0 else 0.0
+
+    def begin(self) -> None:
+        """Issue the first op, or a windowed chain's first window."""
+        if self.window:
+            for _ in range(self.window):
+                self._issue_windowed()
+        else:
+            self.issue_next()
+
+    # ------------------------------------------------------------------
+    # Serial mode
+    # ------------------------------------------------------------------
+    def issue_next(self) -> None:
+        self._issue_after(0)
+
+    def _issue_after(self, wait_ps: int) -> None:
+        """Issue the next op, its think time counted from ``wait_ps`` ahead.
+
+        The think time is not checked here: ``OpBatch`` rejects negative
+        delays.
+        """
+        index = self.index
+        if index < len(self.addrs):
+            self.index = index + 1
+            wait_ps += self.delays[index]
+            issued = self.sim.now + wait_ps
+            self.issued_ps = issued
+            if self.first_issue_ps < 0:
+                self.first_issue_ps = issued
+            access = self.write if self.writes[index] else self.read
+            access(self.addrs[index], self.done, wait_ps + self.issue_ps)
+
+    def done(self, _result) -> None:
+        complete_ps = self.complete_ps
+        finished = self.sim.now + complete_ps
+        self.latencies.append(finished - self.issued_ps)
+        self.bytes += self.sizes[self.index - 1]
+        self.last_done_ps = finished
+        self._issue_after(complete_ps)
+
+    # ------------------------------------------------------------------
+    # Windowed mode
+    # ------------------------------------------------------------------
+    def _issue_windowed(self) -> None:
+        """Issue the next load one cycle after the last issue, or now if later."""
+        index = self.index
+        if index < len(self.addrs):
+            self.index = index + 1
+            now = self.sim.now
+            if self.first_issue_ps < 0:
+                issued = self.first_issue_ps = now
+            else:
+                issued = max(now, self.issued_ps + self.issue_ii_ps)
+            self.issued_ps = issued
+            self.read(self.addrs[index], partial(self.landed, issued), issued - now)
+
+    def landed(self, issued_ps: int, _result) -> None:
+        """A windowed load completed; its window slot issues the next load."""
+        now = self.sim.now
+        self.latencies.append(now - issued_ps)
+        self.bytes += CACHELINE
+        self.last_done_ps = now
+        self._issue_windowed()
 
 
 from repro.system.registry import register_component  # noqa: E402

@@ -23,9 +23,9 @@ import statistics
 from typing import Dict, List
 
 from repro.config import system_by_name
+from repro.devices.lsu import LsuChain
 from repro.harness.experiments import ExperimentResult, register_experiment
 from repro.harness.tables import render_series
-from repro.mem.address import CACHELINE
 from repro.system import (
     BuiltSystem,
     SystemBuilder,
@@ -35,76 +35,30 @@ from repro.system import (
 )
 
 
-def _latency_chain(lsu, addrs: List[int], out: List[int]) -> None:
-    """Serialized loads (LSU issue/complete timing) recording latencies.
-
-    Unlike :meth:`LoadStoreUnit.run_latency` this does not drain the
-    simulator, so several chains can run concurrently on one system.
-    """
-    profile = lsu.profile
-    issue_ps = profile.cycles_ps(profile.lsu_issue_cycles)
-    complete_ps = profile.cycles_ps(profile.lsu_complete_cycles)
-    state = {"index": 0, "issued_ps": 0}
-
-    def issue_next() -> None:
-        if state["index"] >= len(addrs):
-            return
-        addr = addrs[state["index"]]
-        state["index"] += 1
-        state["issued_ps"] = lsu.sim.now
-
-        def done(_result) -> None:
-            lsu.schedule(complete_ps, finish)
-
-        def finish() -> None:
-            out.append(lsu.sim.now - state["issued_ps"])
-            issue_next()
-
-        lsu.dcoh.read(addr, done, issue_ps)
-
-    issue_next()
-
-
-def _bandwidth_stream(lsu, addrs: List[int]) -> Dict[str, int]:
-    """Pipelined loads under the profile's outstanding window; the
-    returned state carries first-issue/last-done timestamps and bytes."""
-    profile = lsu.profile
-    issue_ii = profile.clock_period_ps
-    state = {
-        "index": 0,
-        "inflight": 0,
-        "first_issue_ps": -1,
-        "last_done_ps": 0,
-        "bytes": 0,
-    }
-
-    def try_issue() -> None:
-        if state["index"] >= len(addrs):
-            return
-        if state["inflight"] >= profile.max_outstanding:
-            return  # a completion re-triggers issue
-        addr = addrs[state["index"]]
-        state["index"] += 1
-        state["inflight"] += 1
-        if state["first_issue_ps"] < 0:
-            state["first_issue_ps"] = lsu.sim.now
-
-        def done(_result) -> None:
-            state["inflight"] -= 1
-            state["last_done_ps"] = lsu.sim.now
-            state["bytes"] += CACHELINE
-            try_issue()
-
-        lsu.dcoh.read(addr, done)
-        lsu.schedule(issue_ii, try_issue)
-
-    try_issue()
-    return state
-
-
 def _device_window(device_index: int, base: int = 0x200000) -> int:
     """Base of a private per-device address window (no line sharing)."""
     return base + device_index * 0x100_0000
+
+
+def _run_chains(
+    config, topology: Topology, lsu_names: List[str], count: int, windowed: bool
+) -> List[LsuChain]:
+    """On a fresh build, run one chain of ``count`` loads per LSU at once.
+
+    Windows are carved per LSU in declaration order, so no two streams
+    share a cache line.
+    """
+    system: BuiltSystem = SystemBuilder(config).build(topology)
+    chains = []
+    for i, lsu_name in enumerate(lsu_names):
+        lsu = system.node(lsu_name)
+        chain = LsuChain(
+            lsu, lsu.sequential_lines(_device_window(i), count), windowed=windowed
+        )
+        chain.begin()
+        chains.append(chain)
+    system.sim.run()
+    return chains
 
 
 def _scaling_measurement(
@@ -120,8 +74,7 @@ def _scaling_measurement(
     """Concurrent latency/bandwidth across every LSU of ``topology``.
 
     Two fresh builds of the same topology (one per phase), so the
-    phases never share simulator state; windows are carved per LSU in
-    declaration order, so no two streams share a cache line.
+    phases never share simulator state.
     """
     lsu_names = [spec.name for spec in topology.by_kind("lsu")]
     if not lsu_names:
@@ -132,44 +85,28 @@ def _scaling_measurement(
     config = system_by_name(profile)
 
     # --- latency phase: every device chases its own serialized chain.
-    system: BuiltSystem = SystemBuilder(config).build(topology)
-    per_device_lat: Dict[int, List[int]] = {}
-    for i, lsu_name in enumerate(lsu_names):
-        per_device_lat[i] = []
-        lsu = system.node(lsu_name)
-        _latency_chain(
-            lsu,
-            lsu.sequential_lines(_device_window(i), count * trials),
-            per_device_lat[i],
-        )
-    system.sim.run()
-
-    # --- bandwidth phase: fresh system, pipelined streams in parallel.
-    system = SystemBuilder(config).build(topology)
-    streams = {
-        i: _bandwidth_stream(
-            system.node(lsu_name),
-            system.node(lsu_name).sequential_lines(_device_window(i), bw_count),
-        )
-        for i, lsu_name in enumerate(lsu_names)
-    }
-    system.sim.run()
-
+    latency = _run_chains(config, topology, lsu_names, count * trials, False)
     lat_ns: Dict[str, float] = {
-        f"dev{i}": statistics.median(samples) / 1_000
-        for i, samples in per_device_lat.items()
+        f"dev{i}": statistics.median(chain.latencies) / 1_000
+        for i, chain in enumerate(latency)
     }
     lat_ns["all"] = statistics.median(
-        [s for samples in per_device_lat.values() for s in samples]
+        [s for chain in latency for s in chain.latencies]
     ) / 1_000
 
-    bw_gbps: Dict[str, float] = {}
-    for i, state in streams.items():
-        elapsed = state["last_done_ps"] - state["first_issue_ps"]
-        bw_gbps[f"dev{i}"] = state["bytes"] / elapsed * 1_000 if elapsed else 0.0
-    total_bytes = sum(s["bytes"] for s in streams.values())
-    span = max(s["last_done_ps"] for s in streams.values()) - min(
-        s["first_issue_ps"] for s in streams.values()
+    # --- bandwidth phase: fresh system, pipelined streams in parallel.
+    # The shared home agent's initiation interval bounds these streams:
+    # a load issued a few cycles earlier only waits longer there.  So
+    # every completion, and the bandwidth from first issue to last
+    # completion, is the same whether a freed window slot issues at once
+    # or, as the chain does, no sooner than one cycle after the last issue.
+    streams = _run_chains(config, topology, lsu_names, bw_count, True)
+    bw_gbps: Dict[str, float] = {
+        f"dev{i}": chain.bandwidth_gbps for i, chain in enumerate(streams)
+    }
+    total_bytes = sum(chain.bytes for chain in streams)
+    span = max(chain.last_done_ps for chain in streams) - min(
+        chain.first_issue_ps for chain in streams
     )
     bw_gbps["all"] = total_bytes / span * 1_000 if span else 0.0
 

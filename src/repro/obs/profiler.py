@@ -15,6 +15,7 @@ one branch per ``run()`` call, zero per-event cost.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -24,7 +25,12 @@ DEFAULT_SAMPLE_EVERY = 64
 
 
 def _attribute(callback) -> str:
-    """Component name for a callback: owner's ``name``, else qualname."""
+    """Component name for a callback: owner's ``name``, else qualname.
+
+    A ``functools.partial`` is charged as the callable it wraps.
+    """
+    if isinstance(callback, partial):
+        callback = callback.func
     owner = getattr(callback, "__self__", None)
     if owner is not None:
         name = getattr(owner, "name", None)

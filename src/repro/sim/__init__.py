@@ -7,14 +7,13 @@ floating-point drift.
 
 from repro.sim.engine import Simulator
 from repro.sim.component import Component
-from repro.sim.queueing import BoundedQueue, CreditPool, QueueFullError
+from repro.sim.queueing import BoundedQueue, QueueFullError
 from repro.sim.stats import Histogram
 
 __all__ = [
     "Simulator",
     "Component",
     "BoundedQueue",
-    "CreditPool",
     "QueueFullError",
     "Histogram",
 ]

@@ -29,5 +29,8 @@ class Component:
             )
         self.sim.schedule_after(delay_ps, callback, args)
 
+    def clock_mark(self) -> None:
+        """Event callback that only moves the clock to its own time."""
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r})"

@@ -1,15 +1,14 @@
-"""Bounded queues and credit-based flow control.
+"""Bounded queues.
 
-CXL channels and NIC rings are finite; back-pressure is what turns
-latency parameters into bandwidth curves.  :class:`BoundedQueue` is an
-occupancy-tracked FIFO and :class:`CreditPool` models the outstanding
-request window (MSHRs, DMA descriptor contexts, PE slots).
+NIC rings are finite; back-pressure is what turns latency parameters
+into bandwidth curves.  :class:`BoundedQueue` is an occupancy-tracked
+FIFO.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Deque, List
 
 
 class QueueFullError(RuntimeError):
@@ -87,58 +86,6 @@ class BoundedQueue:
         if not self._items:
             raise IndexError(f"queue {self.name!r} is empty")
         return self._items[0]
-
-
-class CreditPool:
-    """A pool of N credits with a wait-list of continuation callbacks.
-
-    ``acquire`` either grabs a credit immediately (returns True) or, when
-    a callback is supplied, parks it to be resumed by a later ``release``.
-    """
-
-    def __init__(self, credits: int, name: str = "credits") -> None:
-        if credits <= 0:
-            raise ValueError("credit pool must start with at least one credit")
-        self.capacity = credits
-        self.available = credits
-        self.name = name
-        self._waiters: Deque[Callable[[], None]] = deque()
-        self.peak_in_use = 0
-
-    @property
-    def in_use(self) -> int:
-        return self.capacity - self.available
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
-    def acquire(self, on_grant: Optional[Callable[[], None]] = None) -> bool:
-        """Take a credit now, or queue ``on_grant`` for later.
-
-        Returns True when the credit was granted synchronously.
-        """
-        if self.available > 0 and not self._waiters:
-            self.available -= 1
-            if self.in_use > self.peak_in_use:
-                self.peak_in_use = self.in_use
-            return True
-        if on_grant is None:
-            return False
-        self._waiters.append(on_grant)
-        return False
-
-    def release(self) -> None:
-        """Return a credit, waking the oldest waiter if any."""
-        if self._waiters:
-            # Hand the credit straight to the waiter; availability is
-            # unchanged because the credit never becomes idle.
-            waiter = self._waiters.popleft()
-            waiter()
-            return
-        if self.available >= self.capacity:
-            raise RuntimeError(f"credit pool {self.name!r} over-released")
-        self.available += 1
 
 
 def drain(queue: BoundedQueue) -> List[Any]:

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.config.system import SystemConfig
+from repro.devices.lsu import LsuChain
 from repro.system import SystemBuilder, Topology, resolve_topology
 from repro.workloads.base import Workload, resolve_workload
 from repro.workloads.vectorized import KIND_WRITE, OpBatch
@@ -205,17 +206,17 @@ class WorkloadDriver:
         streams, starts = np.unique(batch.streams[order], return_index=True)
         writes = batch.kinds == KIND_WRITE
         addrs = batch.addrs + WINDOW_BASE
-        chains: Dict[int, _LsuChain] = {}
+        chains: Dict[int, LsuChain] = {}
         for stream, rows in zip(streams.tolist(), np.split(order, starts[1:])):
             index = stream % len(lsus)
             columns = (
-                writes[rows].tolist(),
                 addrs[rows].tolist(),
+                writes[rows].tolist(),
                 batch.sizes[rows].tolist(),
                 batch.delays[rows].tolist(),
             )
             if controller is None:
-                chain = _LsuChain(lsus[index], *columns)
+                chain = LsuChain(lsus[index], *columns)
             else:
                 chain = _FaultedLsuChain(
                     lsus[index],
@@ -224,7 +225,7 @@ class WorkloadDriver:
                     self._fault_binding(topology, lsu_specs[index]),
                 )
             chains[stream] = chain
-            chain.issue_next()
+            chain.begin()
         system.sim.run()
 
         series: Dict[str, Dict[str, float]] = {
@@ -243,10 +244,7 @@ class WorkloadDriver:
             series["lat_median_ns"][key] = (
                 statistics.median(latencies) / 1_000 if latencies else 0.0
             )
-            elapsed = chain.last_done_ps - chain.first_issue_ps
-            series["bandwidth_gbps"][key] = (
-                chain.bytes / elapsed * 1_000 if elapsed > 0 else 0.0
-            )
+            series["bandwidth_gbps"][key] = chain.bandwidth_gbps
             all_latencies.extend(latencies)
             total_bytes += chain.bytes
             if latencies:
@@ -458,84 +456,8 @@ class WorkloadDriver:
         controller.end_ps = t
 
 
-class _LsuChain:
-    """Serialized issue chain for one stream on one LSU.
-
-    Each op waits its ``delay_ps`` think time after the previous
-    completion, then pays the LSU issue/complete stages around the DCOH
-    access — the per-op latency excludes the think time.  Only the DCOH
-    access fires events: the op's think and issue time are the delay of
-    its DCOH request (``Dcoh.read``'s ``delay_ps``), and ``done`` books
-    the completion stage ahead, at ``now + complete_ps``, and issues the
-    next op from there.  Several chains coexist on one simulator (and
-    even one LSU), so nothing here drains the engine.  The op rows are
-    plain per-column lists read by index, and the bound methods are the
-    event callbacks.
-    """
-
-    __slots__ = (
-        "lsu", "sim", "read", "write", "issue_ps", "complete_ps",
-        "writes", "addrs", "sizes", "delays", "index",
-        "latencies", "bytes", "first_issue_ps", "last_done_ps", "issued_ps",
-    )
-
-    def __init__(
-        self,
-        lsu,
-        writes: List[bool],
-        addrs: List[int],
-        sizes: List[int],
-        delays: List[int],
-    ) -> None:
-        profile = lsu.profile
-        self.lsu = lsu
-        self.sim = lsu.sim
-        self.read = lsu.dcoh.read
-        self.write = lsu.dcoh.write
-        self.issue_ps = profile.cycles_ps(profile.lsu_issue_cycles)
-        self.complete_ps = profile.cycles_ps(profile.lsu_complete_cycles)
-        self.writes = writes
-        self.addrs = addrs  # system addresses
-        self.sizes = sizes
-        self.delays = delays
-        self.index = 0  # rows issued so far; the op in flight is index - 1
-        self.latencies: List[int] = []
-        self.bytes = 0
-        self.first_issue_ps = -1
-        self.last_done_ps = 0
-        self.issued_ps = 0
-
-    def issue_next(self) -> None:
-        self._issue_after(0)
-
-    def _issue_after(self, wait_ps: int) -> None:
-        """Issue the next op, its think time counted from ``wait_ps`` ahead.
-
-        The think time is not checked here: ``OpBatch`` rejects negative
-        delays.
-        """
-        index = self.index
-        if index < len(self.addrs):
-            self.index = index + 1
-            wait_ps += self.delays[index]
-            issued = self.sim.now + wait_ps
-            self.issued_ps = issued
-            if self.first_issue_ps < 0:
-                self.first_issue_ps = issued
-            access = self.write if self.writes[index] else self.read
-            access(self.addrs[index], self.done, wait_ps + self.issue_ps)
-
-    def done(self, _result) -> None:
-        complete_ps = self.complete_ps
-        finished = self.sim.now + complete_ps
-        self.latencies.append(finished - self.issued_ps)
-        self.bytes += self.sizes[self.index - 1]
-        self.last_done_ps = finished
-        self._issue_after(complete_ps)
-
-
-class _FaultedLsuChain(_LsuChain):
-    """Fault-aware :class:`_LsuChain`.
+class _FaultedLsuChain(LsuChain):
+    """Fault-aware :class:`~repro.devices.lsu.LsuChain` (serial mode).
 
     It keeps each op's start (after the think time) and finish (after
     the completion stage) as events of their own: path faults are
@@ -552,8 +474,8 @@ class _FaultedLsuChain(_LsuChain):
 
     __slots__ = ("controller", "nodes", "keys", "attempt", "redeliver")
 
-    def __init__(self, lsu, writes, addrs, sizes, delays, controller, binding) -> None:
-        super().__init__(lsu, writes, addrs, sizes, delays)
+    def __init__(self, lsu, addrs, writes, sizes, delays, controller, binding) -> None:
+        super().__init__(lsu, addrs, writes, sizes, delays)
         self.controller = controller
         self.nodes, self.keys = binding
         self.attempt = 0

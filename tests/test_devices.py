@@ -1,4 +1,7 @@
-"""Tests for the device models: PMU, LSU, DMA engine, XPU."""
+"""Tests for the device models: PMU, LSU, DMA engine."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -104,6 +107,61 @@ def test_latency_trials_keep_one_sample_per_request():
     report = tb.latency_mem_hit(trials=3, count=4)
     assert report.requests == 12
     assert len(report.latencies) == report.requests
+
+
+@pytest.mark.parametrize("profile", ["fpga", "asic"])
+def test_windowed_run_reports_each_loads_own_latency(monkeypatch, profile):
+    """Four loads of each line are in flight at once (all miss the HMC),
+    and each reports its own DCOH issue-to-completion time."""
+    tb = CxlTestbench(system_by_name(profile))
+    dcoh, sim = tb.lsu.dcoh, tb.sim
+    read, own = dcoh.read, []
+
+    def timed_read(addr, on_done, delay_ps=0, *args, **kwargs):
+        issued = sim.now + delay_ps
+
+        def done(result):
+            own.append(sim.now - issued)
+            on_done(result)
+
+        read(addr, done, delay_ps, *args, **kwargs)
+
+    monkeypatch.setattr(dcoh, "read", timed_read)
+    report = tb.lsu.run_bandwidth(tb.lsu.sequential_lines(0x100000, 8) * 4)
+    assert (report.requests, report.hmc_hits) == (32, 0)
+    assert len(set(own)) == 32
+    assert sorted(report.latencies.samples) == sorted(own)
+
+
+def _dies_on_del(measure) -> bool:
+    """Run ``measure`` on a new testbench; are its system, LSU and DMA
+    engine gone on ``del``?"""
+    tb = CxlTestbench(asic_system())
+    measure(tb)
+    refs = [weakref.ref(tb.system), weakref.ref(tb.lsu), weakref.ref(tb.dma)]
+    del tb
+    return all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda tb: tb.latency_mem_hit(count=4, trials=2),
+        lambda tb: tb.bandwidth_mem_hit(count=64),
+        lambda tb: tb.dma_latency(64, repeats=4),
+        lambda tb: tb.dma_bandwidth(64, descriptors=64),
+    ],
+    ids=["latency_mem_hit", "bandwidth_mem_hit", "dma_latency", "dma_bandwidth"],
+)
+def test_finished_runs_leave_no_reference_cycle(measure):
+    """A testbench's system is freed on ``del``, without waiting for the
+    cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert _dies_on_del(measure)
+    finally:
+        gc.enable()
 
 
 # ------------------------------- DMA ----------------------------------

@@ -426,7 +426,7 @@ def drained(monkeypatch):
 
 # Events each experiment drains on its own (tests/data/golden_paper.json
 # before sharing): mape is its own trials=4 fig13 plus a full fig15.
-FIG13_EVENTS, FIG15_EVENTS, MAPE_FIG13_EVENTS = 9_768, 81_920, 4_904
+FIG13_EVENTS, FIG15_EVENTS, MAPE_FIG13_EVENTS = 8_266, 65_538, 4_154
 
 
 def test_fig13_and_fig15_always_simulate_and_headline_and_mape_read_them(drained):

@@ -3,6 +3,7 @@
 import gc
 import json
 import sys
+from functools import partial
 
 import pytest
 
@@ -176,6 +177,20 @@ def test_attribute_prefers_owner_name():
     collapsed = _attribute(closure_maker())
     assert ".<locals>" not in collapsed
     assert collapsed.startswith("test_attribute_prefers_owner_name")
+
+
+def test_attribute_charges_a_partial_to_what_it_wraps():
+    class Dev:
+        name = "lsu0"
+
+        def cb(self, issued_ps, result):
+            pass
+
+    def step(issued_ps, result):
+        pass
+
+    assert _attribute(partial(Dev().cb, 125)) == "lsu0"
+    assert _attribute(partial(step, 125)) == _attribute(step)
 
 
 def test_profiler_counts_every_event_and_samples_some():

@@ -1,8 +1,8 @@
-"""Tests for bounded queues and credit flow control."""
+"""Tests for bounded queues."""
 
 import pytest
 
-from repro.sim.queueing import BoundedQueue, CreditPool, QueueFullError, drain
+from repro.sim.queueing import BoundedQueue, QueueFullError, drain
 
 
 def test_queue_fifo_order():
@@ -47,54 +47,6 @@ def test_queue_pop_empty_raises():
 def test_queue_invalid_capacity():
     with pytest.raises(ValueError):
         BoundedQueue(0)
-
-
-def test_credit_acquire_release():
-    pool = CreditPool(2)
-    assert pool.acquire()
-    assert pool.acquire()
-    assert pool.in_use == 2
-    assert not pool.acquire()
-    pool.release()
-    assert pool.acquire()
-
-
-def test_credit_waiter_woken_in_order():
-    pool = CreditPool(1)
-    order = []
-    assert pool.acquire()
-    pool.acquire(on_grant=lambda: order.append("first"))
-    pool.acquire(on_grant=lambda: order.append("second"))
-    assert pool.waiting == 2
-    pool.release()
-    assert order == ["first"]
-    pool.release()
-    assert order == ["first", "second"]
-
-
-def test_credit_handover_keeps_accounting():
-    # A credit handed straight to a waiter never becomes available.
-    pool = CreditPool(1)
-    assert pool.acquire()
-    pool.acquire(on_grant=lambda: None)
-    pool.release()
-    assert pool.available == 0
-    assert pool.in_use == 1
-
-
-def test_credit_over_release_raises():
-    pool = CreditPool(1)
-    with pytest.raises(RuntimeError):
-        pool.release()
-
-
-def test_credit_peak_tracking():
-    pool = CreditPool(3)
-    pool.acquire()
-    pool.acquire()
-    pool.release()
-    pool.acquire()
-    assert pool.peak_in_use == 2
 
 
 # ------------------------- drop policy (faults) ------------------------
