@@ -10,7 +10,7 @@ from repro.cache.mesi import (
 )
 from repro.cache.llc import SharedLLC, LlcOp
 from repro.cache.hmc import HostMemoryCache
-from repro.cache.hierarchy import GlobalAgent, HierarchicalDomain, LocalAgent
+from repro.cache.hierarchy import HierarchicalDomain, LocalAgent
 
 __all__ = [
     "CacheBlock",
@@ -24,7 +24,6 @@ __all__ = [
     "SharedLLC",
     "LlcOp",
     "HostMemoryCache",
-    "GlobalAgent",
     "HierarchicalDomain",
     "LocalAgent",
 ]

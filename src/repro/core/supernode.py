@@ -14,7 +14,7 @@ fabric-attached memory behind CXL switches:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.hierarchy import HierarchicalDomain
 from repro.config.system import SystemConfig
@@ -117,18 +117,18 @@ class Supernode:
             index += 1
 
         self.domain = HierarchicalDomain(children=len(host_list))
-        self._child_of = {
-            host.name: f"child{i}" for i, host in enumerate(host_list)
-        }
+        #: Host name -> its child index in the domain (construction order).
+        self._child_of = {host.name: i for i, host in enumerate(host_list)}
 
         # Every miss travels to the same fabric endpoint (the first pool
         # granule; with no fabric memory, the last host's leaf), so each
-        # host's route is worked out once.  One entry per host holds all a
-        # coherent access reads: (host, child agent, round-trip ps, switches).
+        # host's route is worked out once.  One entry per host, in child
+        # order, holds all a coherent access reads: (host, child index,
+        # round-trip ps, switches).
         endpoints = root.endpoints
         endpoint = endpoints[0] if endpoints else sorted(self.hosts)[-1]
         self._host_routes: Dict[
-            str, Tuple[SupernodeHost, str, int, Tuple[CxlSwitch, ...]]
+            str, Tuple[SupernodeHost, int, int, Tuple[CxlSwitch, ...]]
         ] = {}
         for name, host in self.hosts.items():
             path = tuple(
@@ -216,18 +216,49 @@ class Supernode:
         """
         entry, child, latency, path = self._host_routes[host]
         if not entry.available:
-            entry.naks += 1
-            raise HostDownError(
-                f"supernode host {host!r} is down: coherent access NAKed "
-                f"({entry.naks} so far)"
-            )
-        if self.domain.access(child, addr, exclusive):
+            self._nak(entry)
+        requests = self.domain.global_requests
+        before = requests[child]
+        self.domain.access_many((child,), (addr,), (exclusive,))
+        if requests[child] == before:
             return 0
         for switch in path:
             switch.packets_routed += 1
         entry.remote_accesses += 1
         entry.remote_latency_ps += latency
         return latency
+
+    def access_many(
+        self, children: Iterable[int], addrs: Iterable[int], exclusive: Iterable[bool]
+    ) -> None:
+        """Run a stream of coherent accesses in one call.
+
+        ``children[k]`` is the issuing host's child index (``_child_of``).
+        Each host's misses in the stream book its remote accesses and
+        latency, and the packets on its route.  Every host must be up: a
+        down one NAKs the whole stream before it runs.
+        """
+        routes = self._host_routes.values()
+        for entry, _child, _latency, _path in routes:
+            if not entry.available:
+                self._nak(entry)
+        requests = self.domain.global_requests
+        before = list(requests)
+        self.domain.access_many(children, addrs, exclusive)
+        for (entry, child, latency, path), start in zip(routes, before):
+            misses = requests[child] - start
+            for switch in path:
+                switch.packets_routed += misses
+            entry.remote_accesses += misses
+            entry.remote_latency_ps += misses * latency
+
+    @staticmethod
+    def _nak(entry: SupernodeHost) -> None:
+        entry.naks += 1
+        raise HostDownError(
+            f"supernode host {entry.name!r} is down: coherent access NAKed "
+            f"({entry.naks} so far)"
+        )
 
     # ------------------------------------------------------------------
     # Introspection

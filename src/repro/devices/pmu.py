@@ -7,7 +7,7 @@ distributions and achieved bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sim.stats import Histogram
 
@@ -26,13 +26,9 @@ class Pmu:
         self._lat_flushed = 0
         self._latencies = Histogram(f"{name}.latency")
         self.completions: List[Tuple[int, int]] = []   # (req id, completion ps)
-        self.first_issue_ps: Optional[int] = None
-        self.last_completion_ps: Optional[int] = None
 
     def issued(self, req_id: int, now_ps: int) -> None:
         self._issue_ps[req_id] = now_ps
-        if self.first_issue_ps is None:
-            self.first_issue_ps = now_ps
 
     def completed(self, req_id: int, now_ps: int) -> None:
         issue = self._issue_ps.pop(req_id, None)
@@ -40,7 +36,6 @@ class Pmu:
             raise KeyError(f"completion for unknown request {req_id}")
         self._lat_values.append(now_ps - issue)
         self.completions.append((req_id, now_ps))
-        self.last_completion_ps = now_ps
 
     @property
     def latencies(self) -> Histogram:
@@ -52,30 +47,14 @@ class Pmu:
             self._lat_flushed = len(values)
         return self._latencies
 
-    @property
-    def outstanding(self) -> int:
-        return len(self._issue_ps)
-
-    def bandwidth_gbps(
-        self, bytes_per_request: int, warmup: int = 0, from_issue: bool = False
-    ) -> float:
-        """Achieved bandwidth over the completion stream.
-
-        With ``from_issue`` the window opens at the first issue (total
-        bytes / total test time — the paper's Fig. 15 methodology);
-        otherwise ``warmup`` completions are discarded and steady-state
-        throughput is measured between completions.
-        """
+    def bandwidth_gbps(self, bytes_per_request: int, warmup: int = 0) -> float:
+        """Steady-state bandwidth over the completion stream: ``warmup``
+        completions are discarded and throughput is measured between
+        completions."""
         if len(self.completions) <= warmup + 1:
             raise ValueError("not enough completions for a bandwidth estimate")
-        if from_issue:
-            if self.first_issue_ps is None:
-                raise ValueError("no issues recorded")
-            t_start = self.first_issue_ps
-            n = len(self.completions)
-        else:
-            t_start = self.completions[warmup][1]
-            n = len(self.completions) - warmup - 1
+        t_start = self.completions[warmup][1]
+        n = len(self.completions) - warmup - 1
         t_end = self.completions[-1][1]
         if t_end <= t_start:
             raise ValueError("degenerate completion interval")
@@ -87,5 +66,3 @@ class Pmu:
         self._lat_flushed = 0
         self._latencies.reset()
         self.completions.clear()
-        self.first_issue_ps = None
-        self.last_completion_ps = None

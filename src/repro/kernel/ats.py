@@ -11,7 +11,9 @@ protocol.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Tuple
+from weakref import WeakValueDictionary
 
 from repro.kernel.page_table import PAGE_SIZE, PageFault, UnifiedPageTable, vpn_of
 
@@ -22,10 +24,12 @@ class Iommu:
     def __init__(self, page_table: UnifiedPageTable, walk_ps: int = 250_000) -> None:
         self.page_table = page_table
         self.walk_ps = walk_ps
-        self._atcs: Dict[str, "Atc"] = {}
+        # An ATC holds its IOMMU and the IOMMU its page table, so the IOMMU
+        # holds ATCs weakly and the page table's listener holds only that
+        # registry: a dropped system needs no cyclic collection.
+        self._atcs: "WeakValueDictionary[str, Atc]" = WeakValueDictionary()
         self.walks = 0
-        self.invalidations = 0
-        page_table.on_invalidate(self._invalidate_vpn)
+        page_table.on_invalidate(partial(_invalidate_each, self._atcs))
 
     def register_atc(self, atc: "Atc") -> None:
         if atc.name in self._atcs:
@@ -44,10 +48,11 @@ class Iommu:
         assert entry.pfn is not None and entry.node is not None
         return entry.pfn, entry.node
 
-    def _invalidate_vpn(self, vpn: int) -> None:
-        self.invalidations += 1
-        for atc in self._atcs.values():
-            atc.invalidate(vpn)
+
+def _invalidate_each(atcs: "WeakValueDictionary[str, Atc]", vpn: int) -> None:
+    """Fan one page-table invalidation out to every live ATC."""
+    for atc in atcs.values():
+        atc.invalidate(vpn)
 
 
 class Atc:

@@ -36,11 +36,13 @@ class XpuDriver:
         self.atc: Optional[Atc] = None
         if device.supports_cache:
             self.atc = Atc(f"{device.name}.atc", hmm.iommu, entries=atc_entries)
+        # The set's own methods are the HMM callbacks, so the HMM holds no
+        # reference back to the driver.
         self.registration = hmm.register_device(
             device.name,
             memory_node,
-            block_access=self._block_access,
-            resume_access=self._resume_access,
+            block_access=self.blocked_vpns.add,
+            resume_access=self.blocked_vpns.discard,
         )
         self._char_dev_open = False
 
@@ -70,15 +72,6 @@ class XpuDriver:
 
     def release(self) -> None:
         self._char_dev_open = False
-
-    # ------------------------------------------------------------------
-    # HMM callbacks (ATS invalidation protocol)
-    # ------------------------------------------------------------------
-    def _block_access(self, vpn: int) -> None:
-        self.blocked_vpns.add(vpn)
-
-    def _resume_access(self, vpn: int) -> None:
-        self.blocked_vpns.discard(vpn)
 
     def device_may_access(self, vpn: int) -> bool:
         return vpn not in self.blocked_vpns

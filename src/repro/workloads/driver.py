@@ -25,7 +25,6 @@ what makes trace record → replay reproduce a run exactly.
 from __future__ import annotations
 
 import statistics
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -318,24 +317,24 @@ class WorkloadDriver:
         fabric_name = topology.by_kind("supernode.fabric")[0].name
         supernode = system.node(fabric_name)
         hosts = sorted(supernode.hosts)
-        # Per-op columns as plain lists: the issuing host, the system
-        # address and whether the access is exclusive (a write).
-        host_of = [hosts[i] for i in (batch.streams % len(hosts)).tolist()]
+        # Stream s issues from hosts[s % len(hosts)]; per-op columns as
+        # plain lists: the system address and whether it is exclusive.
+        host_index = batch.streams % len(hosts)
         addrs = (batch.addrs + WINDOW_BASE).tolist()
         exclusive = (batch.kinds == KIND_WRITE).tolist()
         # Integer tallies: exact, so the float series match a float sum.
         if controller is None:
-            coherent_access = supernode.coherent_access
-            for host, addr, excl in zip(host_of, addrs, exclusive):
-                coherent_access(host, addr, excl)
-            # The system is freshly built and every op completed, and
-            # coherent_access adds to its host's remote_latency_ps
-            # exactly the latency it returns.
-            accesses = Counter(host_of)
+            child_of = np.array([supernode._child_of[host] for host in hosts])
+            supernode.access_many(child_of[host_index].tolist(), addrs, exclusive)
+            # The system is freshly built and every op completed, and the
+            # batch adds to each host's remote_latency_ps what it paid.
+            counts = np.bincount(host_index, minlength=len(hosts)).tolist()
+            accesses = dict(zip(hosts, counts))
             paid_ps = {host: supernode.hosts[host].remote_latency_ps for host in hosts}
         else:
             accesses = dict.fromkeys(hosts, 0)
             paid_ps = dict.fromkeys(hosts, 0)
+            host_of = [hosts[i] for i in host_index.tolist()]
             WorkloadDriver._drive_supernode_faulted(
                 supernode, fabric_name, controller,
                 zip(host_of, addrs, exclusive, batch.delays.tolist()),
@@ -348,9 +347,11 @@ class WorkloadDriver:
             "fabric_latency_us": {},
             "filter_rate": {},
         }
+        domain = supernode.domain
+        agents = domain.locals
         for host in hosts:
             entry = supernode.hosts[host]
-            agent = supernode.domain.locals[supernode._child_of[host]]
+            agent = agents[supernode._child_of[host]]
             series["accesses"][host] = float(accesses[host])
             series["remote_accesses"][host] = float(entry.remote_accesses)
             series["fabric_latency_us"][host] = paid_ps[host] / 1e6
@@ -360,13 +361,8 @@ class WorkloadDriver:
             sum(supernode.hosts[h].remote_accesses for h in hosts)
         )
         series["fabric_latency_us"]["all"] = sum(paid_ps.values()) / 1e6
-        total_local = sum(
-            supernode.domain.locals[supernode._child_of[h]].local_hits for h in hosts
-        )
-        total_global = sum(
-            supernode.domain.locals[supernode._child_of[h]].global_requests
-            for h in hosts
-        )
+        total_local = sum(domain.local_hits)
+        total_global = sum(domain.global_requests)
         series["filter_rate"]["all"] = (
             total_local / (total_local + total_global)
             if (total_local + total_global)

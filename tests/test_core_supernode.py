@@ -146,7 +146,7 @@ def test_fork_counts_accesses_on_its_own_hosts_and_switches():
     host1 = fork.hosts["host1"]
     assert forked.node("host1") is host1
     assert (host1.remote_accesses, host1.remote_latency_ps) == (1, latency)
-    assert fork.domain.locals["child1"].local_hits == 1
+    assert fork.domain.locals[1].local_hits == 1
     routed = {
         name: fork.fabric.switch(name).packets_routed for name in fork.fabric.switches
     }
@@ -158,12 +158,39 @@ def test_fork_counts_accesses_on_its_own_hosts_and_switches():
 
     # The original saw none of it.
     assert original.hosts["host1"].remote_accesses == 0
-    assert original.domain.locals["child1"].local_hits == 0
-    assert original.domain.locals["child0"].local_hits == 0
+    assert original.domain.locals[1].local_hits == 0
+    assert original.domain.locals[0].local_hits == 0
     assert original.fabric.switch("leaf1").packets_routed == 0
     assert original.fabric.switch("root").packets_routed == 1
     assert original.coherent_access("host2", 0x3000) > 0
     assert original.hosts["host2"].naks == 0
+
+
+def test_one_batched_call_books_like_one_call_per_op():
+    ops = [(i % 3, 0x1000 + (i * 7 % 5) * 64 + i % 3, i % 4 == 0) for i in range(60)]
+    per_op, batched = build(hosts=3), build(hosts=3)
+    names = list(per_op.hosts)  # child order
+    for child, addr, exclusive in ops:
+        per_op.coherent_access(names[child], addr, exclusive)
+    batched.access_many(*(list(column) for column in zip(*ops)))
+
+    def booked(node):
+        hosts = [(h.remote_accesses, h.remote_latency_ps) for h in node.hosts.values()]
+        routed = {n: node.fabric.switch(n).packets_routed for n in node.fabric.switches}
+        return hosts, routed, vars(node.domain)
+
+    assert booked(batched) == booked(per_op)
+    assert sum(per_op.domain.global_requests) > 0
+
+
+def test_a_down_host_naks_a_batch_before_it_runs():
+    node = build()
+    node.set_host_available("host1", False)
+    with pytest.raises(HostDownError):
+        node.access_many([0], [0x1000], [False])
+    assert node.hosts["host1"].naks == 1
+    assert node.domain.global_requests == [0, 0]
+    assert node.hosts["host0"].remote_accesses == 0
 
 
 def test_dropped_supernode_frees_its_domain_without_gc():

@@ -1,13 +1,13 @@
 """Tests for CXL switches, fabric routing, and hierarchical coherence."""
 
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import Dict, Optional, Set
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.hierarchy import GlobalAgent, HierarchicalDomain, LocalAgent
+from repro.cache.hierarchy import HierarchicalDomain
 from repro.cxl.switch import CxlSwitch, RoutingError, SwitchFabric
 from repro.mem.address import CACHELINE, line_base
 
@@ -80,8 +80,9 @@ def test_packets_counted_on_path():
 def test_local_agent_filters_repeat_accesses():
     domain = HierarchicalDomain(children=2)
     for _ in range(10):
-        domain.access("child0", 0x1000)
-    agent = domain.locals["child0"]
+        domain.access(0, 0x1000)
+    agent = domain.locals[0]
+    assert agent.name == "child0"
     assert agent.global_requests == 1
     assert agent.local_hits == 9
     assert agent.filter_rate == pytest.approx(0.9)
@@ -89,37 +90,37 @@ def test_local_agent_filters_repeat_accesses():
 
 def test_exclusive_access_invalidates_sibling():
     domain = HierarchicalDomain(children=2)
-    domain.access("child0", 0x1000)
-    domain.access("child1", 0x1000, exclusive=True)
+    domain.access(0, 0x1000)
+    domain.access(1, 0x1000, exclusive=True)
     # child0's replica was invalidated; its next access goes global.
-    domain.access("child0", 0x1000)
-    assert domain.locals["child0"].global_requests == 2
+    domain.access(0, 0x1000)
+    assert domain.locals[0].global_requests == 2
 
 
 def test_shared_readers_coexist():
     domain = HierarchicalDomain(children=3)
-    for child in ("child0", "child1", "child2"):
+    for child in (0, 1, 2):
         domain.access(child, 0x2000)
     # Everyone keeps a shared replica; repeats are local.
-    for child in ("child0", "child1", "child2"):
+    for child in (0, 1, 2):
         domain.access(child, 0x2000)
         assert domain.locals[child].local_hits == 1
 
 
 def test_shared_replica_insufficient_for_exclusive():
     domain = HierarchicalDomain(children=1)
-    domain.access("child0", 0x3000)                    # shared
-    hit = domain.access("child0", 0x3000, exclusive=True)
+    domain.access(0, 0x3000)                           # shared
+    hit = domain.access(0, 0x3000, exclusive=True)
     assert not hit                                     # upgrade went global
-    assert domain.locals["child0"].global_requests == 2
+    assert domain.locals[0].global_requests == 2
 
 
 def test_owner_downgraded_by_reader():
     domain = HierarchicalDomain(children=2)
-    domain.access("child0", 0x4000, exclusive=True)
-    domain.access("child1", 0x4000)                    # reader
+    domain.access(0, 0x4000, exclusive=True)
+    domain.access(1, 0x4000)                           # reader
     # The ex-owner lost its exclusive replica.
-    assert domain.access("child0", 0x4000, exclusive=True) is False
+    assert domain.access(0, 0x4000, exclusive=True) is False
 
 
 def test_traffic_savings_vs_flat_directory():
@@ -142,13 +143,17 @@ def test_invalid_child_count():
         HierarchicalDomain(children=0)
 
 
-def test_global_agent_release():
-    agent = GlobalAgent()
-    agent.acquire("a", 0x1000, exclusive=True)
-    agent.release("a", 0x1000)
-    # A second exclusive from another child needs no invalidation.
-    invalidated, _msgs = agent.acquire("b", 0x1000, exclusive=True)
-    assert invalidated == set()
+def directory(domain):
+    """The kernel's directory decoded: per line, the owner (None for
+    none) and the set of sharers."""
+    children = range(len(domain.replicas))
+    return {
+        line: (
+            None if owner < 0 else owner,
+            {child for child in children if sharers >> child & 1},
+        )
+        for line, (owner, sharers) in domain.directory.items()
+    }
 
 
 @pytest.mark.xfail(
@@ -158,31 +163,28 @@ def test_global_agent_release():
 )
 def test_downgraded_owner_keeps_a_shared_replica():
     domain = HierarchicalDomain(children=2)
-    domain.access("child0", 0x4000, exclusive=True)
-    domain.access("child1", 0x4000)
-    line = domain.global_agent._lines[0x4000]
-    assert (line.owner, line.sharers) == (None, {"child0", "child1"})
+    domain.access(0, 0x4000, exclusive=True)
+    domain.access(1, 0x4000)
+    assert directory(domain)[0x4000] == (None, {0, 1})
     # The directory lists child0 as a sharer, so it should hold the line.
-    assert domain.locals["child0"].replicas == {0x4000: False}
-    assert domain.access("child0", 0x4000) is True
+    assert domain.locals[0].replicas == {0x4000: False}
+    assert domain.access(0, 0x4000) is True
 
 
 # ------------------ Reference protocol formulation --------------------
 @dataclass
 class ReferenceLine:
-    owner: Optional[str] = None
-    sharers: Set[str] = field(default_factory=set)
+    owner: Optional[int] = None
+    sharers: Set[int] = field(default_factory=set)
 
 
 class ReferenceGlobalAgent:
     """The global agent as first written: ``line_base`` through the
-    ``_line`` hop, and a set comprehension for the sharers to invalidate;
-    :class:`GlobalAgent` aligns inline and reuses the old sharer set."""
+    ``_line`` hop, a line object with a sharer set per address, and a set
+    comprehension for the sharers to invalidate."""
 
     def __init__(self):
         self._lines = {}
-        self.requests = 0
-        self.invalidations_sent = 0
 
     def _line(self, addr):
         base = line_base(addr)
@@ -192,7 +194,6 @@ class ReferenceGlobalAgent:
         return line
 
     def acquire(self, child, addr, exclusive):
-        self.requests += 1
         line = self._line(addr)
         messages = 2
         to_invalidate = set()
@@ -209,23 +210,29 @@ class ReferenceGlobalAgent:
                 line.owner = None
             line.sharers.add(child)
         messages += 2 * len(to_invalidate)
-        self.invalidations_sent += len(to_invalidate)
         return to_invalidate, messages
 
-    def release(self, child, addr):
-        line = self._line(addr)
-        if line.owner == child:
-            line.owner = None
-        line.sharers.discard(child)
+    def directory(self):
+        return {
+            base: (line.owner, set(line.sharers)) for base, line in self._lines.items()
+        }
+
+
+@dataclass
+class ReferenceAgent:
+    replicas: Dict[int, bool] = field(default_factory=dict)
+    local_hits: int = 0
+    global_requests: int = 0
+    fabric_messages: int = 0
 
 
 class ReferenceDomain:
     """``HierarchicalDomain.access`` as first written, over the reference
-    agent."""
+    agent, one call per op."""
 
     def __init__(self, children):
         self.global_agent = ReferenceGlobalAgent()
-        self.locals = {f"child{i}": LocalAgent(f"child{i}") for i in range(children)}
+        self.locals = {child: ReferenceAgent() for child in range(children)}
 
     def access(self, child, addr, exclusive=False):
         addr = line_base(addr)
@@ -243,14 +250,18 @@ class ReferenceDomain:
         return False
 
 
-def directory(agent):
-    """Owner and sharers of every line the agent tracks; a line with
-    neither is the same as no entry (``release`` makes none)."""
-    return {
-        base: (line.owner, set(line.sharers))
-        for base, line in agent._lines.items()
-        if line.owner is not None or line.sharers
-    }
+def assert_same_state(domain, reference):
+    """Replicas, counters and directory of ``domain`` equal the reference's."""
+    assert set(domain.locals) == set(reference.locals)
+    for child, agent in domain.locals.items():
+        expected = reference.locals[child]
+        assert agent.replicas == expected.replicas
+        assert (agent.local_hits, agent.global_requests, agent.fabric_messages) == (
+            expected.local_hits,
+            expected.global_requests,
+            expected.fabric_messages,
+        )
+    assert directory(domain) == reference.global_agent.directory()
 
 
 # A few lines, one far above 4 GiB, each hit at any offset.
@@ -260,21 +271,20 @@ STREAMS = st.lists(
         st.integers(0, 7),                  # child, modulo the child count
         st.sampled_from(LINES),
         st.integers(0, CACHELINE - 1),      # offset into the line
-        st.sampled_from(("shared", "exclusive", "release")),
+        st.booleans(),                      # exclusive?
     ),
     max_size=60,
 )
-# Owner downgraded by a reader, then re-read, re-owned and released.
+# Owner downgraded by a reader, then re-read and re-owned.
 DOWNGRADE = [
-    (0, 0x4000, 0, "exclusive"),
-    (1, 0x4000, 8, "shared"),
-    (0, 0x4000, 63, "shared"),
-    (1, 0x4000, 1, "exclusive"),
-    (2, 0x4000, 2, "shared"),
-    (1, 0x4000, 3, "shared"),
-    (0, 0x4000, 4, "exclusive"),
-    (0, 0x4000, 5, "release"),
-    (2, 0x4000, 6, "exclusive"),
+    (0, 0x4000, 0, True),
+    (1, 0x4000, 8, False),
+    (0, 0x4000, 63, False),
+    (1, 0x4000, 1, True),
+    (2, 0x4000, 2, False),
+    (1, 0x4000, 3, False),
+    (0, 0x4000, 4, True),
+    (2, 0x4000, 6, True),
 ]
 
 
@@ -283,49 +293,23 @@ DOWNGRADE = [
 @example(children=3, stream=DOWNGRADE)
 def test_domain_matches_the_reference_formulation(children, stream):
     domain, reference = HierarchicalDomain(children), ReferenceDomain(children)
-    for index, line, offset, kind in stream:
-        child, addr = f"child{index % children}", line + offset
-        if kind == "release":
-            domain.global_agent.release(child, addr)
-            reference.global_agent.release(child, addr)
-        else:
-            exclusive = kind == "exclusive"
-            assert domain.access(child, addr, exclusive) == reference.access(
-                child, addr, exclusive
-            )
-        for name, agent in domain.locals.items():
-            expected = reference.locals[name]
-            assert agent.replicas == expected.replicas
-            assert (agent.local_hits, agent.global_requests, agent.fabric_messages) == (
-                expected.local_hits,
-                expected.global_requests,
-                expected.fabric_messages,
-            )
-        ours, theirs = domain.global_agent, reference.global_agent
-        assert (ours.requests, ours.invalidations_sent) == (
-            theirs.requests,
-            theirs.invalidations_sent,
+    for index, line, offset, exclusive in stream:
+        child, addr = index % children, line + offset
+        assert domain.access(child, addr, exclusive) == reference.access(
+            child, addr, exclusive
         )
-        assert directory(ours) == directory(theirs)
+        assert_same_state(domain, reference)
 
 
 @settings(max_examples=150)
 @given(children=st.integers(1, 8), stream=STREAMS)
 @example(children=3, stream=DOWNGRADE)
-def test_global_agent_matches_the_reference_formulation(children, stream):
-    agent, reference = GlobalAgent(), ReferenceGlobalAgent()
-    for index, line, offset, kind in stream:
-        child, addr = f"child{index % children}", line + offset
-        if kind == "release":
-            agent.release(child, addr)
-            reference.release(child, addr)
-        else:
-            exclusive = kind == "exclusive"
-            assert agent.acquire(child, addr, exclusive) == reference.acquire(
-                child, addr, exclusive
-            )
-        assert (agent.requests, agent.invalidations_sent) == (
-            reference.requests,
-            reference.invalidations_sent,
-        )
-        assert directory(agent) == directory(reference)
+def test_one_batched_call_matches_the_reference_op_by_op(children, stream):
+    domain, reference = HierarchicalDomain(children), ReferenceDomain(children)
+    ops = [(index % children, line + offset, excl) for index, line, offset, excl in stream]
+    for child, addr, exclusive in ops:
+        reference.access(child, addr, exclusive)
+    domain.access_many(
+        [op[0] for op in ops], [op[1] for op in ops], [op[2] for op in ops]
+    )
+    assert_same_state(domain, reference)

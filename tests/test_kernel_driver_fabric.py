@@ -1,8 +1,11 @@
 """Tests for the XPU driver and the fabric manager."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.config import fpga_system
+from repro.config import asic_system, fpga_system
 from repro.core.cohet import CohetSystem, DeviceSpec
 from repro.cxl.device import DeviceType
 from repro.kernel.fabric import FabricManager, ResourceError
@@ -54,6 +57,21 @@ def test_mmap_requires_open():
     driver.release()
     with pytest.raises(RuntimeError):
         driver.mmap_bar(0)
+
+
+def test_dropped_system_is_freed_without_gc():
+    # The driver's HMM callbacks and the IOMMU's ATC registry hold nothing
+    # that holds them, so the system goes with its last reference, not at
+    # the next full collection.
+    gc.disable()
+    try:
+        system = CohetSystem.build_default(asic_system())
+        parts = (system.sim, system.hmm, system.iommu, system.page_table)
+        refs = [weakref.ref(part) for part in parts]
+        del system, parts
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 # --------------------------- Fabric manager ---------------------------
