@@ -20,8 +20,8 @@ ALPHA = 2.5
 
 def axpy_kernel(ctx, _work_item, n, alpha, x_ptr, y_ptr):
     """The XPU kernel: operates on ordinary malloc'd pointers."""
-    x = ctx.load_array(x_ptr, np.float32, n)
-    y = ctx.load_array(y_ptr, np.float32, n)
+    x = np.asarray(ctx.load_array(x_ptr, "f", n))   # "f": C float, as in the listing
+    y = np.asarray(ctx.load_array(y_ptr, "f", n))
     ctx.store_array(y_ptr, alpha * x + y)
 
 
@@ -44,7 +44,7 @@ def main():
     events = queue.finish()
 
     # 3. CPU consumes Y — same pointer, hardware-coherent.
-    result = process.load_array(y_ptr, np.float32, N)
+    result = np.asarray(process.load_array(y_ptr, "f", N))
     expected = ALPHA * x + y
     assert np.allclose(result, expected, rtol=1e-6)
 

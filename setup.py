@@ -5,8 +5,8 @@ from pathlib import Path
 
 from setuptools import find_packages, setup
 
-# The version lives in src/repro/__init__.py; read it as text, since
-# importing the package would import numpy.
+# The version lives in src/repro/__init__.py; read it as text rather
+# than importing the package.
 VERSION = re.search(
     r'^__version__ = "([^"]+)"',
     (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
@@ -18,5 +18,7 @@ setup(
     version=VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # `repro run`, `list` and `info` need only the standard library;
+    # workloads, sweeps, reports and the tests need numpy.
     install_requires=["numpy"],
 )

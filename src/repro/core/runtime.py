@@ -47,11 +47,11 @@ class KernelContext:
         self.process = process
         self.device = device
 
-    def load_array(self, vaddr: int, dtype, count: int):
-        return self.process.load_array(vaddr, dtype, count, accessor_node=self.device.numa_node)
+    def load_array(self, vaddr: int, typecode: str, count: int):
+        return self.process.load_array(vaddr, typecode, count, accessor_node=self.device.numa_node)
 
-    def store_array(self, vaddr: int, array) -> None:
-        self.process.store_array(vaddr, array, accessor_node=self.device.numa_node)
+    def store_array(self, vaddr: int, values) -> None:
+        self.process.store_array(vaddr, values, accessor_node=self.device.numa_node)
 
     def read_bytes(self, vaddr: int, size: int) -> bytes:
         return self.process.read_bytes(vaddr, size, accessor_node=self.device.numa_node)

@@ -10,12 +10,11 @@ the same addresses the timing model sees.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from array import array
+from typing import Dict, Optional
 
 from repro.kernel.hmm import Hmm
-from repro.kernel.page_table import PAGE_SIZE, PageFault, UnifiedPageTable, vpn_of
+from repro.kernel.page_table import PAGE_SIZE, vpn_of
 
 
 class AllocationError(RuntimeError):
@@ -107,21 +106,23 @@ class CohetProcess:
         return bytes(out)
 
     # ------------------------------------------------------------------
-    # Typed helpers for numeric examples
+    # Typed helpers for numeric examples: ``array`` typecodes ("f",
+    # "d", "q", ...).  Any buffer-protocol object stores as its bytes,
+    # so a numpy array stores as it is and ``np.asarray`` views a load.
     # ------------------------------------------------------------------
-    def store_array(self, vaddr: int, array: np.ndarray, accessor_node: Optional[int] = None) -> None:
-        self.write_bytes(vaddr, array.tobytes(), accessor_node)
+    def store_array(self, vaddr: int, values, accessor_node: Optional[int] = None) -> None:
+        self.write_bytes(vaddr, memoryview(values).tobytes(), accessor_node)
 
     def load_array(
         self,
         vaddr: int,
-        dtype,
+        typecode: str,
         count: int,
         accessor_node: Optional[int] = None,
-    ) -> np.ndarray:
-        itemsize = np.dtype(dtype).itemsize
-        raw = self.read_bytes(vaddr, count * itemsize, accessor_node)
-        return np.frombuffer(raw, dtype=dtype).copy()
+    ) -> array:
+        out = array(typecode)
+        out.frombytes(self.read_bytes(vaddr, count * out.itemsize, accessor_node))
+        return out
 
     # ------------------------------------------------------------------
     # Introspection

@@ -9,6 +9,7 @@ program on the simulator to show it is not pseudocode here.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -78,34 +79,35 @@ PROGRAMMING_MODELS: List[ModelComparison] = [
 
 def run_cohet_axpy(n: int = 512, alpha: float = 2.0) -> bool:
     """Execute the Cohet listing's semantics on the simulator."""
-    import numpy as np
-
     from repro.config import asic_system
     from repro.core.cohet import CohetSystem
     from repro.core.runtime import Kernel
+
+    def axpy_of(a, xs, ys):
+        # Doubles rounded to C floats, so the kernel and the check agree exactly.
+        return array("f", [a * xi + yi for xi, yi in zip(xs, ys)])
 
     system = CohetSystem.build_default(asic_system())
     p = system.process
     x_ptr = p.malloc(n * 4)
     y_ptr = p.malloc(n * 4)
-    x = np.linspace(0, 1, n, dtype=np.float32)
-    y = np.linspace(1, 2, n, dtype=np.float32)
+    x = array("f", [i / (n - 1) for i in range(n)])
+    y = array("f", [1 + i / (n - 1) for i in range(n)])
     p.store_array(x_ptr, x)
     p.store_array(y_ptr, y)
 
     def axpy(ctx, _i, count, a, xp, yp):
-        ctx.store_array(
-            yp, a * ctx.load_array(xp, np.float32, count)
-            + ctx.load_array(yp, np.float32, count)
-        )
+        xs = ctx.load_array(xp, "f", count)
+        ys = ctx.load_array(yp, "f", count)
+        ctx.store_array(yp, axpy_of(a, xs, ys))
 
     queue = system.queue("xpu0")
     queue.enqueue_task(Kernel("axpy", axpy), n, alpha, x_ptr, y_ptr)
     queue.finish()
-    result = p.load_array(y_ptr, np.float32, n)
+    result = p.load_array(y_ptr, "f", n)
     p.free(x_ptr)
     p.free(y_ptr)
-    return bool(np.allclose(result, alpha * x + y, rtol=1e-6))
+    return result == axpy_of(alpha, x, y)
 
 
 def fig4_programming_models():

@@ -21,14 +21,12 @@ from repro.kernel.page_table import PAGE_SIZE, PageFault, UnifiedPageTable, vpn_
 class Iommu:
     """Host-side IOMMU: page-table walker plus ATC invalidation fan-out."""
 
-    def __init__(self, page_table: UnifiedPageTable, walk_ps: int = 250_000) -> None:
+    def __init__(self, page_table: UnifiedPageTable) -> None:
         self.page_table = page_table
-        self.walk_ps = walk_ps
         # An ATC holds its IOMMU and the IOMMU its page table, so the IOMMU
         # holds ATCs weakly and the page table's listener holds only that
         # registry: a dropped system needs no cyclic collection.
         self._atcs: "WeakValueDictionary[str, Atc]" = WeakValueDictionary()
-        self.walks = 0
         page_table.on_invalidate(partial(_invalidate_each, self._atcs))
 
     def register_atc(self, atc: "Atc") -> None:
@@ -42,7 +40,6 @@ class Iommu:
         Raises :class:`PageFault` for frame-less pages so HMM can run
         the fault path first.
         """
-        self.walks += 1
         self.page_table.translate(vaddr, write=write)
         entry = self.page_table.entry(vaddr)
         assert entry.pfn is not None and entry.node is not None

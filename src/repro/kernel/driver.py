@@ -38,7 +38,7 @@ class XpuDriver:
             self.atc = Atc(f"{device.name}.atc", hmm.iommu, entries=atc_entries)
         # The set's own methods are the HMM callbacks, so the HMM holds no
         # reference back to the driver.
-        self.registration = hmm.register_device(
+        hmm.register_device(
             device.name,
             memory_node,
             block_access=self.blocked_vpns.add,

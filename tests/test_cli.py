@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cli_helpers import run_cli
@@ -70,3 +74,24 @@ def test_missing_command_errors():
     with pytest.raises(SystemExit):
         main([])
 
+
+def test_paper_experiments_import_no_numpy():
+    """The model of record runs on the standard library: a fresh
+    interpreter that imports ``repro`` and ``repro.cli`` and runs every
+    paper experiment has loaded no numpy module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import repro\n"
+        "from repro.cli import main\n"
+        "from repro.harness.experiments import PAPER_EXPERIMENT_IDS\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['run', *PAPER_EXPERIMENT_IDS])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"

@@ -31,14 +31,16 @@ def test_axpy_on_xpu_matches_numpy():
     p.store_array(Y, y)
 
     def axpy(ctx, _i, count, a, x_ptr, y_ptr):
-        xs = ctx.load_array(x_ptr, np.float32, count)
-        ys = ctx.load_array(y_ptr, np.float32, count)
+        xs = np.asarray(ctx.load_array(x_ptr, "f", count))
+        ys = np.asarray(ctx.load_array(y_ptr, "f", count))
         ctx.store_array(y_ptr, a * xs + ys)
 
     queue = system.queue("xpu0")
     queue.enqueue_task(Kernel("axpy", axpy), n, 2.0, X, Y)
     events = queue.finish()
-    np.testing.assert_allclose(p.load_array(Y, np.float32, n), 2.0 * x + y, rtol=1e-6)
+    result = np.asarray(p.load_array(Y, "f", n))
+    assert result.dtype == np.float32
+    np.testing.assert_allclose(result, 2.0 * x + y, rtol=1e-6)
     assert events[0].kernel == "axpy"
 
 

@@ -1,5 +1,7 @@
 """Tests for the Cohet process memory interface."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -76,8 +78,13 @@ def test_typed_array_roundtrip():
     ptr = p.malloc(1 << 16)
     arr = np.arange(1000, dtype=np.float64)
     p.store_array(ptr, arr)
-    out = p.load_array(ptr, np.float64, 1000)
-    np.testing.assert_array_equal(arr, out)
+    out = p.load_array(ptr, "d", 1000)
+    assert isinstance(out, array) and out.typecode == "d"
+    np.testing.assert_array_equal(arr, np.asarray(out))
+    # A strided view stores its elements, not its underlying buffer.
+    strided = np.arange(2000, dtype=np.float64)[::2]
+    p.store_array(ptr, strided)
+    assert p.read_bytes(ptr, strided.nbytes) == strided.tobytes()
 
 
 def test_free_releases_frames_and_data():

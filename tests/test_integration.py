@@ -56,12 +56,12 @@ def test_producer_consumer_pipeline_cpu_to_xpu_and_back():
     p.store_array(buf, data)
 
     def negate(ctx, _i, ptr, count):
-        ctx.store_array(ptr, -ctx.load_array(ptr, np.float64, count))
+        ctx.store_array(ptr, -np.asarray(ctx.load_array(ptr, "d", count)))
 
     queue = system.queue("xpu0")
     queue.enqueue_task(Kernel("negate", negate), buf, n)
     queue.finish()
-    np.testing.assert_array_equal(p.load_array(buf, np.float64, n), -data)
+    np.testing.assert_array_equal(np.asarray(p.load_array(buf, "d", n)), -data)
 
 
 def test_migration_then_kernel_still_correct():
