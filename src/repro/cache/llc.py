@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional
 
 from repro.cache.array import CacheArray
-from repro.cache.block import CacheBlock, MesiState
+from repro.cache.block import NO_SHARERS, CacheBlock, MesiState
 from repro.cache.mesi import ProtocolError
 from repro.cache.messages import (
     CoherenceMessage,
@@ -66,8 +66,9 @@ class SharedLLC(Component):
         self.snoop_rt_ps = snoop_rt_ps
         self.array = CacheArray(host.llc_size, host.llc_ways, name=name)
         self._peers: Dict[str, object] = {}
-        # Line locks: a busy line's queued requests, as _start arguments.
-        self._busy: Dict[int, Deque[tuple]] = {}
+        # Line locks: a busy line's queued requests, as _start arguments;
+        # None while the owning request has no waiters.
+        self._busy: Dict[int, Optional[Deque[tuple]]] = {}
         self._next_free_ps = 0
         self.requests = 0
         self.snoops_sent = 0
@@ -116,12 +117,15 @@ class SharedLLC(Component):
         Racing requests to the same line serialize on a line lock.
         """
         addr &= LINE_MASK
-        waiters = self._busy.get(addr)
-        if waiters is not None:
-            waiters.append((requester, op, addr, on_done))
+        busy = self._busy
+        if addr not in busy:
+            busy[addr] = None
+            self._start(requester, op, addr, on_done)
             return
-        self._busy[addr] = deque()
-        self._start(requester, op, addr, on_done)
+        waiters = busy[addr]
+        if waiters is None:
+            waiters = busy[addr] = deque()
+        waiters.append((requester, op, addr, on_done))
 
     def _start(self, requester: str, op: LlcOp, addr: int, on_done: Callable[[], None]) -> None:
         self.requests += 1
@@ -173,13 +177,16 @@ class SharedLLC(Component):
                 if sharer != requester:
                     extra += 0  # sharer snoops overlap with the owner snoop
                     self._snoop(sharer, MessageType.SNP_INV, addr, block, count_only=True)
-            block.sharers.clear()
+            block.sharers = NO_SHARERS
             block.owner = requester
         else:
+            sharers = block.sharers
             if block.owner is not None and block.owner != requester:
-                block.sharers.add(block.owner)
+                sharers = sharers | {block.owner}
                 block.owner = None
-            block.sharers.add(requester)
+            if requester not in sharers:
+                sharers = sharers | {requester}
+            block.sharers = sharers
         go = MessageType.GO_E if exclusive else MessageType.GO_S
         self._complete(requester, addr, go, extra, on_done)
 
@@ -194,10 +201,10 @@ class SharedLLC(Component):
             self._back_invalidate(*victim)
         if exclusive:
             block.owner = requester
-            block.sharers.clear()
+            block.sharers = NO_SHARERS
         else:
             block.owner = None
-            block.sharers = {requester}
+            block.sharers = frozenset((requester,))
         go = MessageType.GO_E if exclusive else MessageType.GO_S
         self._complete(requester, addr, go, mem_ps, on_done)
 
@@ -248,7 +255,7 @@ class SharedLLC(Component):
             self._record(MessageType.GO_WRITE_PULL, addr, self.name, requester, self.sim.now)
             self._record(MessageType.DATA, addr, requester, self.name, self.sim.now)
         block.owner = None
-        block.sharers.clear()
+        block.sharers = NO_SHARERS
         block.state = MesiState.MODIFIED
         self._complete(requester, addr, MessageType.GO_I, 0, on_done)
 
@@ -257,14 +264,15 @@ class SharedLLC(Component):
         if block is not None:
             if block.owner == requester:
                 block.owner = None
-            block.sharers.discard(requester)
+            if requester in block.sharers:
+                block.sharers = block.sharers - {requester} or NO_SHARERS
         self._complete(requester, addr, MessageType.GO_I, 0, on_done)
 
     def _nc_push(self, requester: str, addr: int, on_done: Callable[[], None]) -> None:
         """NC-P: push a line straight into the LLC (dirty there)."""
         block, victim = self.array.insert(addr, MesiState.MODIFIED)
         block.owner = None
-        block.sharers.clear()
+        block.sharers = NO_SHARERS
         if victim is not None:
             self._back_invalidate(*victim)
         self._complete(requester, addr, MessageType.GO_I, 0, on_done)

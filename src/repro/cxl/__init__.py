@@ -1,6 +1,6 @@
 """CXL sub-protocol implementations and device types."""
 
-from repro.cxl.transactions import D2HRequest, DcohResult
+from repro.cxl.transactions import DcohResult
 from repro.cxl.dcoh import Dcoh
 from repro.cxl.io import BarRegister, ConfigSpace, CxlIoPort, enumerate_devices
 from repro.cxl.mem import CxlMemPath
@@ -8,7 +8,6 @@ from repro.cxl.device import CxlDevice, DeviceType, Type1Device, Type2Device, Ty
 from repro.cxl.switch import CxlSwitch, SwitchFabric
 
 __all__ = [
-    "D2HRequest",
     "DcohResult",
     "Dcoh",
     "BarRegister",

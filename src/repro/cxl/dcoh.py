@@ -22,6 +22,15 @@ from repro.mem.address import LINE_MASK
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 
+# Completion arguments, one tuple per outcome: a DcohResult is frozen,
+# so every access with the same outcome delivers the same object.
+_HMC_HIT_ARGS = (DcohResult(hmc_hit=True, llc_hit=False, dirty_victim=False),)
+# Indexed ``[llc_hit][dirty_victim]``.
+_MISS_ARGS = tuple(
+    tuple((DcohResult(False, llc_hit, dirty_victim),) for dirty_victim in (False, True))
+    for llc_hit in (False, True)
+)
+
 
 class Dcoh(Component):
     """Device coherency engine driving the HMC and the CXL.cache link."""
@@ -94,9 +103,8 @@ class Dcoh(Component):
         tag_done = hmc.service_start(now) + self._tag_ps
         block = hmc.array.lookup(addr)
         if block is not None and (not exclusive or block.state.writable):
-            result = DcohResult(addr, hmc_hit=True, llc_hit=False, dirty_victim=False)
             self.sim.schedule_after(
-                tag_done + self._data_ps + self._response_ps - now, on_done, (result,)
+                tag_done + self._data_ps + self._response_ps - now, on_done, _HMC_HIT_ARGS
             )
             return
         # Miss (or ownership upgrade): cross the Flex Bus to the host
@@ -268,7 +276,6 @@ class _HostMiss:
             dcoh.evictions_issued += 1
             # The writeback round itself runs off the critical path.
             dcoh.llc.request(dcoh.name, LlcOp.DIRTY_EVICT, victim[0], _ignore)
-        result = DcohResult(
-            addr, hmc_hit=False, llc_hit=self.llc_hit, dirty_victim=dirty_victim
+        dcoh.sim.schedule_after(
+            dcoh._fill_response_ps, self.on_done, _MISS_ARGS[self.llc_hit][dirty_victim]
         )
-        dcoh.sim.schedule_after(dcoh._fill_response_ps, self.on_done, (result,))

@@ -49,9 +49,8 @@ class CxlMemPath(Component):
         else:
             self.reads += 1
         self.flexbus.traffic[FlexBusChannel.MEM] += 1
-        inner_start = self.sim.now + self.flexbus.oneway_ps
-        device_mem = self.controller.access(addr, inner_start)
-        return 2 * self.flexbus.oneway_ps + device_mem.latency_ps
+        oneway = self.flexbus.oneway_ps
+        return 2 * oneway + self.controller.access(addr, self.sim.now + oneway)
 
     def access(self, addr: int, on_done: Callable[[], None], write: bool = False) -> None:
         self.schedule(self.access_ps(addr, write=write), on_done)

@@ -2,40 +2,10 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
-class D2HOpcode(enum.Enum):
-    """Device-to-host request opcodes modeled from the CXL.cache spec."""
-
-    RD_SHARED = "RdShared"
-    RD_OWN = "RdOwn"
-    RD_CURR = "RdCurr"
-    ITOM_WR = "ItoMWr"
-    DIRTY_EVICT = "DirtyEvict"
-    CLEAN_EVICT = "CleanEvict"
-    NC_PUSH = "NC-P"
-
-
-@dataclass
-class D2HRequest:
-    """One in-flight device-to-host transaction."""
-
-    opcode: D2HOpcode
-    addr: int
-    issued_ps: int
-    completed_ps: Optional[int] = None
-
-    @property
-    def latency_ps(self) -> Optional[int]:
-        if self.completed_ps is None:
-            return None
-        return self.completed_ps - self.issued_ps
-
-
-@dataclass
+@dataclass(frozen=True)
 class DcohResult:
     """Outcome of a DCOH read/write, delivered to the completion callback.
 
@@ -44,9 +14,11 @@ class DcohResult:
     ``dirty_victim``— filling the line evicted a dirty HMC victim, which
                       costs a DirtyEvict writeback round (the caller
                       decides whether that sits on its critical path).
+
+    The DCOH builds one value per outcome and delivers it to every
+    access with that outcome, so a result is shared and never mutated.
     """
 
-    addr: int
     hmc_hit: bool
     llc_hit: bool
     dirty_victim: bool

@@ -16,7 +16,9 @@ materialises every record at once.
 
 A run directory has one writer: the sweep scheduler holding its
 run-level ``store.lock`` (one sweep per directory at a time, with
-stale-lock takeover), so appends need no lock of their own.
+stale-lock takeover), so appends need no lock of their own.  That
+writer's store finds the tail shard on its first append and then
+tracks the tail's size itself, so an append lists no directory.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import subprocess
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Dict, Iterator, List, Optional, Set, Union
 
@@ -147,6 +149,10 @@ class ResultStore:
     ):
         self.root = Path(root)
         self.shard_max_bytes = shard_max_bytes
+        # The tail shard's sequence number and size, once an append
+        # has found it.
+        self._tail_seq: Optional[int] = None
+        self._tail_bytes = 0
 
     # ----------------------------- layout -----------------------------
     @property
@@ -234,14 +240,23 @@ class ResultStore:
         crash between the two costs at worst one cache miss, never a
         phantom record.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(asdict(record)) + "\n"
-        seq = self._current_seq()
-        shard = self._shard_path(seq)
-        if shard.is_file() and shard.stat().st_size >= self.shard_max_bytes:
-            shard = self._shard_path(seq + 1)  # full: roll over
+        # The field dict serializes as ``asdict`` would, without its
+        # deep copy of the series.
+        line = json.dumps(vars(record)) + "\n"
+        if self._tail_seq is None:
+            # First append: resume at the newest shard on disk.
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._tail_seq = self._current_seq()
+            tail = self._shard_path(self._tail_seq)
+            self._tail_bytes = tail.stat().st_size if tail.is_file() else 0
+        if self._tail_bytes >= self.shard_max_bytes:
+            self._tail_seq += 1  # full: roll over
+            self._tail_bytes = 0
+        shard = self._shard_path(self._tail_seq)
         with shard.open("a") as fh:
             fh.write(line)
+        # ``json.dumps`` escapes non-ASCII, so characters are bytes.
+        self._tail_bytes += len(line)
         with self.index_path(shard).open("a") as fh:
             fh.write(f"{record.spec_hash} {record.status}\n")
         return shard

@@ -1,7 +1,7 @@
 """Memory substrate: address ranges, DDR5 timing, controllers, routing."""
 
 from repro.mem.address import AddressRange, Interleaver, line_base, line_offset
-from repro.mem.dram import DramBankModel, DramAccess
+from repro.mem.dram import DramBankModel
 from repro.mem.controller import MemoryController
 from repro.mem.interface import MemoryInterface
 
@@ -11,7 +11,6 @@ __all__ = [
     "line_base",
     "line_offset",
     "DramBankModel",
-    "DramAccess",
     "MemoryController",
     "MemoryInterface",
 ]

@@ -12,7 +12,7 @@ from typing import List
 
 from repro.config.system import DramParams
 from repro.mem.address import Interleaver
-from repro.mem.dram import DramAccess, DramBankModel
+from repro.mem.dram import DramBankModel
 
 
 class MemoryController:
@@ -37,8 +37,9 @@ class MemoryController:
         self._next_free_ps = 0
         self.requests = 0
 
-    def access(self, addr: int, now_ps: int) -> DramAccess:
-        """One read/write of the line containing ``addr``."""
+    def access(self, addr: int, now_ps: int) -> int:
+        """One read/write of the line containing ``addr``; returns its
+        latency in ps from ``now_ps``, the controller wait included."""
         self.requests += 1
         # The controller initiation interval delays the service start.
         free = self._next_free_ps
@@ -47,12 +48,7 @@ class MemoryController:
         granule_index, offset = divmod(addr, self._granule)
         count = self._channel_count
         local = (granule_index // count) * self._granule + offset
-        result = self.channels[granule_index % count].access(local, start)
-        # Report the full address, and latency relative to the caller's
-        # clock, including any wait for the controller to free up.
-        result.addr = addr
-        result.latency_ps += start - now_ps
-        return result
+        return self.channels[granule_index % count].access(local, start) + start - now_ps
 
     def reset(self) -> None:
         for channel in self.channels:

@@ -10,19 +10,8 @@ paper's Fig. 12 whiskers without injecting arbitrary noise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.config.system import DramParams
-
-
-@dataclass
-class DramAccess:
-    """Result of one DRAM access."""
-
-    addr: int
-    bank: int
-    latency_ps: int
-    refresh_collision: bool
 
 
 class DramBankModel:
@@ -53,8 +42,10 @@ class DramBankModel:
     def bank_of(self, addr: int) -> int:
         return (addr // self._row_bytes) % self._banks
 
-    def access(self, addr: int, now_ps: int) -> DramAccess:
-        """Issue one closed-page access; returns latency including queueing.
+    def access(self, addr: int, now_ps: int) -> int:
+        """Issue one closed-page access; returns its latency in ps,
+        queueing and any refresh wait included (a wait counts in
+        ``refresh_collisions``).
 
         The bank's data burst occupies the channel for ``burst_ps``; the
         access pipeline (tRCD + tCL + burst) determines latency.  Column
@@ -67,8 +58,7 @@ class DramBankModel:
         start = now_ps if now_ps > free else free
         # A start inside a refresh window waits out the residual tRFC.
         phase = start % self._trefi_ps
-        refresh = phase < self._trfc_ps
-        if refresh:
+        if phase < self._trfc_ps:
             self.refresh_collisions += 1
             start += self._trfc_ps - phase
         # Bound per call, not kept on self: deepcopy (BuiltSystem.fork)
@@ -82,7 +72,7 @@ class DramBankModel:
         if service < self._row_hit_ps:
             service = self._row_hit_ps
         self._bank_free_ps[bank] = start + self._burst_ps
-        return DramAccess(addr, bank, start + service - now_ps, refresh)
+        return start + service - now_ps
 
     def median_access_ps(self) -> int:
         """Nominal (jitter-free, conflict-free) access cost."""

@@ -54,9 +54,8 @@ class MemoryInterface:
                 break
         else:
             raise LookupError(f"address {addr:#x} maps to no memory target")
-        inner_start = now_ps + self.oneway_ps
-        result = controller.access(addr, inner_start)
-        return self.oneway_ps + result.latency_ps + self.oneway_ps
+        oneway = self.oneway_ps
+        return oneway + controller.access(addr, now_ps + oneway) + oneway
 
     @property
     def targets(self) -> Dict[str, AddressRange]:

@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from repro.cache.array import CacheArray
-from repro.cache.block import MesiState
+from repro.cache.block import NO_SHARERS, CacheBlock, MesiState
 
 
 def small_array():
@@ -74,14 +74,27 @@ def test_locked_line_not_evicted():
 def test_deepcopy_gives_blocks_their_own_state():
     arr = small_array()
     block, _ = arr.insert(0, MesiState.SHARED)
-    block.owner, block.sharers, block.locked = "dev0", {"dev1"}, True
+    block.owner, block.sharers, block.locked = "dev0", frozenset({"dev1"}), True
     twin = copy.deepcopy(arr)
     copied = twin.peek(0)
     fields = ("tag", "state", "owner", "sharers", "last_touch", "locked")
     assert copied is not block
     assert [getattr(copied, f) for f in fields] == [getattr(block, f) for f in fields]
-    copied.sharers.add("dev2")
+    # Sharer sets are immutable: the directory reassigns, never mutates.
+    copied.sharers = copied.sharers | {"dev2"}
     assert block.sharers == {"dev1"}
+
+
+def test_fresh_blocks_share_one_empty_sharer_set():
+    first, second = CacheBlock(0), CacheBlock(1)
+    assert first.sharers is second.sharers is NO_SHARERS
+    assert isinstance(NO_SHARERS, frozenset) and not NO_SHARERS
+
+
+def test_deepcopy_shares_the_sharer_set():
+    block = CacheBlock(0, MesiState.SHARED)
+    block.sharers = frozenset({"dev0", "dev1"})
+    assert copy.deepcopy(block).sharers is block.sharers
 
 
 def test_all_ways_locked_raises():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.block import MesiState
+from repro.cache.block import NO_SHARERS, MesiState
 from repro.cache.llc import LlcOp, SharedLLC
 from repro.cache.hmc import HostMemoryCache
 from repro.cache.messages import MessageType, NullProtocolTrace, ProtocolTrace
@@ -170,6 +170,7 @@ def test_clean_evict_clears_directory():
     run_request(sim, llc, "dev", LlcOp.CLEAN_EVICT, 0x9000)
     entry = llc.directory_entry(0x9000)
     assert "dev" not in entry.sharers
+    assert entry.sharers is NO_SHARERS  # emptied sets are the shared one
 
 
 def test_racing_requests_serialize_per_line():
@@ -182,6 +183,21 @@ def test_racing_requests_serialize_per_line():
     sim.run()
     assert order == ["a", "b"]
     assert llc.directory_entry(0xA000).owner == "b"
+
+
+def test_line_lock_queues_lazily():
+    """A line owned by one request holds no waiter queue; the second
+    request makes one, and the last completion frees the line."""
+    sim, llc, _config = build()
+    llc.register_peer("a", FakePeer(MessageType.RSP_I))
+    llc.register_peer("b", FakePeer(MessageType.RSP_I))
+    llc.request("a", LlcOp.RD_SHARED, 0xA000, lambda: None)
+    assert llc._busy == {0xA000: None}
+    llc.request("b", LlcOp.RD_SHARED, 0xA000, lambda: None)
+    assert [waiter[0] for waiter in llc._busy[0xA000]] == ["b"]
+    sim.run()
+    assert llc._busy == {}
+    assert llc.directory_entry(0xA000).sharers == {"a", "b"}
 
 
 def test_mem_path_ii_throttles_misses():

@@ -1,5 +1,7 @@
 """Tests for the DCOH: calibrated D2H paths and the NC-P flow."""
 
+import dataclasses
+
 import pytest
 
 from repro.cache.block import MesiState
@@ -30,6 +32,29 @@ def test_hmc_hit_path_latency():
         tb.config.device.lsu_issue_cycles + tb.config.device.lsu_complete_cycles
     )
     assert end - start == dcoh_only
+
+
+def test_hmc_hits_deliver_one_shared_result():
+    """A result is built once per outcome, frozen and shared."""
+    tb = build()
+    tb.device.hmc.fill(0x1000)
+    tb.device.hmc.fill(0x1040)
+    first, _ = read_once(tb, 0x1000)
+    second, _ = read_once(tb, 0x1040)
+    assert first is second
+    assert isinstance(first, DcohResult)
+    assert (first.hmc_hit, first.llc_hit, first.dirty_victim) == (True, False, False)
+    assert not hasattr(first, "addr")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.hmc_hit = False
+
+
+def test_misses_with_one_outcome_share_their_result():
+    tb = build()
+    first, _ = read_once(tb, 0x3000)
+    second, _ = read_once(tb, 0x3040)
+    assert first is second
+    assert first.mem_hit and not first.dirty_victim
 
 
 def test_llc_hit_flagged():

@@ -10,6 +10,7 @@ contract.
 import json
 import os
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -364,6 +365,41 @@ def test_append_many_rolls_over_at_the_size_cap(tmp_path):
     assert len(shards) > 1
     assert [r.spec_hash for r in store.load()] == [f"h{i:03d}" for i in range(12)]
     assert store.ok_hashes() == {f"h{i:03d}" for i in range(12)}
+
+
+def test_appends_after_the_first_list_no_directory(tmp_path, monkeypatch):
+    """The store tracks its tail shard after the first append, and each
+    line is the record's ``asdict`` JSON byte for byte."""
+    store = ResultStore(tmp_path, shard_max_bytes=400)
+    records = [
+        _record(spec_hash=f"h{i:03d}", series={"lat": [1.5, i], "name": "\u00b5s"})
+        for i in range(12)
+    ]
+    store.append(records[0])
+
+    def listing(_self):
+        raise AssertionError("an append listed the run directory")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ResultStore, "shard_paths", listing)
+        store.append_many(records[1:])
+    shards = store.shard_paths()
+    assert len(shards) > 1
+    lines = [line for shard in shards for line in shard.read_text().splitlines()]
+    assert lines == [json.dumps(asdict(record)) for record in records]
+
+
+def test_a_resumed_store_appends_where_the_last_one_stopped(tmp_path):
+    records = [_record(spec_hash=f"h{i:03d}") for i in range(12)]
+    ResultStore(tmp_path / "once", shard_max_bytes=400).append_many(records)
+    ResultStore(tmp_path / "twice", shard_max_bytes=400).append_many(records[:5])
+    ResultStore(tmp_path / "twice", shard_max_bytes=400).append_many(records[5:])
+    layouts = [
+        {p.name: p.read_text() for p in ResultStore(tmp_path / run).shard_paths()}
+        for run in ("once", "twice")
+    ]
+    assert len(layouts[0]) > 1
+    assert layouts[1] == layouts[0]
 
 
 def test_append_many_empty_batch_is_a_noop(tmp_path):

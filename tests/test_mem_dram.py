@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.config.system import DramParams
-from repro.mem.dram import DramAccess, DramBankModel
+from repro.mem.dram import DramBankModel
 
 
 def make_model(**kwargs):
@@ -16,9 +16,8 @@ def test_access_latency_near_closed_page_cost():
     params = DramParams(jitter_ps=0)
     model = DramBankModel(params, seed=1)
     # Issue outside the refresh window (which opens at phase 0).
-    result = model.access(0, now_ps=params.trfc_ps)
-    assert result.latency_ps == params.closed_access_ps
-    assert not result.refresh_collision
+    assert model.access(0, now_ps=params.trfc_ps) == params.closed_access_ps
+    assert model.refresh_collisions == 0
 
 
 def test_jitter_bounded():
@@ -26,9 +25,9 @@ def test_jitter_bounded():
     # Fresh model per sample: no queueing, no refresh interference.
     for i in range(50):
         model = DramBankModel(params, seed=100 + i)
-        r = model.access(0, now_ps=params.trfc_ps + 1_000)
-        assert not r.refresh_collision
-        assert abs(r.latency_ps - params.closed_access_ps) <= params.jitter_ps
+        latency = model.access(0, now_ps=params.trfc_ps + 1_000)
+        assert model.refresh_collisions == 0
+        assert abs(latency - params.closed_access_ps) <= params.jitter_ps
 
 
 @pytest.mark.parametrize("jitter_ps", [0, 1, 4_000])
@@ -45,7 +44,7 @@ def test_jitter_draw_matches_randint(jitter_ps, seed):
         now = params.trfc_ps + i * params.trefi_ps
         jitter = reference.randint(-jitter_ps, jitter_ps)
         expected = max(params.row_hit_ps, params.closed_access_ps + jitter)
-        assert model.access(i * 64, now).latency_ps == expected
+        assert model.access(i * 64, now) == expected
     assert model._rng.getstate() == reference.getstate()
 
 
@@ -78,18 +77,13 @@ class ReferenceBankModel:
         jitter = self.rng.randint(-self.params.jitter_ps, self.params.jitter_ps)
         service = max(self.params.row_hit_ps, self.params.closed_access_ps + jitter)
         self.bank_free_ps[bank] = start + self.params.burst_ps
-        return DramAccess(
-            addr=addr,
-            bank=bank,
-            latency_ps=start + service - now_ps,
-            refresh_collision=bool(refresh),
-        )
+        return start + service - now_ps
 
 
 @pytest.mark.parametrize("jitter_ps", [0, 1, 4_000])
 def test_access_matches_the_reference_formulation(jitter_ps):
     """Accesses that straddle refresh windows and queue on busy banks
-    give the reference's results, counters and RNG state."""
+    give the reference's latencies, counters and RNG state."""
     params = DramParams(jitter_ps=jitter_ps)
     model = DramBankModel(params, seed=5)
     reference = ReferenceBankModel(params, seed=5)
@@ -98,7 +92,7 @@ def test_access_matches_the_reference_formulation(jitter_ps):
     # the start inside), at its first and last picosecond, and after it.
     offsets = (-3_000, -1, 0, 1, trfc // 2, trfc - 1, trfc, trfc + 1)
     row = params.row_bytes
-    results = []
+    latencies, collided = [], []
     for window in range(1, 4):
         for k, offset in enumerate(offsets):
             now = window * trefi + offset
@@ -106,29 +100,35 @@ def test_access_matches_the_reference_formulation(jitter_ps):
             # shares that bank, so it queues; the next row is another bank.
             base = 2 * k * row
             for addr in (base, base + 64, base + row, base):
+                before = model.refresh_collisions
                 got = model.access(addr, now)
                 assert got == reference.access(addr, now)
-                assert type(got.refresh_collision) is bool
-                results.append(got)
+                assert type(got) is int
+                assert model.refresh_collisions == reference.refresh_collisions
+                latencies.append(got)
+                collided.append(model.refresh_collisions - before)
     assert model._rng.getstate() == reference.rng.getstate()
     assert model._bank_free_ps == reference.bank_free_ps
-    assert model.refresh_collisions == reference.refresh_collisions
     # The schedule exercises both edges and a queued bank.
-    assert any(r.refresh_collision for r in results)
-    assert not all(r.refresh_collision for r in results)
-    assert any(r.latency_ps > params.closed_access_ps + jitter_ps for r in results)
+    assert any(collided)
+    assert not all(collided)
+    assert any(latency > params.closed_access_ps + jitter_ps for latency in latencies)
 
 
 def test_refresh_collision_detected():
     params = DramParams(jitter_ps=0)
     model = DramBankModel(params, seed=1)
     # now = 0 lands inside the first refresh window [0, trfc).
-    r = model.access(0, now_ps=0)
-    assert r.refresh_collision
-    assert r.latency_ps == params.trfc_ps + params.closed_access_ps
+    assert model.access(0, now_ps=0) == params.trfc_ps + params.closed_access_ps
+    assert model.refresh_collisions == 1
     model2 = DramBankModel(params, seed=1)
-    r2 = model2.access(0, now_ps=params.trfc_ps)
-    assert not r2.refresh_collision
+    assert model2.access(0, now_ps=params.trfc_ps) == params.closed_access_ps
+    assert model2.refresh_collisions == 0
+
+
+def test_access_returns_an_int_latency():
+    model = make_model()
+    assert type(model.access(0, 10_000_000)) is int
 
 
 def test_bank_mapping():
@@ -144,9 +144,9 @@ def test_bank_occupancy_is_burst_not_latency():
     params = DramParams(jitter_ps=0)
     model = DramBankModel(params, seed=1)
     t = params.trfc_ps  # dodge refresh
-    first = model.access(0, t)
+    model.access(0, t)
     second = model.access(64, t)  # same bank
-    assert second.latency_ps == params.burst_ps + params.closed_access_ps
+    assert second == params.burst_ps + params.closed_access_ps
 
 
 def test_derived_timings():
