@@ -93,8 +93,6 @@ class PrefetchBuffer:
 
     def __init__(self) -> None:
         self._arrival_ps: Dict[int, int] = {}
-        self.useful = 0
-        self.useless = 0
 
     def issue(self, addr: int, now_ps: int, latency_ps: int) -> None:
         # Re-issues keep the earliest arrival.
@@ -112,7 +110,6 @@ class PrefetchBuffer:
         arrival = self._arrival_ps.pop(addr, None)
         if arrival is None:
             return None
-        self.useful += 1
         return max(0, min(arrival - now_ps, miss_ps))
 
     @property

@@ -7,7 +7,7 @@ from repro.rpc.wire import (
     zigzag_decode,
     zigzag_encode,
 )
-from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema, SchemaTable
+from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema
 from repro.rpc.message import (
     MessageStats,
     decode_message,
@@ -16,7 +16,7 @@ from repro.rpc.message import (
     message_stats,
 )
 from repro.rpc.hyperprotobench import BENCH_NAMES, BenchWorkload, make_bench
-from repro.rpc.layout import AccessUnit, ObjectLayout, UnitKind, layout_message
+from repro.rpc.layout import Block, ObjectLayout, UnitKind, layout_message
 from repro.rpc.rpcnic import RpcNicPipeline
 from repro.rpc.cxl_rpc import CxlRpcPipeline
 from repro.rpc.harness import RpcComparison, run_rpc_comparison
@@ -30,7 +30,6 @@ __all__ = [
     "FieldDescriptor",
     "FieldKind",
     "MessageSchema",
-    "SchemaTable",
     "MessageStats",
     "decode_message",
     "encode_message",
@@ -39,7 +38,7 @@ __all__ = [
     "BENCH_NAMES",
     "BenchWorkload",
     "make_bench",
-    "AccessUnit",
+    "Block",
     "ObjectLayout",
     "UnitKind",
     "layout_message",

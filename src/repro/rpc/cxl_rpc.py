@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.config.system import RpcParams, SystemConfig
+from repro.config.system import SystemConfig
+from repro.mem.address import CACHELINE
 from repro.nic.prefetcher import MultiStridePrefetcher, PrefetchBuffer
 from repro.rpc.hyperprotobench import BenchWorkload
-from repro.rpc.layout import ObjectLayout, UnitKind
+from repro.rpc.layout import ObjectLayout
 from repro.rpc.rpcnic import PipelineResult, decode_time_ps, encode_time_ps
 
 
@@ -93,34 +94,49 @@ class CxlRpcPipeline:
         buffer: Optional[PrefetchBuffer],
         start_ps: int,
     ) -> int:
-        """Walk the object graph: HOPs and DESCRIPTORs chase serially,
-        BODY lines overlap under the DCOH's outstanding window."""
+        """Walk the object graph's blocks: each block's HOP and
+        DESCRIPTOR lines chase serially, its BODY lines overlap under
+        the DCOH's outstanding window.
+
+        Without a prefetcher every line of a kind costs the same, so a
+        block costs ``hop + descriptors·desc + body_lines·body``.  With
+        one, the walk visits each block's lines in address order, asks
+        the buffer for an in-flight prefetch and trains the prefetcher
+        on each demand miss.
+        """
         params = self.params
         miss = params.cache_miss_ps
         hit = params.cache_hit_ps
-        elapsed = 0
-        for unit in layout.units:
-            serial = unit.kind is UnitKind.HOP
-            if unit.kind is UnitKind.HOP:
-                # Pointer chase, but the fetch front-end runs ahead of
-                # the encoder by roughly one block's encode time.
-                base = max(hit, miss - params.chase_overlap_ps)
-            elif unit.kind is UnitKind.DESCRIPTOR:
-                base = max(hit, miss // params.desc_overlap)
-            else:
-                base = max(hit, miss // params.body_overlap)
-            residual = None
-            if buffer is not None:
-                residual = buffer.residual_ps(unit.addr, start_ps + elapsed, miss)
-            if residual is not None:
-                cost = max(hit, residual if serial else min(residual, base))
-            else:
-                cost = base
-                if prefetcher is not None and buffer is not None:
-                    for pf_addr in prefetcher.observe_miss(unit.addr):
-                        buffer.issue(pf_addr, start_ps + elapsed, miss)
-            elapsed += cost
-        return elapsed
+        # Pointer chase, but the fetch front-end runs ahead of the
+        # encoder by roughly one block's encode time.
+        hop = max(hit, miss - params.chase_overlap_ps)
+        desc = max(hit, miss // params.desc_overlap)
+        body = max(hit, miss // params.body_overlap)
+        if prefetcher is None:
+            return sum(
+                hop + descriptors * desc + body_lines * body
+                for _, descriptors, body_lines in layout.blocks
+            )
+        residual_ps = buffer.residual_ps
+        observe_miss = prefetcher.observe_miss
+        issue = buffer.issue
+        now = start_ps
+        for base, descriptors, body_lines in layout.blocks:
+            for k in range(1 + descriptors + body_lines):
+                addr = base + CACHELINE * k
+                line = hop if k == 0 else desc if k <= descriptors else body
+                residual = residual_ps(addr, now, miss)
+                if residual is None:
+                    cost = line
+                    for pf_addr in observe_miss(addr):
+                        issue(pf_addr, now, miss)
+                elif k == 0:
+                    # A pointer chase waits out the whole prefetch.
+                    cost = max(hit, residual)
+                else:
+                    cost = max(hit, min(residual, line))
+                now += cost
+        return now - start_ps
 
 
 from repro.system.registry import register_component  # noqa: E402

@@ -23,7 +23,7 @@ from repro.rpc.message import (
     encode_message,
     generate_message,
 )
-from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema, SchemaTable
+from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema
 
 BENCH_NAMES = ("Bench0", "Bench1", "Bench2", "Bench3", "Bench4", "Bench5")
 
@@ -125,11 +125,10 @@ _STRING_BYTES: Dict[str, int] = {
 
 @dataclass
 class BenchWorkload:
-    """A generated bench: schemas, values, wire bytes, and stats."""
+    """A generated bench: schema, values, wire bytes, and stats."""
 
     name: str
     schema: MessageSchema
-    table: SchemaTable
     values: List[Dict]
     encoded: List[bytes]
     stats: List[MessageStats]
@@ -175,11 +174,9 @@ def make_bench(name: str, messages: int = 300, seed: int = 11) -> BenchWorkload:
     if name not in _BUILDERS:
         raise ValueError(f"unknown bench {name!r}; options: {BENCH_NAMES}")
     schema = _BUILDERS[name]()
-    table = SchemaTable()
-    table.load(0, schema)
     rng = random.Random(seed * 1009 + BENCH_NAMES.index(name))
     string_bytes = _STRING_BYTES[name]
     values = [generate_message(schema, rng, string_bytes) for _ in range(messages)]
     encoded = [encode_message(schema, v) for v in values]
     stats = [_stats(schema, v, wire) for v, wire in zip(values, encoded)]
-    return BenchWorkload(name, schema, table, values, encoded, stats)
+    return BenchWorkload(name, schema, values, encoded, stats)

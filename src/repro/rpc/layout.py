@@ -1,12 +1,18 @@
 """In-memory object layout of decoded messages.
 
 The CXL.cache serialization path reads the host's in-memory C++ object
-graph field by field.  What the serializer actually touches:
+graph block by block.  A message is one block for its root object and
+one per nested message, each its own allocation.  What the serializer
+touches in a block, in order:
 
-* a HOP per message block — a pointer chase into the block (root
-  object or a nested message's separate heap allocation);
-* DESCRIPTOR walks — strided reads over the block's field storage;
+* a HOP at the block's base — a pointer chase into the block;
+* DESCRIPTOR lines — strided reads over the block's field storage;
 * BODY lines — the bulk bytes of string/bytes payloads.
+
+A block's lines sit back to back, its k-th line at ``base + 64·k``, so
+a layout is a trace of ``Block(base, descriptors, body_lines)`` tuples
+in walk order (the root first, then nested blocks depth first), not of
+lines.
 
 Root objects come from a slab (consecutive messages sit at a regular
 stride — prefetchable across messages); nested blocks come from a
@@ -19,7 +25,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from repro.mem.address import CACHELINE
 from repro.rpc.schema import FieldKind, MessageSchema
@@ -31,23 +37,27 @@ class UnitKind(enum.Enum):
     BODY = "body"                # bulk payload line
 
 
-@dataclass(frozen=True)
-class AccessUnit:
-    kind: UnitKind
-    addr: int
+class Block(NamedTuple):
+    """One message block: a HOP line at ``base``, then ``descriptors``
+    DESCRIPTOR lines, then ``body_lines`` BODY lines."""
+
+    base: int
+    descriptors: int
+    body_lines: int
 
 
 @dataclass
 class ObjectLayout:
-    """Access-unit trace for one message instance."""
+    """Block trace for one message instance."""
 
-    units: List[AccessUnit]
+    blocks: List[Block]
 
     def count(self, kind: UnitKind) -> int:
-        return sum(1 for u in self.units if u.kind is kind)
-
-    def __len__(self) -> int:
-        return len(self.units)
+        if kind is UnitKind.HOP:
+            return len(self.blocks)
+        if kind is UnitKind.DESCRIPTOR:
+            return sum(block.descriptors for block in self.blocks)
+        return sum(block.body_lines for block in self.blocks)
 
 
 class SlabAllocator:
@@ -86,10 +96,10 @@ def layout_message(
     allocator: SlabAllocator,
     root: bool = True,
 ) -> ObjectLayout:
-    """Walk a message instance and emit its access-unit trace."""
-    units: List[AccessUnit] = []
-    _layout_block(schema, value, allocator, root, units)
-    return ObjectLayout(units)
+    """Walk a message instance and emit its block trace."""
+    blocks: List[Block] = []
+    _layout_block(schema, value, allocator, root, blocks)
+    return ObjectLayout(blocks)
 
 
 def _layout_block(
@@ -97,7 +107,7 @@ def _layout_block(
     value: Dict,
     allocator: SlabAllocator,
     root: bool,
-    units: List[AccessUnit],
+    blocks: List[Block],
 ) -> None:
     scalar_fields = 0
     body_bytes = 0
@@ -113,17 +123,10 @@ def _layout_block(
             if descriptor.kind in (FieldKind.STRING, FieldKind.BYTES):
                 body_bytes += len(item)
 
-    descriptors = -(-scalar_fields // FIELDS_PER_DESCRIPTOR) if scalar_fields else 0
-    body_lines = -(-body_bytes // CACHELINE) if body_bytes else 0
+    descriptors = -(-scalar_fields // FIELDS_PER_DESCRIPTOR)
+    body_lines = -(-body_bytes // CACHELINE)
     block_size = CACHELINE * (1 + descriptors + body_lines)
     base = allocator.alloc_root(block_size) if root else allocator.alloc_nested(block_size)
-
-    units.append(AccessUnit(UnitKind.HOP, base))
-    for k in range(descriptors):
-        units.append(AccessUnit(UnitKind.DESCRIPTOR, base + CACHELINE * (1 + k)))
-    for k in range(body_lines):
-        units.append(
-            AccessUnit(UnitKind.BODY, base + CACHELINE * (1 + descriptors + k))
-        )
+    blocks.append(Block(base, descriptors, body_lines))
     for descriptor, item in nested:
-        _layout_block(descriptor.message, item, allocator, False, units)
+        _layout_block(descriptor.message, item, allocator, False, blocks)

@@ -77,53 +77,68 @@ def encode_message(schema: MessageSchema, value: Dict) -> bytes:
     return bytes(out)
 
 
-def _decode_scalar(descriptor: FieldDescriptor, data: bytes, offset: int):
-    if descriptor.kind == FieldKind.UINT:
-        return decode_varint(data, offset)
-    if descriptor.kind == FieldKind.SINT:
-        raw, offset = decode_varint(data, offset)
-        return zigzag_decode(raw), offset
-    if descriptor.kind == FieldKind.DOUBLE:
-        return decode_fixed64(data, offset)
-    if descriptor.kind == FieldKind.STRING:
-        raw, offset = decode_len_prefixed(data, offset)
-        return raw.decode("utf-8"), offset
-    if descriptor.kind == FieldKind.BYTES:
-        return decode_len_prefixed(data, offset)
-    raise ValueError(f"not a scalar kind: {descriptor.kind}")
+def _decode_sint(data: bytes, offset: int):
+    raw, offset = decode_varint(data, offset)
+    return zigzag_decode(raw), offset
+
+
+def _decode_string(data: bytes, offset: int):
+    raw, offset = decode_len_prefixed(data, offset)
+    return raw.decode("utf-8"), offset
+
+
+# Scalar kind -> ``decode(data, offset) -> (value, next_offset)``.
+_DECODE_SCALAR = {
+    FieldKind.UINT: decode_varint,
+    FieldKind.SINT: _decode_sint,
+    FieldKind.DOUBLE: decode_fixed64,
+    FieldKind.STRING: _decode_string,
+    FieldKind.BYTES: decode_len_prefixed,
+}
 
 
 def decode_message(schema: MessageSchema, data: bytes) -> Dict:
-    """Parse wire bytes back into a value dict (unknown fields rejected)."""
+    """Parse wire bytes back into a value dict (unknown fields rejected).
+
+    A one-byte key finds its descriptor in the schema's key table.  Any
+    other key (multi-byte, malformed, unknown, or of the wrong wire
+    type) goes through ``decode_key`` and ``field_by_number``, which
+    raise on a bad one.
+    """
     value: Dict = {}
+    by_key = schema._by_key
     offset = 0
-    while offset < len(data):
-        number, wire_type, offset = decode_key(data, offset)
-        descriptor = schema.field_by_number(number)
-        if descriptor.wire_type is not wire_type:
-            raise WireError(
-                f"field {descriptor.name} expected {descriptor.wire_type}, got {wire_type}"
-            )
-        if descriptor.packed:
+    end = len(data)
+    while offset < end:
+        key = data[offset]
+        if key < 0x80 and key in by_key:
+            descriptor = by_key[key]
+            offset += 1
+        else:
+            number, wire_type, offset = decode_key(data, offset)
+            descriptor = schema.field_by_number(number)
+            if descriptor.wire_type is not wire_type:
+                raise WireError(
+                    f"field {descriptor.name} expected {descriptor.wire_type}, got {wire_type}"
+                )
+        if descriptor.kind == FieldKind.MESSAGE:
+            raw, offset = decode_len_prefixed(data, offset)
+            element = decode_message(descriptor.message, raw)
+        elif descriptor.packed:
             payload, offset = decode_len_prefixed(data, offset)
+            decode = _DECODE_SCALAR[descriptor.kind]
             elements = value.setdefault(descriptor.name, [])
             inner = 0
             while inner < len(payload):
-                element, inner = _decode_scalar(descriptor, payload, inner)
+                element, inner = decode(payload, inner)
                 elements.append(element)
-        elif descriptor.repeated:
-            elements = value.setdefault(descriptor.name, [])
-            if descriptor.kind == FieldKind.MESSAGE:
-                raw, offset = decode_len_prefixed(data, offset)
-                elements.append(decode_message(descriptor.message, raw))
-            else:
-                element, offset = _decode_scalar(descriptor, data, offset)
-                elements.append(element)
-        elif descriptor.kind == FieldKind.MESSAGE:
-            raw, offset = decode_len_prefixed(data, offset)
-            value[descriptor.name] = decode_message(descriptor.message, raw)
+            continue
         else:
-            value[descriptor.name], offset = _decode_scalar(descriptor, data, offset)
+            element, offset = _DECODE_SCALAR[descriptor.kind](data, offset)
+        if descriptor.repeated:
+            value.setdefault(descriptor.name, []).append(element)
+        else:
+            value[descriptor.name] = element
     return value
 
 
@@ -194,7 +209,7 @@ def generate_message(
 
 def _generate_element(descriptor: FieldDescriptor, rng: random.Random, string_bytes: int):
     if descriptor.kind == FieldKind.UINT:
-        return rng.randrange(1 << 20)
+        return _draw_uint20(rng)
     if descriptor.kind == FieldKind.SINT:
         return rng.randrange(-(1 << 19), 1 << 19)
     if descriptor.kind == FieldKind.DOUBLE:
@@ -208,6 +223,20 @@ def _generate_element(descriptor: FieldDescriptor, rng: random.Random, string_by
     if descriptor.kind == FieldKind.MESSAGE:
         return generate_message(descriptor.message, rng, string_bytes)
     raise ValueError(f"unknown kind {descriptor.kind}")
+
+
+def _draw_uint20(rng: random.Random) -> int:
+    """``rng.randrange(1 << 20)`` without its two Python frames.
+
+    Exact, leaving ``rng`` in the same state as ``randrange``: it takes
+    ``k = n.bit_length()`` bits per try and retries until the value is
+    below ``n``, so for ``n = 2**20`` it draws ``getrandbits(21)`` (the
+    top 21 bits of one 32-bit Mersenne word) until bit 20 is clear.
+    """
+    value = rng.getrandbits(21)
+    while value >> 20:
+        value = rng.getrandbits(21)
+    return value
 
 
 _LETTERS = b"abcdefghijklmnopqrstuvwxyz"

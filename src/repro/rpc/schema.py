@@ -1,4 +1,4 @@
-"""Message schemas and the NIC schema table.
+"""Message schemas.
 
 The host pre-runs the protobuf compiler and loads message-structure
 metadata into the NIC's schema table (Fig. 10); the hardware
@@ -21,7 +21,6 @@ class FieldKind:
     BYTES = "bytes"          # length-delimited
     MESSAGE = "message"      # nested, length-delimited
 
-    SCALARS = (UINT, SINT, DOUBLE, STRING, BYTES)
     ALL = (UINT, SINT, DOUBLE, STRING, BYTES, MESSAGE)
 
 
@@ -82,62 +81,23 @@ class MessageSchema:
     _by_number: Dict[int, FieldDescriptor] = field(
         init=False, repr=False, compare=False
     )
+    # Full field key ``(number << 3) | wire_type`` -> descriptor: the
+    # decoder's tag table (protobuf's ``_decoders_by_tag``).
+    _by_key: Dict[int, FieldDescriptor] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         by_number = {f.number: f for f in self.fields}
         if len(by_number) != len(self.fields):
             raise ValueError(f"duplicate field numbers in {self.name}")
         object.__setattr__(self, "_by_number", by_number)
+        object.__setattr__(
+            self, "_by_key", {f.number << 3 | f.wire_type: f for f in self.fields}
+        )
 
     def field_by_number(self, number: int) -> FieldDescriptor:
         try:
             return self._by_number[number]
         except KeyError:
             raise KeyError(f"{self.name} has no field {number}") from None
-
-    def scalar_field_count(self) -> int:
-        """Recursive count of scalar fields (one nested instance each)."""
-        count = 0
-        for f in self.fields:
-            if f.kind == FieldKind.MESSAGE:
-                count += f.message.scalar_field_count()
-            else:
-                count += 1
-        return count
-
-    def nested_message_count(self) -> int:
-        count = 0
-        for f in self.fields:
-            if f.kind == FieldKind.MESSAGE:
-                count += 1 + f.message.nested_message_count()
-        return count
-
-    def max_depth(self) -> int:
-        depth = 0
-        for f in self.fields:
-            if f.kind == FieldKind.MESSAGE:
-                depth = max(depth, 1 + f.message.max_depth())
-        return depth
-
-
-class SchemaTable:
-    """The NIC-resident table mapping message-type ids to schemas."""
-
-    def __init__(self) -> None:
-        self._schemas: Dict[int, MessageSchema] = {}
-        self.lookups = 0
-
-    def load(self, type_id: int, schema: MessageSchema) -> None:
-        if type_id in self._schemas:
-            raise ValueError(f"type id {type_id} already loaded")
-        self._schemas[type_id] = schema
-
-    def lookup(self, type_id: int) -> MessageSchema:
-        self.lookups += 1
-        try:
-            return self._schemas[type_id]
-        except KeyError:
-            raise KeyError(f"schema table has no type id {type_id}") from None
-
-    def __len__(self) -> int:
-        return len(self._schemas)

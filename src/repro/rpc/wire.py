@@ -2,7 +2,7 @@
 
 A from-scratch implementation of the protobuf encoding the hardware
 (de)serializers operate on: base-128 varints, ZigZag for signed ints,
-little-endian fixed 32/64, and length-delimited fields (strings, bytes,
+little-endian fixed64, and length-delimited fields (strings, bytes,
 nested messages).  Field keys are ``(field_number << 3) | wire_type``.
 """
 
@@ -113,16 +113,6 @@ def decode_fixed64(data: bytes, offset: int) -> Tuple[float, int]:
     if offset + 8 > len(data):
         raise WireError("truncated fixed64")
     return struct.unpack_from("<d", data, offset)[0], offset + 8
-
-
-def encode_fixed32(value: float) -> bytes:
-    return struct.pack("<f", value)
-
-
-def decode_fixed32(data: bytes, offset: int) -> Tuple[float, int]:
-    if offset + 4 > len(data):
-        raise WireError("truncated fixed32")
-    return struct.unpack_from("<f", data, offset)[0], offset + 4
 
 
 def encode_len_prefixed(payload: bytes) -> bytes:

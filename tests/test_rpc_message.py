@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from repro.rpc.message import (
     _draw_letters,
+    _draw_uint20,
     decode_message,
     encode_message,
     generate_message,
     message_stats,
 )
-from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema, SchemaTable
-from repro.rpc.wire import WireError
+from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema
+from repro.rpc.wire import WireError, WireType
 
 
 INNER = MessageSchema(
@@ -69,6 +70,43 @@ def test_wire_type_mismatch_rejected():
         decode_message(ROOT, wire)
 
 
+@pytest.mark.parametrize(
+    "wire, error, message",
+    [
+        (b"\x00\x01", WireError, "invalid field number 0"),
+        (b"\x0b", WireError, "unsupported wire type 3"),
+        (b"\x0c", WireError, "unsupported wire type 4"),
+        (b"\x0e", WireError, "unsupported wire type 6"),
+        (b"\x0f", WireError, "unsupported wire type 7"),
+        (b"\x48\x01", KeyError, "Root has no field 9"),
+        (b"\x80\x01\x01", KeyError, "Root has no field 16"),
+        (
+            b"\x0a\x01a",
+            WireError,
+            f"field id expected {WireType.VARINT}, got {WireType.LEN}",
+        ),
+        (
+            b"\x2d\x00\x00\x00\x00",
+            WireError,
+            f"field inner expected {WireType.LEN}, got {WireType.I32}",
+        ),
+        (b"\x08\x01\x80", WireError, "truncated varint"),
+    ],
+    ids=[
+        "field-0", "wire-type-3", "wire-type-4", "wire-type-6",
+        "wire-type-7", "unknown-field", "unknown-two-byte-key",
+        "wire-type-mismatch", "i32-on-message", "truncated-key",
+    ],
+)
+def test_bad_keys_raise_their_own_error(wire, error, message):
+    """Every key the key table does not hold still raises what
+    ``decode_key`` and ``field_by_number`` raise, word for word."""
+    with pytest.raises(error) as raised:
+        decode_message(ROOT, wire)
+    assert type(raised.value) is error
+    assert raised.value.args == (message,)
+
+
 def test_duplicate_field_numbers_rejected():
     with pytest.raises(ValueError):
         MessageSchema(
@@ -119,23 +157,13 @@ def test_bulk_letter_draw_matches_choice_loop(seed, size):
     assert bulk_rng.getstate() == loop_rng.getstate()
 
 
-def test_schema_table():
-    table = SchemaTable()
-    table.load(1, ROOT)
-    assert table.lookup(1) is ROOT
-    assert table.lookups == 1
-    with pytest.raises(ValueError):
-        table.load(1, INNER)
-    with pytest.raises(KeyError):
-        table.lookup(2)
-    assert len(table) == 1
-
-
-def test_schema_recursive_counts():
-    assert ROOT.scalar_field_count() == 6
-    assert ROOT.nested_message_count() == 1
-    assert ROOT.max_depth() == 1
-    assert INNER.max_depth() == 0
+@given(st.integers(), st.integers(min_value=0, max_value=300))
+def test_uint20_draw_matches_randrange_loop(seed, count):
+    loop_rng = random.Random(seed)
+    expected = [loop_rng.randrange(1 << 20) for _ in range(count)]
+    draw_rng = random.Random(seed)
+    assert [_draw_uint20(draw_rng) for _ in range(count)] == expected
+    assert draw_rng.getstate() == loop_rng.getstate()
 
 
 @settings(max_examples=50)

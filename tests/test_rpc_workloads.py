@@ -12,6 +12,7 @@ from repro.rpc.harness import run_rpc_comparison
 from repro.rpc.hyperprotobench import BENCH_NAMES, make_bench
 from repro.rpc.layout import (
     FIELDS_PER_DESCRIPTOR,
+    Block,
     SlabAllocator,
     UnitKind,
     layout_message,
@@ -108,15 +109,29 @@ def test_root_blocks_contiguous_nested_fragmented():
     layouts = [
         layout_message(bench.schema, v, allocator) for v in bench.values
     ]
-    roots = [l.units[0].addr for l in layouts]
+    roots = [l.blocks[0].base for l in layouts]
     stride = {b - a for a, b in zip(roots, roots[1:])}
     assert len(stride) == 1  # slab: constant inter-message stride
 
 
 def test_deep_nesting_means_many_hops():
+    """Bench2's 12 levels (root + 11 nested) are 12 blocks, each a HOP,
+    one DESCRIPTOR line (4 scalar fields) and one BODY line (a ~30-byte
+    string); counting the blocks' lines one by one gives ``count``'s
+    closed forms."""
     bench = make_bench("Bench2", messages=1)
     layout = layout_message(bench.schema, bench.values[0], SlabAllocator())
-    assert layout.count(UnitKind.HOP) == 12  # root + 11 nested levels
+    assert [type(block) for block in layout.blocks] == [Block] * 12
+    assert [block[1:] for block in layout.blocks] == [(1, 1)] * 12
+    lines = []
+    for base, descriptors, body_lines in layout.blocks:
+        lines.append((UnitKind.HOP, base))
+        for k in range(1, 1 + descriptors + body_lines):
+            kind = UnitKind.DESCRIPTOR if k <= descriptors else UnitKind.BODY
+            lines.append((kind, base + 64 * k))
+    assert len({addr for _, addr in lines}) == len(lines) == 36
+    for kind in UnitKind:
+        assert layout.count(kind) == sum(1 for k, _ in lines if k is kind) == 12
 
 
 # ----------------------------- Pipelines ------------------------------
