@@ -1,13 +1,16 @@
-"""Sweep scheduler: expand, cache-check, run serially or on a fork pool.
+"""Sweep scheduler: expand, cache-check, run serially or on worker processes.
 
 :func:`run_sweep` expands the :class:`~repro.experiments.spec.SweepSpec`,
 collapses duplicates, and consults the run directory's sharded
 :class:`ResultStore` for specs whose content hash already has a
 successful record (the cache).  If any spec is pending, it takes the
-run-level writer lock and runs them — in process (``serial``) or on a
-fork pool (``pool``, the default).  Each record is persisted as it
-lands, so an interrupted sweep resumes without re-executing completed
-specs, and failures stay isolated per spec.
+run-level writer lock and runs them — in process (``serial``) or on
+forked worker processes that claim specs from one shared counter
+(``pool``, the default).  Each record is persisted as it lands, so an
+interrupted sweep resumes without re-executing completed specs, and
+failures stay isolated per spec.  A worker that dies fails the sweep
+with its exit code once every other record has landed; a re-run
+executes only the specs it lost.
 """
 
 from __future__ import annotations
@@ -53,11 +56,10 @@ class SweepOutcome:
 
 
 def _execute_spec(payload: Dict[str, object]) -> Dict[str, object]:
-    """Worker entry point: run one spec, never raise.
+    """Run one spec, never raise.
 
-    Top-level (picklable) so it works under both fork and spawn start
-    methods.  Returns a partial :class:`StoredResult` dict; the
-    scheduler adds timestamps and git metadata before persisting.
+    Returns a partial :class:`StoredResult` dict; the scheduler adds
+    timestamps and git metadata before persisting.
 
     The global ``random`` module is seeded from the spec for any
     experiment that consumes ambient randomness; note the current
@@ -144,32 +146,93 @@ def _pool_context():
         return multiprocessing.get_context("spawn")
 
 
+def _worker(payloads: List[Dict[str, object]], claimed, conn) -> None:
+    """Pool process: claim payload indexes until none is left.
+
+    ``claimed`` is the counter every worker shares, so each index is
+    claimed exactly once.  Each record is sent down ``conn``, this
+    worker's own pipe, before the next claim; returning closes it, which
+    the scheduler reads as EOF.  Top-level, so the spawn fallback can
+    import it.
+    """
+    with conn:
+        while True:
+            with claimed.get_lock():
+                index = claimed.value
+                claimed.value = index + 1
+            if index >= len(payloads):
+                return
+            conn.send(_execute_spec(payloads[index]))
+
+
 def _executed(
     payloads: List[Dict[str, object]], backend: str, jobs: int
 ) -> Iterator[Dict[str, object]]:
     """Run ``payloads``, yielding each spec's raw record as it finishes.
 
     In the calling process when ``backend`` is ``serial``, with one job
-    or for one payload.  Otherwise on a fork pool of up to ``jobs``
-    processes.
+    or for one payload.  Otherwise on up to ``jobs`` :func:`_worker`
+    processes, which inherit ``payloads`` (no task is pickled), claim
+    indexes from one shared counter, and send each record down their
+    own pipe.  Records are yielded in completion order, so a slow
+    head-of-line spec does not delay persisting specs that finished
+    behind it.  The scheduler starts no thread: it waits on the pipes
+    and reads each to EOF before joining its worker.
+
+    A worker that exits non-zero (say, killed mid-spec) loses the spec
+    it was running, and the others claim the rest.  Once every record
+    that arrived is yielded, a :class:`RuntimeError` names the exit
+    codes.
     """
     if backend == "serial" or jobs <= 1 or len(payloads) <= 1:
         yield from map(_execute_spec, payloads)
         return
-    pool = _pool_context().Pool(processes=min(jobs, len(payloads)))
+    from multiprocessing.connection import wait
+
+    ctx = _pool_context()
+    claimed = ctx.Value("i", 0)
+    workers, live = [], []
     try:
-        # Unordered: a slow head-of-line spec must not delay persisting
-        # specs that already finished behind it.
-        yield from pool.imap_unordered(_execute_spec, payloads)
-    except BaseException:
-        # Abort outstanding specs instead of draining a long sweep
-        # before the real error (or Ctrl-C) can surface.
-        pool.terminate()
-        raise
-    else:
-        pool.close()
+        for _ in range(min(jobs, len(payloads))):
+            reader, writer = ctx.Pipe(duplex=False)
+            live.append(reader)
+            worker = ctx.Process(
+                target=_worker, args=(payloads, claimed, writer), daemon=True
+            )
+            worker.start()
+            workers.append(worker)
+            # The worker holds the only write end, so its exit is our EOF.
+            writer.close()
+        received = 0
+        while live:
+            for reader in wait(live):
+                try:
+                    record = reader.recv()
+                except EOFError:
+                    live.remove(reader)
+                    reader.close()
+                    continue
+                received += 1
+                yield record
+        for worker in workers:
+            worker.join()
+        codes = [worker.exitcode for worker in workers]
+        if received < len(payloads) or any(codes):
+            raise RuntimeError(
+                f"sweep worker exit codes {codes}: "
+                f"{len(payloads) - received} of {len(payloads)} specs "
+                f"returned no record"
+            )
     finally:
-        pool.join()
+        # Abort outstanding specs on any error, Ctrl-C or close(),
+        # instead of draining a long sweep first.  A no-op for a worker
+        # already joined.
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join()
+        for reader in live:
+            reader.close()
 
 
 def run_sweep(
@@ -228,24 +291,25 @@ def run_sweep(
 
     # Identical specs (e.g. a duplicated grid value) collapse to one
     # before any accounting, so cached/executed totals agree across
-    # repeat invocations of the same sweep.
+    # repeat invocations of the same sweep.  Each spec is hashed once,
+    # here: everything below is keyed on these hashes.
     unique: Dict[str, ExperimentSpec] = {}
     for spec in specs:
         unique.setdefault(spec.spec_hash, spec)
 
     cached_hashes = set() if force else store.ok_hashes()
-    pending = [s for s in unique.values() if s.spec_hash not in cached_hashes]
-    cached_specs = [s for s in unique.values() if s.spec_hash in cached_hashes]
+    pending = {h: s for h, s in unique.items() if h not in cached_hashes}
+    cached_specs = [(h, s) for h, s in unique.items() if h in cached_hashes]
     outcome.cached = len(cached_specs)
     payloads = [
         {
-            "spec_hash": s.spec_hash,
+            "spec_hash": h,
             "experiment": s.experiment,
             "params": dict(s.params),
             "repeat": s.repeat,
             "seed": s.seed,
         }
-        for s in pending
+        for h, s in pending.items()
     ]
     if profile:
         for payload in payloads:
@@ -272,13 +336,12 @@ def run_sweep(
                 backend=backend,
                 jobs=jobs,
             )
-        for spec in cached_specs:
+        for spec_hash, spec in cached_specs:
             if emitter is not None:
-                emitter.emit("spec_cached", spec_hash=spec.spec_hash)
+                emitter.emit("spec_cached", spec_hash=spec_hash)
             if progress:
-                progress(f"cached  {spec.label} ({spec.spec_hash})")
+                progress(f"cached  {spec.label} ({spec_hash})")
         if payloads:
-            labels = {s.spec_hash: s.label for s in pending}
             git = git_metadata(repo_dir=None)
             # Each record is persisted as it lands (not after the run
             # drains), so an interrupted sweep keeps every completed
@@ -291,7 +354,7 @@ def run_sweep(
                     store.append(record)
                     outcome.executed.append(record)
                     lock.refresh()
-                    label = labels[record.spec_hash]
+                    label = pending[record.spec_hash].label
                     if emitter is not None:
                         emitter.emit(
                             "record",

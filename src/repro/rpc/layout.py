@@ -116,8 +116,17 @@ def _layout_block(
         if descriptor.name not in value:
             continue
         item = value[descriptor.name]
-        if descriptor.kind == FieldKind.MESSAGE:
-            nested.append((descriptor, item))
+        if descriptor.repeated:
+            # Element by element, as ``message_stats`` counts it: a block
+            # per message, a slot per scalar, the bytes of every string.
+            if descriptor.kind == FieldKind.MESSAGE:
+                nested.extend((descriptor.message, element) for element in item)
+            else:
+                scalar_fields += len(item)
+                if descriptor.kind in (FieldKind.STRING, FieldKind.BYTES):
+                    body_bytes += sum(map(len, item))
+        elif descriptor.kind == FieldKind.MESSAGE:
+            nested.append((descriptor.message, item))
         else:
             scalar_fields += 1
             if descriptor.kind in (FieldKind.STRING, FieldKind.BYTES):
@@ -128,5 +137,5 @@ def _layout_block(
     block_size = CACHELINE * (1 + descriptors + body_lines)
     base = allocator.alloc_root(block_size) if root else allocator.alloc_nested(block_size)
     blocks.append(Block(base, descriptors, body_lines))
-    for descriptor, item in nested:
-        _layout_block(descriptor.message, item, allocator, False, blocks)
+    for child, element in nested:
+        _layout_block(child, element, allocator, False, blocks)

@@ -2,14 +2,18 @@
 
 Covers the advisory lockfiles (stale takeover, heartbeats), the
 sharded/streaming result store (roll-over parity, index fast path,
-100k-record streaming aggregation), the ``serial``/``pool`` backends,
-the scheduler's writer lock, and the ``REPRO_JOBS``/uncapped ``--jobs``
+100k-record streaming aggregation), the ``serial``/``pool`` backends
+(the pool's shared claim counter under stress, and a dead worker), the
+scheduler's writer lock, and the ``REPRO_JOBS``/uncapped ``--jobs``
 contract.
 """
 
 import json
 import os
+import signal
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import pytest
@@ -28,6 +32,7 @@ from repro.experiments import (
 from repro.experiments.exec import FileLock, LockHeldError
 from repro.experiments.runner import _pool_context
 from repro.experiments.store import RUN_LOCK_STALE_S, StoreCorruptionWarning
+from repro.harness.experiments import EXPERIMENTS, ExperimentResult
 from repro.obs import telemetry_dir
 
 needs_fork = pytest.mark.skipif(
@@ -246,6 +251,87 @@ def test_serial_backend_runs_sweep(tmp_path):
     outcome = run_sweep(tiny_sweep(), tmp_path / "run", backend="serial")
     assert outcome.ok and outcome.total == 2
     assert outcome.backend == "serial"
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise :class:`TimeoutError` in the block once ``seconds`` pass."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _tally(value=0, log=""):
+    """Trivial experiment: appends ``value`` to ``log`` once per run."""
+    if log:
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{value}\n".encode())
+        finally:
+            os.close(fd)
+    return ExperimentResult("tally", "", {"value": {"v": value}}, "")
+
+
+def _exit_on_three(value=0):
+    """Kills its worker process outright on ``value`` 3."""
+    if value == 3:
+        os._exit(3)
+    return _tally(value)
+
+
+def _value_sweep(values, log=""):
+    return SweepSpec.from_dict({
+        "name": "values",
+        "experiments": [{
+            "experiment": "tally",
+            "params": {"log": log} if log else {},
+            "grid": {"value": list(values)},
+        }],
+    })
+
+
+@needs_fork
+def test_claimed_specs_each_run_exactly_once(tmp_path, monkeypatch):
+    # More workers than cores race on the shared claim counter: a lost
+    # update would run a spec twice or skip one.
+    monkeypatch.setitem(EXPERIMENTS, "tally", _tally)
+    log = tmp_path / "ran.log"
+    sweep = _value_sweep(range(200), log=str(log))
+    jobs = min(16, 2 * (os.cpu_count() or 1))
+    with deadline(60):
+        outcome = run_sweep(sweep, tmp_path / "run", jobs=jobs)
+    runs = Counter(int(line) for line in log.read_text().split())
+    assert runs == Counter(range(200))
+    hashes = [r.spec_hash for r in outcome.executed]
+    assert sorted(hashes) == sorted({s.spec_hash for s in sweep.expand()})
+    store = ResultStore(tmp_path / "run")
+    assert len(store.load()) == len(store.latest()) == 200
+
+
+@needs_fork
+def test_a_dead_worker_fails_the_sweep_and_a_rerun_runs_only_its_spec(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setitem(EXPERIMENTS, "tally", _exit_on_three)
+    sweep = _value_sweep(range(8))
+    with deadline(30):
+        with pytest.raises(RuntimeError, match=r"exit codes \[[^]]*\b3\b"):
+            run_sweep(sweep, tmp_path / "run", jobs=2)
+    stored = ResultStore(tmp_path / "run").load()
+    assert sorted(r.params["value"] for r in stored) == [0, 1, 2, 4, 5, 6, 7]
+    monkeypatch.setitem(EXPERIMENTS, "tally", _tally)
+    with deadline(30):
+        retry = run_sweep(sweep, tmp_path / "run", jobs=2)
+    assert retry.ok and retry.cached == 7
+    assert [r.params for r in retry.executed] == [{"value": 3}]
 
 
 # ------------------------- Scheduler locking ---------------------------

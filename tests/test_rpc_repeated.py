@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.rpc.layout import SlabAllocator, UnitKind, layout_message
 from repro.rpc.message import (
     decode_message,
     encode_message,
@@ -67,6 +68,23 @@ def test_stats_count_every_element():
     assert stats.scalar_fields == 3 + 2   # three ids + one sku per item
     assert stats.nested_messages == 2
     assert stats.max_depth == 1
+
+
+def test_layout_lays_out_every_element():
+    value = {
+        "ids": list(range(30)),
+        "tags": ["t" * 200] * 3,
+        "items": [{"sku": n} for n in range(4)],
+        "note": "hi",
+    }
+    layout = layout_message(ORDER, value, SlabAllocator())
+    stats = message_stats(ORDER, value)
+    assert layout.count(UnitKind.HOP) == 1 + stats.nested_messages == 5
+    # Root: 30 ids + 3 tags + the note = 34 slots -> 4 descriptor lines,
+    # and 602 body bytes -> 10 lines; each item is a block of its own.
+    assert [block[1:] for block in layout.blocks] == [(4, 10)] + [(1, 0)] * 4
+    assert layout.count(UnitKind.DESCRIPTOR) == 8
+    assert layout.count(UnitKind.BODY) == 10
 
 
 def test_generate_repeated_fields():
