@@ -27,8 +27,8 @@ from repro.cache.block import CacheBlock, MesiState
 from repro.mem.address import CACHELINE
 
 # Module-level aliases: the probes below test ``state is not _INVALID``
-# (and fills ``state is _MODIFIED``) inline rather than through the
-# ``CacheBlock.valid``/``dirty`` properties.
+# (and fills ``state is _MODIFIED``) inline rather than through a
+# property such as ``CacheBlock.dirty``.
 _INVALID = MesiState.INVALID
 _MODIFIED = MesiState.MODIFIED
 
@@ -114,42 +114,6 @@ class CacheArray:
             self.misses += 1
         return None
 
-    def lookup_many(self, addrs, touch: bool = True, count: bool = True) -> int:
-        """Bulk probe: one :meth:`lookup` per address, returns the hit count.
-
-        Accepts any iterable of addresses, including a numpy int array
-        (the :class:`~repro.workloads.vectorized.OpBatch` address
-        column feeds this directly).  Statistics and LRU state end up
-        exactly as ``sum(lookup(a, touch, count) is not None for a in
-        addrs)`` would leave them — the aggregate contract the bulk
-        workload paths rely on — with the per-call bookkeeping hoisted
-        out of the loop.
-        """
-        if hasattr(addrs, "tolist"):
-            addrs = addrs.tolist()
-        line_shift = self._line_shift
-        set_mask = self._set_mask
-        set_bits = self._set_bits
-        sets_get = self._sets.get
-        tick = self._tick
-        hits = 0
-        probes = 0
-        for addr in addrs:
-            probes += 1
-            shifted = addr >> line_shift
-            cache_set = sets_get(shifted & set_mask)
-            block = cache_set.get(shifted >> set_bits) if cache_set else None
-            if block is not None and block.state is not _INVALID:
-                hits += 1
-                if touch:
-                    tick += 1
-                    block.last_touch = tick
-        self._tick = tick
-        if count:
-            self.hits += hits
-            self.misses += probes - hits
-        return hits
-
     def peek(self, addr: int) -> Optional[CacheBlock]:
         """Lookup without statistics or LRU update."""
         shifted = addr >> self._line_shift
@@ -231,7 +195,7 @@ class CacheArray:
         """
         for index in sorted(self._sets):
             for tag, block in self._sets[index].items():
-                if block.valid:
+                if block.state is not _INVALID:
                     yield self._block_addr(index, tag), block
 
     @property

@@ -72,15 +72,5 @@ class CacheBlock:
         return block
 
     @property
-    def valid(self) -> bool:
-        return self.state is not MesiState.INVALID
-
-    @property
     def dirty(self) -> bool:
         return self.state is MesiState.MODIFIED
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"CacheBlock(tag={self.tag:#x}, {self.state.value},"
-            f" owner={self.owner}, sharers={sorted(self.sharers)})"
-        )

@@ -46,10 +46,6 @@ class HostMemoryCache(Component):
     def data_ps(self) -> int:
         return self.profile.cycles_ps(self.profile.hmc_data_cycles)
 
-    @property
-    def fill_ps(self) -> int:
-        return self.profile.cycles_ps(self.profile.hmc_fill_cycles)
-
     def service_start(self, now_ps: int) -> int:
         """Bandwidth-limiting service slot: one request per service II."""
         free = self._next_free_ps
@@ -62,9 +58,6 @@ class HostMemoryCache(Component):
     # ------------------------------------------------------------------
     # The array's shift-and-mask indexing discards line-offset bits, so
     # these helpers pass raw addresses straight through.
-    def lookup(self, addr: int) -> Optional[CacheBlock]:
-        return self.array.lookup(addr)
-
     def peek(self, addr: int) -> Optional[CacheBlock]:
         return self.array.peek(addr)
 
@@ -119,7 +112,3 @@ class HostMemoryCache(Component):
             block.state = check_transition(block.state, "snp_data", MesiState.SHARED)
             return MessageType.RSP_S_FWD_S if dirty else MessageType.RSP_I
         raise ValueError(f"unexpected snoop {snoop_type}")
-
-    @property
-    def hit_rate(self) -> float:
-        return self.array.hit_rate

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Tuple
 
 
 def absolute_percentage_error(measured: float, reference: float) -> float:
@@ -18,19 +18,6 @@ def mape(pairs: Iterable[Tuple[float, float]]) -> float:
     if not errors:
         raise ValueError("no calibration points")
     return sum(errors) / len(errors)
-
-
-def mape_by_key(
-    measured: Mapping[str, float], reference: Mapping[str, float]
-) -> Dict[str, float]:
-    """Per-key absolute percentage error for matching keys."""
-    common = set(measured) & set(reference)
-    if not common:
-        raise ValueError("no overlapping calibration keys")
-    return {
-        key: absolute_percentage_error(measured[key], reference[key])
-        for key in sorted(common)
-    }
 
 
 def _numeric_pairs(

@@ -335,6 +335,7 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
         run_sweep,
     )
     from repro.experiments.exec import LockHeldError
+    from repro.experiments.runner import SweepWorkerError
 
     if bool(args.spec) == bool(args.preset):
         out.write("sweep needs exactly one of: a spec file, or --preset NAME\n")
@@ -378,6 +379,12 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
     except (SpecError, LockHeldError) as exc:
         out.write(f"{exc}\n")
         return 2
+    except SweepWorkerError as exc:
+        # Every record that arrived is stored: a re-run runs only the
+        # specs the dead worker lost.
+        out.write(f"{exc}\n")
+        out.write(f"results: {out_dir}\n")
+        return 1
     out.write(
         f"sweep {sweep.name!r} [{outcome.backend}]: {outcome.total} specs — "
         f"{len(outcome.executed) - len(outcome.failed)} ran ok, "

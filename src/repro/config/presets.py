@@ -85,7 +85,6 @@ PCIE_FPGA_400 = DmaParams(
     phy_fixed_ps=800_000,
     desc_ii_ps=64_600,
     mmio_write_ps=450_000,
-    mmio_read_ps=900_000,
 )
 
 PCIE_ASIC_1500 = DmaParams(
@@ -95,7 +94,6 @@ PCIE_ASIC_1500 = DmaParams(
     phy_fixed_ps=800_000,
     desc_ii_ps=30_330,
     mmio_write_ps=300_000,
-    mmio_read_ps=400_000,
 )
 
 _FPGA_HOST = HostParams()

@@ -144,7 +144,6 @@ class DmaParams:
     tlp_header_bytes: int = 60
     raw_link_gbps: float = 25.6
     mmio_write_ps: int = 450_000
-    mmio_read_ps: int = 900_000
 
     @property
     def setup_ps(self) -> int:

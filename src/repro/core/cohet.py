@@ -3,8 +3,8 @@
 Builds the Fig. 3 stack bottom-up: simulated hardware (host memory +
 LLC home agent + CXL devices over Flex Bus) through the declarative
 :mod:`repro.system` construction layer, then the OS level (NUMA init,
-unified page table, IOMMU, HMM, drivers), and the user level (process
-with malloc/mmap, compute devices, command queues).
+unified page table, HMM, drivers), and the user level (process with
+malloc/mmap, compute devices, command queues).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.cxl.io import enumerate_devices
 from repro.kernel.driver import XpuDriver
 from repro.kernel.fabric import FabricManager
 from repro.kernel.hmm import Hmm
-from repro.kernel.ats import Iommu
 from repro.kernel.numa import NodeKind, NumaRegistry, numa_init
 from repro.kernel.page_table import UnifiedPageTable
 from repro.mem.address import AddressRange, split_evenly
@@ -30,7 +29,6 @@ from repro.system import LinkSpec, NodeSpec, SystemBuilder, Topology, topology_b
 DEVICE_KINDS: Dict[DeviceType, str] = {
     DeviceType.TYPE1: "cxl.type1",
     DeviceType.TYPE2: "cxl.type2",
-    DeviceType.TYPE3: "cxl.type3",
 }
 
 _KIND_TYPES: Dict[str, DeviceType] = {v: k for k, v in DEVICE_KINDS.items()}
@@ -42,7 +40,7 @@ class DeviceSpec:
 
     name: str
     device_type: DeviceType
-    hdm_bytes: int = 0   # device memory for type-2/3
+    hdm_bytes: int = 0   # device memory for a type-2 device
 
 
 class CohetSystem:
@@ -78,10 +76,6 @@ class CohetSystem:
             built.node(s.name).hdm for s in devices
             if s.device_type is DeviceType.TYPE2
         ]
-        expander_regions: List[AddressRange] = [
-            built.node(s.name).hdm for s in devices
-            if s.device_type is DeviceType.TYPE3
-        ]
 
         # BIOS: enumerate config spaces, size BARs, map MMIO windows.
         slots = [
@@ -95,10 +89,9 @@ class CohetSystem:
 
         # ---------------- OS level ------------------------------------
         host_ranges = split_evenly(self.host_region, host_nodes)
-        self.numa: NumaRegistry = numa_init(host_ranges, xpu_regions, expander_regions)
+        self.numa: NumaRegistry = numa_init(host_ranges, xpu_regions)
         self.page_table = UnifiedPageTable(pid=1)
-        self.iommu = Iommu(self.page_table)
-        self.hmm = Hmm(self.page_table, self.numa, self.iommu)
+        self.hmm = Hmm(self.page_table, self.numa)
         self.fabric = FabricManager()
 
         self.drivers: Dict[str, XpuDriver] = {}
@@ -109,7 +102,7 @@ class CohetSystem:
             if getattr(device, "device_type", None) is DeviceType.TYPE2:
                 memory_node = xpu_nodes[xpu_cursor]
                 xpu_cursor += 1
-            driver = XpuDriver(device, self.enumerated[name], self.hmm, memory_node)
+            driver = XpuDriver(device, self.enumerated[name], memory_node)
             driver.open()
             driver.mmap_bar(0)
             self.drivers[name] = driver
@@ -196,9 +189,6 @@ class CohetSystem:
         """Create a command queue on the named compute device."""
         device = self.compute_devices[device_name]
         return CommandQueue(self.process, device)
-
-    def device(self, name: str):
-        return self.devices[name]
 
     def driver(self, name: str) -> XpuDriver:
         return self.drivers[name]

@@ -27,10 +27,6 @@ class ComputeDevice:
     is_xpu: bool
     work_item_ps: int = 2_000   # modeled cost per work-item
 
-    def __str__(self) -> str:
-        kind = "XPU" if self.is_xpu else "CPU"
-        return f"{kind}({self.name}, node {self.numa_node})"
-
 
 @dataclass
 class Kernel:

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.cache.hierarchy import HierarchicalDomain
 from repro.config.system import SystemConfig
 from repro.cxl.switch import CxlSwitch, SwitchFabric
-from repro.kernel.fabric import FabricManager, ResourceError
+from repro.kernel.fabric import FabricManager
 from repro.kernel.numa import NodeKind, NumaNode, NumaRegistry
 from repro.mem.address import AddressRange
 
@@ -177,19 +177,6 @@ class Supernode:
         )
         entry.leased_nodes.append(node_id)
         return node_id
-
-    def release_memory(self, host: str, node_id: int) -> None:
-        entry = self.hosts[host]
-        if node_id not in entry.leased_nodes:
-            raise ResourceError(f"{host} holds no lease on node {node_id}")
-        node = entry.numa.node(node_id)
-        if node.allocated_frames:
-            raise ResourceError(
-                f"node {node_id} still has {node.allocated_frames} frames allocated"
-            )
-        self.manager.release(node.name)
-        entry.numa.remove(node_id)
-        entry.leased_nodes.remove(node_id)
 
     def total_capacity_bytes(self, host: str) -> int:
         return sum(n.region.size for n in self.hosts[host].numa.nodes)

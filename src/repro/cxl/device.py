@@ -1,8 +1,8 @@
 """CXL device types.
 
 Type-1: CXL.io + CXL.cache (e.g. a SmartNIC without device memory).
-Type-2: all three sub-protocols (accelerator with device memory).
-Type-3: CXL.io + CXL.mem (memory expander).
+Type-2: CXL.io + CXL.cache, plus device memory (HDM) that the host
+memory interface maps into its address space.
 
 Each device assembles its protocol blocks (config space, HMC + DCOH,
 HDM window) against a host attachment: the shared LLC and the memory
@@ -19,7 +19,6 @@ from repro.cache.llc import SharedLLC
 from repro.config.system import DeviceProfile, HostParams
 from repro.cxl.dcoh import Dcoh
 from repro.cxl.io import BarRegister, ConfigSpace
-from repro.cxl.mem import CxlMemPath
 from repro.interconnect.flexbus import FlexBus
 from repro.mem.address import AddressRange
 from repro.mem.controller import MemoryController
@@ -32,7 +31,6 @@ from repro.system.registry import register_component
 class DeviceType(enum.IntEnum):
     TYPE1 = 1
     TYPE2 = 2
-    TYPE3 = 3
 
 
 class CxlDevice(Component):
@@ -62,10 +60,6 @@ class CxlDevice(Component):
     @property
     def supports_cache(self) -> bool:
         return self.device_type in (DeviceType.TYPE1, DeviceType.TYPE2)
-
-    @property
-    def supports_mem(self) -> bool:
-        return self.device_type in (DeviceType.TYPE2, DeviceType.TYPE3)
 
 
 class Type1Device(CxlDevice):
@@ -103,10 +97,6 @@ class Type2Device(CxlDevice):
         self.hdm = hdm
         self.hdm_controller = hdm_controller or MemoryController(host.dram, channels=1)
         memif.attach(name, hdm, self.hdm_controller)
-        self.mem_path = CxlMemPath(
-            sim, host, profile, self.flexbus, hdm, self.hdm_controller,
-            name=f"{name}.cxl.mem",
-        )
 
 
 @register_component("cxl.type1")
@@ -126,36 +116,3 @@ def _build_type2(builder, system, spec) -> Type2Device:
         system.memif, hdm, name=spec.name,
     )
 
-
-class Type3Device(CxlDevice):
-    """Memory expander: CXL.io + CXL.mem only (no HMC/DCOH)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        profile: DeviceProfile,
-        host: HostParams,
-        memif: MemoryInterface,
-        hdm: AddressRange,
-        name: str = "expander",
-        hdm_controller: Optional[MemoryController] = None,
-    ) -> None:
-        super().__init__(sim, profile, DeviceType.TYPE3, name)
-        self.hdm = hdm
-        self.hdm_controller = hdm_controller or MemoryController(host.dram, channels=1)
-        memif.attach(name, hdm, self.hdm_controller)
-        self.mem_path = CxlMemPath(
-            sim, host, profile, self.flexbus, hdm, self.hdm_controller,
-            name=f"{name}.cxl.mem",
-        )
-
-
-@register_component("cxl.type3")
-def _build_type3(builder, system, spec) -> Type3Device:
-    """Builder factory: memory expander; params: ``hdm_bytes``."""
-    system.require_llc(f"{spec.name} (cxl.type3)")  # host complex (memif)
-    hdm = builder.alloc_hdm(spec.name, int(spec.params.get("hdm_bytes", 0)))
-    return Type3Device(
-        system.sim, system.config.device, system.config.host,
-        system.memif, hdm, name=spec.name,
-    )

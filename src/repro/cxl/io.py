@@ -31,10 +31,6 @@ class BarRegister:
         """Value read back after writing all-ones (lower bits clamped)."""
         return (~(self.size - 1)) & 0xFFFF_FFFF_FFFF_FFFF
 
-    @property
-    def mapped(self) -> bool:
-        return self.base is not None
-
     def window(self) -> AddressRange:
         if self.base is None:
             raise RuntimeError(f"BAR{self.index} not mapped")
@@ -128,12 +124,11 @@ def enumerate_devices(
 
 
 class CxlIoPort:
-    """The /dev/cxl_acc surface: open/mmap/doorbell over CXL.io."""
+    """The /dev/cxl_acc surface: BAR windows mmapped over CXL.io."""
 
     def __init__(self, enumerated: EnumeratedDevice) -> None:
         self.enumerated = enumerated
         self._mapped: Dict[int, AddressRange] = {}
-        self.doorbell_rings = 0
 
     def mmap(self, bar_index: int) -> AddressRange:
         window = self.enumerated.bar_windows[bar_index]
@@ -142,6 +137,3 @@ class CxlIoPort:
 
     def is_mapped(self, addr: int) -> bool:
         return any(window.contains(addr) for window in self._mapped.values())
-
-    def ring_doorbell(self) -> None:
-        self.doorbell_rings += 1

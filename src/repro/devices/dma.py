@@ -14,7 +14,6 @@ from typing import Optional
 
 from repro.config.system import DmaParams
 from repro.devices.pmu import Pmu
-from repro.interconnect.pcie import PcieLink
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.sim.stats import Histogram
@@ -43,7 +42,6 @@ class DmaEngine(Component):
     def __init__(self, sim: Simulator, params: DmaParams, name: str = "dma") -> None:
         super().__init__(sim, name)
         self.params = params
-        self.link = PcieLink(sim, params, name=f"{name}.pcie")
         self.pmu = Pmu(f"{name}.pmu")
         self._engine_free_ps = 0
         self.transfers = 0

@@ -32,6 +32,10 @@ from repro.experiments.store import ResultStore, StoredResult, git_metadata
 BACKENDS = ("pool", "serial")
 
 
+class SweepWorkerError(RuntimeError):
+    """A pool worker exited without returning every spec it claimed."""
+
+
 @dataclass
 class SweepOutcome:
     """Summary of one :func:`run_sweep` invocation."""
@@ -181,7 +185,7 @@ def _executed(
 
     A worker that exits non-zero (say, killed mid-spec) loses the spec
     it was running, and the others claim the rest.  Once every record
-    that arrived is yielded, a :class:`RuntimeError` names the exit
+    that arrived is yielded, a :class:`SweepWorkerError` names the exit
     codes.
     """
     if backend == "serial" or jobs <= 1 or len(payloads) <= 1:
@@ -218,7 +222,7 @@ def _executed(
             worker.join()
         codes = [worker.exitcode for worker in workers]
         if received < len(payloads) or any(codes):
-            raise RuntimeError(
+            raise SweepWorkerError(
                 f"sweep worker exit codes {codes}: "
                 f"{len(payloads) - received} of {len(payloads)} specs "
                 f"returned no record"

@@ -88,19 +88,6 @@ SIMULATOR_COMPARISON: Dict[str, Dict[str, str]] = {
 }
 
 
-def capability_flags() -> Dict[str, bool]:
-    """What this reproduction actually implements (self-check for the
-    SimCXL row: each Yes is backed by a module)."""
-    return {
-        "Cohet Support": True,        # repro.core
-        "CXL.cache Support": True,    # repro.cxl.dcoh / repro.cache.llc
-        "CXL.mem&io Support": True,   # repro.cxl.mem / repro.cxl.io
-        "CXL XPU Models": True,       # repro.nic / repro.rpc (RAO and RPC NICs)
-        "Full System": True,          # repro.kernel + repro.core
-        "Hardware Calibration": True, # repro.calibration
-    }
-
-
 def render_table2() -> str:
     rows: List[List[str]] = []
     for name, caps in SIMULATOR_COMPARISON.items():

@@ -85,9 +85,6 @@ class ExperimentResult:
     series: Dict[str, Dict]
     text: str
 
-    def __str__(self) -> str:
-        return self.text
-
 
 # ---------------------------------------------------------------------
 # Fig. 12

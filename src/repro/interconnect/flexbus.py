@@ -1,14 +1,14 @@
 """CXL Flex Bus: the shared PHY multiplexing .io/.cache/.mem traffic.
 
 The Flex Bus carries the three sub-protocols over one physical link.
-Here it provides the calibrated one-way PHY traversal used by the
-CXL.cache/mem paths and arbitration counters per channel.
+Here it provides the calibrated one-way PHY latency the CXL.cache path
+pays per crossing, and a traffic counter per channel.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.config.system import DeviceProfile
 from repro.sim.component import Component
@@ -50,18 +50,3 @@ class FlexBus(Component):
         fault plan that degrades the link overrides it.
         """
         return self.oneway_ps
-
-    def traverse(
-        self,
-        channel: FlexBusChannel,
-        on_arrive: Optional[Callable[[], None]] = None,
-    ) -> int:
-        """One-way traversal; returns the arrival time (ps)."""
-        self.traffic[channel] += 1
-        arrive = self.sim.now + self.oneway_ps
-        if on_arrive is not None:
-            self.schedule(arrive - self.sim.now, on_arrive)
-        return arrive
-
-    def round_trip_ps(self) -> int:
-        return 2 * self.oneway_ps

@@ -1,9 +1,8 @@
-"""OS-level models: unified page table, HMM, NUMA, ATS/IOMMU, drivers."""
+"""OS-level models: unified page table, HMM, NUMA, drivers, fabric manager."""
 
 from repro.kernel.page_table import PAGE_SIZE, PageTableEntry, UnifiedPageTable
 from repro.kernel.numa import NodeKind, NumaNode, NumaRegistry, numa_init
-from repro.kernel.ats import Atc, Iommu
-from repro.kernel.hmm import Hmm, MigrationError
+from repro.kernel.hmm import Hmm
 from repro.kernel.driver import XpuDriver
 from repro.kernel.fabric import FabricManager, ResourceError
 
@@ -15,10 +14,7 @@ __all__ = [
     "NumaNode",
     "NumaRegistry",
     "numa_init",
-    "Atc",
-    "Iommu",
     "Hmm",
-    "MigrationError",
     "XpuDriver",
     "FabricManager",
     "ResourceError",

@@ -1,7 +1,7 @@
 """CXL fabric manager: the distributed resource scheduler in the switch.
 
-Hosts request fabric-attached memory and XPUs from the pool; the
-manager binds them until released (§III-C.1).  This models the
+Hosts request fabric-attached memory and XPUs from the pool, and the
+manager binds each to the host that asked (§III-C.1).  This models the
 disaggregation story: compute and memory scale independently.
 """
 
@@ -39,7 +39,6 @@ class FabricManager:
         self._xpus: Dict[str, XpuResource] = {}
         self._memory: Dict[str, MemoryResource] = {}
         self.allocations = 0
-        self.releases = 0
 
     # ------------------------------------------------------------------
     # Inventory
@@ -74,15 +73,6 @@ class FabricManager:
                 self.allocations += 1
                 return mem
         raise ResourceError(f"no free memory >= {min_bytes} bytes in {self.name}")
-
-    def release(self, resource_name: str) -> None:
-        resource = self._xpus.get(resource_name) or self._memory.get(resource_name)
-        if resource is None:
-            raise ResourceError(f"unknown resource {resource_name!r}")
-        if resource.bound_to is None:
-            raise ResourceError(f"resource {resource_name!r} is not allocated")
-        resource.bound_to = None
-        self.releases += 1
 
     # ------------------------------------------------------------------
     # Introspection

@@ -2,19 +2,15 @@
 
 HMM merges device memory with host memory into one system pool,
 maintains the unified page table, and exposes plain ``mmap``/``malloc``
-upward (§III-C.2).  Device drivers register instances with callbacks;
-before the page table changes (migration, unmap), HMM blocks device
-access to the affected pages, performs the update, triggers the IOMMU
-invalidation, and resumes the device.
+upward (§III-C.2).  A first touch faults, and HMM places the page's
+frame on the accessor's NUMA node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
-from repro.kernel.ats import Iommu
-from repro.kernel.numa import NumaNode, NumaRegistry
+from repro.kernel.numa import NumaRegistry
 from repro.kernel.page_table import (
     PAGE_SIZE,
     PageFault,
@@ -23,56 +19,13 @@ from repro.kernel.page_table import (
 )
 
 
-class MigrationError(RuntimeError):
-    pass
-
-
-@dataclass
-class DeviceRegistration:
-    """A driver-registered device instance with its HMM callbacks."""
-
-    name: str
-    memory_node: Optional[int]
-    block_access: Callable[[int], None]      # vpn -> None
-    resume_access: Callable[[int], None]
-    migrations_seen: int = 0
-
-
 class Hmm:
     """The HMM core for one process address space."""
 
-    def __init__(
-        self,
-        page_table: UnifiedPageTable,
-        numa: NumaRegistry,
-        iommu: Optional[Iommu] = None,
-    ) -> None:
+    def __init__(self, page_table: UnifiedPageTable, numa: NumaRegistry) -> None:
         self.page_table = page_table
         self.numa = numa
-        self.iommu = iommu or Iommu(page_table)
-        self._devices: Dict[str, DeviceRegistration] = {}
         self.faults_serviced = 0
-        self.migrations = 0
-
-    # ------------------------------------------------------------------
-    # Driver interface
-    # ------------------------------------------------------------------
-    def register_device(
-        self,
-        name: str,
-        memory_node: Optional[int],
-        block_access: Callable[[int], None],
-        resume_access: Callable[[int], None],
-    ) -> DeviceRegistration:
-        if name in self._devices:
-            raise ValueError(f"device {name!r} already registered with HMM")
-        registration = DeviceRegistration(name, memory_node, block_access, resume_access)
-        self._devices[name] = registration
-        return registration
-
-    @property
-    def devices(self) -> List[DeviceRegistration]:
-        return list(self._devices.values())
 
     # ------------------------------------------------------------------
     # Fault path: first touch assigns a frame near the accessor
@@ -80,8 +33,6 @@ class Hmm:
     def handle_fault(self, vaddr: int, accessor_node: int) -> PageTableEntry:
         """Service a page fault with first-touch placement."""
         entry = self.page_table.entry(vaddr)
-        if entry.blocked:
-            raise MigrationError(f"page {entry.vpn:#x} is mid-migration")
         if entry.present:
             return entry
         pfn = self.numa.alloc_local(accessor_node)
@@ -96,41 +47,6 @@ class Hmm:
         except PageFault:
             self.handle_fault(vaddr, accessor_node)
             return self.page_table.translate(vaddr, write=write)
-
-    # ------------------------------------------------------------------
-    # Page migration (§III-C.2 update protocol)
-    # ------------------------------------------------------------------
-    def migrate_page(self, vaddr: int, target_node: int) -> PageTableEntry:
-        """Move one page to ``target_node`` with the full ATS handshake:
-
-        1. block device access to the PTE,
-        2. allocate the new frame and update the PTE,
-        3. IOMMU invalidation (propagates to every ATC),
-        4. free the old frame and resume device access.
-        """
-        entry = self.page_table.entry(vaddr)
-        if not entry.present:
-            raise MigrationError(f"page {entry.vpn:#x} has no frame to migrate")
-        if entry.node == target_node:
-            return entry
-        old_pfn = entry.pfn
-        old_node = self.numa.node(entry.node)
-
-        for device in self._devices.values():
-            device.block_access(entry.vpn)
-            device.migrations_seen += 1
-        self.page_table.block(vaddr)
-        try:
-            new_pfn = self.numa.alloc_on(target_node)
-            # remap bumps the generation and fans out ATC invalidations.
-            self.page_table.remap(vaddr, new_pfn, target_node)
-            old_node.free_frame(old_pfn)
-        finally:
-            self.page_table.unblock(vaddr)
-            for device in self._devices.values():
-                device.resume_access(entry.vpn)
-        self.migrations += 1
-        return entry
 
     # ------------------------------------------------------------------
     # Teardown

@@ -1,9 +1,8 @@
 """NUMA nodes and the modified ``numa_init`` routine.
 
 The kernel recognizes CPUs and XPUs as separate NUMA nodes (§III-C.2):
-host DRAM binds to CPU nodes, device HDM becomes CPU-less (or
-XPU-bound) nodes, and every node's frames come from one physical range
-of the unified memory pool.
+host DRAM binds to CPU nodes, device HDM to XPU nodes, and every
+node's frames come from one physical range of the unified memory pool.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.mem.address import AddressRange
 class NodeKind(enum.Enum):
     CPU = "cpu"
     XPU = "xpu"
-    MEMORY_ONLY = "memory"   # e.g. a type-3 expander: CPU-less node
+    MEMORY_ONLY = "memory"   # a CPU-less node, e.g. a supernode fabric lease
 
 
 class OutOfMemory(RuntimeError):
@@ -43,10 +42,6 @@ class NumaNode:
         self._limit_frame = region.end // PAGE_SIZE
         self._free: List[int] = []
         self.allocated_frames = 0
-
-    @property
-    def total_frames(self) -> int:
-        return self._limit_frame - self.region.start // PAGE_SIZE
 
     @property
     def free_frames(self) -> int:
@@ -79,16 +74,11 @@ class NumaRegistry:
 
     def __init__(self) -> None:
         self._nodes: Dict[int, NumaNode] = {}
-        self._rr_cursor = 0
 
     def add(self, node: NumaNode) -> None:
         if node.node_id in self._nodes:
             raise ValueError(f"node {node.node_id} already registered")
         self._nodes[node.node_id] = node
-
-    def remove(self, node_id: int) -> None:
-        """Unregister a node, e.g. a fabric lease handed back."""
-        del self._nodes[node_id]
 
     def node(self, node_id: int) -> NumaNode:
         return self._nodes[node_id]
@@ -100,24 +90,11 @@ class NumaRegistry:
     def by_kind(self, kind: NodeKind) -> List[NumaNode]:
         return [n for n in self.nodes if n.kind is kind]
 
-    def alloc_on(self, node_id: int) -> int:
-        return self._nodes[node_id].alloc_frame()
-
     def alloc_local(self, preferred: int) -> int:
         """Local-first allocation with fallback to any node with space."""
         order = [preferred] + [n.node_id for n in self.nodes if n.node_id != preferred]
         for node_id in order:
             node = self._nodes[node_id]
-            if node.free_frames > 0:
-                return node.alloc_frame()
-        raise OutOfMemory("all NUMA nodes exhausted")
-
-    def alloc_interleaved(self) -> int:
-        """Round-robin page interleaving across all nodes."""
-        nodes = self.nodes
-        for _ in range(len(nodes)):
-            node = nodes[self._rr_cursor % len(nodes)]
-            self._rr_cursor += 1
             if node.free_frames > 0:
                 return node.alloc_frame()
         raise OutOfMemory("all NUMA nodes exhausted")
@@ -132,10 +109,9 @@ class NumaRegistry:
 def numa_init(
     host_regions: Sequence[AddressRange],
     device_regions: Sequence[AddressRange] = (),
-    expander_regions: Sequence[AddressRange] = (),
 ) -> NumaRegistry:
     """The modified kernel ``numa_init``: inspect available memory and
-    bind each range to a CPU, XPU, or CPU-less node by its type."""
+    bind each range to a CPU or an XPU node by its type."""
     registry = NumaRegistry()
     node_id = 0
     for region in host_regions:
@@ -143,10 +119,5 @@ def numa_init(
         node_id += 1
     for region in device_regions:
         registry.add(NumaNode(node_id, NodeKind.XPU, region, f"xpu-node{node_id}"))
-        node_id += 1
-    for region in expander_regions:
-        registry.add(
-            NumaNode(node_id, NodeKind.MEMORY_ONLY, region, f"cxl-node{node_id}")
-        )
         node_id += 1
     return registry

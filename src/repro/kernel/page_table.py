@@ -8,8 +8,8 @@ fault path assigns frames on first access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional
 
 PAGE_SIZE = 4096
 
@@ -32,7 +32,6 @@ class PageTableEntry:
     writable: bool = True
     dirty: bool = False
     accessed: bool = False
-    blocked: bool = False   # device access blocked during migration
 
     @property
     def present(self) -> bool:
@@ -58,16 +57,7 @@ class UnifiedPageTable:
     def __init__(self, pid: int = 0) -> None:
         self.pid = pid
         self._entries: Dict[int, PageTableEntry] = {}
-        self.generation = 0
-        self._invalidation_listeners: List[Callable[[int], None]] = []
         self.faults = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def on_invalidate(self, listener: Callable[[int], None]) -> None:
-        """Register a VPN-invalidation listener (device ATCs via IOMMU)."""
-        self._invalidation_listeners.append(listener)
 
     def map(self, vaddr: int, writable: bool = True) -> PageTableEntry:
         """Create a frame-less entry (malloc semantics)."""
@@ -90,9 +80,9 @@ class UnifiedPageTable:
 
     def translate(self, vaddr: int, write: bool = False) -> int:
         """Resolve a virtual address; raises :class:`PageFault` when the
-        page is absent, frame-less, or blocked for migration."""
+        page is absent or frame-less."""
         entry = self.entry(vaddr)
-        if entry.blocked or not entry.present:
+        if not entry.present:
             self.faults += 1
             raise PageFault(vaddr)
         if write and not entry.writable:
@@ -110,34 +100,12 @@ class UnifiedPageTable:
         entry.node = node
         return entry
 
-    def remap(self, vaddr: int, pfn: int, node: int) -> PageTableEntry:
-        """Point the PTE at a new frame (page migration) and bump the
-        generation so stale cached translations are detectable."""
-        entry = self.entry(vaddr)
-        entry.pfn = pfn
-        entry.node = node
-        self.generation += 1
-        self._notify(entry.vpn)
-        return entry
-
     def unmap(self, vaddr: int) -> PageTableEntry:
         vpn = vpn_of(vaddr)
         entry = self._entries.pop(vpn, None)
         if entry is None:
             raise PageFault(vaddr)
-        self.generation += 1
-        self._notify(vpn)
         return entry
-
-    def block(self, vaddr: int) -> None:
-        self.entry(vaddr).blocked = True
-
-    def unblock(self, vaddr: int) -> None:
-        self.entry(vaddr).blocked = False
-
-    def _notify(self, vpn: int) -> None:
-        for listener in self._invalidation_listeners:
-            listener(vpn)
 
     def entries(self) -> Iterator[PageTableEntry]:
         return iter(self._entries.values())

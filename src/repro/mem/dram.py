@@ -74,10 +74,6 @@ class DramBankModel:
         self._bank_free_ps[bank] = start + self._burst_ps
         return start + service - now_ps
 
-    def median_access_ps(self) -> int:
-        """Nominal (jitter-free, conflict-free) access cost."""
-        return self.params.closed_access_ps
-
     def reset(self) -> None:
         self._bank_free_ps = [0] * self.params.banks
         self.accesses = 0

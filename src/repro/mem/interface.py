@@ -37,12 +37,6 @@ class MemoryInterface:
                 return name
         return None
 
-    def controller_of(self, addr: int) -> MemoryController:
-        name = self.target_of(addr)
-        if name is None:
-            raise LookupError(f"address {addr:#x} maps to no memory target")
-        return self._targets[name][1]
-
     def region(self, name: str) -> AddressRange:
         return self._targets[name][0]
 

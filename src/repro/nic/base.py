@@ -1,20 +1,16 @@
-"""Common NIC infrastructure: rings, MTTs, and the host value store.
+"""Common NIC infrastructure: the run result and the host value store.
 
-The RAO designs in Fig. 9 share RX/TX buffers, a doorbell BAR, and a
-memory translation table (MTT) that maps RDMA keys to host physical
-addresses (with a small on-NIC MTT cache).
+Both RAO designs in Fig. 9 apply their atomics to one functional view
+of host memory and count the responses they send.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
-
 from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
-from repro.sim.queueing import BoundedQueue
 
 
 @dataclass
@@ -54,84 +50,15 @@ class HostValues:
         return dict(self._values)
 
 
-class MemoryTranslationTable:
-    """RDMA key -> host address registrations with an on-NIC cache."""
-
-    def __init__(self, cache_entries: int = 128) -> None:
-        self._table: Dict[int, Tuple[int, int]] = {}   # key -> (base, size)
-        self._cache: "OrderedDict[int, Tuple[int, int]]" = OrderedDict()
-        self.cache_entries = cache_entries
-        self.hits = 0
-        self.misses = 0
-
-    def register(self, key: int, base: int, size: int) -> None:
-        if key in self._table:
-            raise ValueError(f"MTT key {key} already registered")
-        if size <= 0:
-            raise ValueError("MTT region size must be positive")
-        self._table[key] = (base, size)
-
-    def translate(self, key: int, offset: int) -> int:
-        entry = self._cache.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._cache.move_to_end(key)
-        else:
-            self.misses += 1
-            if key not in self._table:
-                raise KeyError(f"MTT key {key} not registered")
-            entry = self._table[key]
-            if len(self._cache) >= self.cache_entries:
-                self._cache.popitem(last=False)
-            self._cache[key] = entry
-        base, size = entry
-        if not 0 <= offset < size:
-            raise ValueError(f"offset {offset} outside MTT region of size {size}")
-        return base + offset
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class NicBase(Component):
-    """Shared NIC plumbing: RX/TX rings, doorbell, MTT, value store."""
+    """Shared NIC plumbing: the host value store and a response count."""
 
     def __init__(
         self,
         sim: Simulator,
         name: str,
         values: Optional[HostValues] = None,
-        rx_depth: int = 1024,
-        tx_depth: int = 1024,
-        rx_policy: str = "raise",
     ) -> None:
         super().__init__(sim, name)
-        self.rx = BoundedQueue(rx_depth, f"{name}.rx", policy=rx_policy)
-        self.tx = BoundedQueue(tx_depth, f"{name}.tx")
-        self.mtt = MemoryTranslationTable()
         self.values = values if values is not None else HostValues()
-        self.doorbells = 0
         self.responses_sent = 0
-
-    def ring_doorbell(self) -> None:
-        self.doorbells += 1
-
-    def ingest(self, payload: object) -> bool:
-        """Accept one arriving payload into the RX ring.
-
-        Under the default ``rx_policy="raise"`` an overflowing ring
-        fails loud (:class:`~repro.sim.queueing.QueueFullError`); with
-        ``rx_policy="drop"`` overflow counts in ``rx.dropped`` and the
-        payload is lost — degraded-mode availability accounting instead
-        of a crash.  Returns True when the payload was enqueued.
-        """
-        return self.rx.push(payload)
-
-    def send_response(self, payload: object) -> None:
-        if self.tx.full:
-            # The TX serializer drains the oldest entry onto the wire.
-            self.tx.pop()
-        self.tx.push(payload)
-        self.responses_sent += 1

@@ -190,7 +190,7 @@ class _RaoPe:
         nic.values.write(request.target, new)
         self.hmc.mark_modified(request.target)
         self.hmc.unlock(request.target)
-        nic.send_response(request)
+        nic.responses_sent += 1
         self.claim(self.tx_ps)
 
     def tx_done(self) -> None:

@@ -87,7 +87,7 @@ class PcieRaoNic(NicBase):
         current = self.values.read(request.target)
         new, _old = apply_atomic(request.op, current, request.operand)
         self.values.write(request.target, new)
-        self.send_response(request)
+        self.responses_sent += 1
         self._issue(stream)
 
 

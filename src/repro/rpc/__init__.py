@@ -1,12 +1,6 @@
 """RPC offloading: protobuf wire format, schemas, NIC pipelines."""
 
-from repro.rpc.wire import (
-    WireType,
-    decode_varint,
-    encode_varint,
-    zigzag_decode,
-    zigzag_encode,
-)
+from repro.rpc.wire import WireType, decode_varint, encode_varint
 from repro.rpc.schema import FieldDescriptor, FieldKind, MessageSchema
 from repro.rpc.message import (
     MessageStats,
@@ -25,8 +19,6 @@ __all__ = [
     "WireType",
     "decode_varint",
     "encode_varint",
-    "zigzag_decode",
-    "zigzag_encode",
     "FieldDescriptor",
     "FieldKind",
     "MessageSchema",

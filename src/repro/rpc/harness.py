@@ -33,10 +33,6 @@ class RpcComparison:
         return self.ser_rpcnic_us / self.ser_cxl_mem_us
 
     @property
-    def ser_speedup_cache(self) -> float:
-        return self.ser_rpcnic_us / self.ser_cxl_cache_us
-
-    @property
     def ser_speedup_cache_pf(self) -> float:
         return self.ser_rpcnic_us / self.ser_cxl_cache_pf_us
 

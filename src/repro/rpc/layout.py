@@ -7,7 +7,7 @@ touches in a block, in order:
 
 * a HOP at the block's base — a pointer chase into the block;
 * DESCRIPTOR lines — strided reads over the block's field storage;
-* BODY lines — the bulk bytes of string/bytes payloads.
+* BODY lines — the bulk bytes of string payloads.
 
 A block's lines sit back to back, its k-th line at ``base + 64·k``, so
 a layout is a trace of ``Block(base, descriptors, body_lines)`` tuples
@@ -123,13 +123,13 @@ def _layout_block(
                 nested.extend((descriptor.message, element) for element in item)
             else:
                 scalar_fields += len(item)
-                if descriptor.kind in (FieldKind.STRING, FieldKind.BYTES):
+                if descriptor.kind == FieldKind.STRING:
                     body_bytes += sum(map(len, item))
         elif descriptor.kind == FieldKind.MESSAGE:
             nested.append((descriptor.message, item))
         else:
             scalar_fields += 1
-            if descriptor.kind in (FieldKind.STRING, FieldKind.BYTES):
+            if descriptor.kind == FieldKind.STRING:
                 body_bytes += len(item)
 
     descriptors = -(-scalar_fields // FIELDS_PER_DESCRIPTOR)

@@ -22,22 +22,16 @@ from repro.rpc.wire import (
     encode_fixed64,
     encode_len_prefixed,
     encode_varint,
-    zigzag_decode,
-    zigzag_encode,
 )
 
 
 def _encode_scalar(descriptor: FieldDescriptor, item) -> bytes:
     if descriptor.kind == FieldKind.UINT:
         return encode_varint(int(item))
-    if descriptor.kind == FieldKind.SINT:
-        return encode_varint(zigzag_encode(int(item)))
     if descriptor.kind == FieldKind.DOUBLE:
         return encode_fixed64(float(item))
     if descriptor.kind == FieldKind.STRING:
         return encode_len_prefixed(item.encode("utf-8"))
-    if descriptor.kind == FieldKind.BYTES:
-        return encode_len_prefixed(bytes(item))
     raise ValueError(f"not a scalar kind: {descriptor.kind}")
 
 
@@ -77,11 +71,6 @@ def encode_message(schema: MessageSchema, value: Dict) -> bytes:
     return bytes(out)
 
 
-def _decode_sint(data: bytes, offset: int):
-    raw, offset = decode_varint(data, offset)
-    return zigzag_decode(raw), offset
-
-
 def _decode_string(data: bytes, offset: int):
     raw, offset = decode_len_prefixed(data, offset)
     return raw.decode("utf-8"), offset
@@ -90,10 +79,8 @@ def _decode_string(data: bytes, offset: int):
 # Scalar kind -> ``decode(data, offset) -> (value, next_offset)``.
 _DECODE_SCALAR = {
     FieldKind.UINT: decode_varint,
-    FieldKind.SINT: _decode_sint,
     FieldKind.DOUBLE: decode_fixed64,
     FieldKind.STRING: _decode_string,
-    FieldKind.BYTES: decode_len_prefixed,
 }
 
 
@@ -210,16 +197,11 @@ def generate_message(
 def _generate_element(descriptor: FieldDescriptor, rng: random.Random, string_bytes: int):
     if descriptor.kind == FieldKind.UINT:
         return _draw_uint20(rng)
-    if descriptor.kind == FieldKind.SINT:
-        return rng.randrange(-(1 << 19), 1 << 19)
     if descriptor.kind == FieldKind.DOUBLE:
         return rng.random() * 1e6
     if descriptor.kind == FieldKind.STRING:
         size = max(1, int(string_bytes * rng.uniform(0.9, 1.1)))
         return _draw_letters(rng, size)
-    if descriptor.kind == FieldKind.BYTES:
-        size = max(1, int(string_bytes * rng.uniform(0.9, 1.1)))
-        return bytes(rng.randrange(256) for _ in range(size))
     if descriptor.kind == FieldKind.MESSAGE:
         return generate_message(descriptor.message, rng, string_bytes)
     raise ValueError(f"unknown kind {descriptor.kind}")

@@ -15,21 +15,17 @@ from repro.rpc.wire import WireType, encode_key
 
 class FieldKind:
     UINT = "uint64"          # varint
-    SINT = "sint64"          # zigzag varint
     DOUBLE = "double"        # fixed64
     STRING = "string"        # length-delimited
-    BYTES = "bytes"          # length-delimited
     MESSAGE = "message"      # nested, length-delimited
 
-    ALL = (UINT, SINT, DOUBLE, STRING, BYTES, MESSAGE)
+    ALL = (UINT, DOUBLE, STRING, MESSAGE)
 
 
 _WIRE_OF = {
     FieldKind.UINT: WireType.VARINT,
-    FieldKind.SINT: WireType.VARINT,
     FieldKind.DOUBLE: WireType.I64,
     FieldKind.STRING: WireType.LEN,
-    FieldKind.BYTES: WireType.LEN,
     FieldKind.MESSAGE: WireType.LEN,
 }
 
@@ -40,7 +36,7 @@ class FieldDescriptor:
 
     ``repeated`` fields hold lists; repeated numeric fields use proto3's
     packed encoding (one length-delimited record), while repeated
-    strings/bytes/messages repeat the field key per element.
+    strings and messages repeat the field key per element.
     """
 
     number: int
@@ -61,11 +57,7 @@ class FieldDescriptor:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if (self.kind == FieldKind.MESSAGE) != (self.message is not None):
             raise ValueError("message kind and nested schema must go together")
-        packed = self.repeated and self.kind in (
-            FieldKind.UINT,
-            FieldKind.SINT,
-            FieldKind.DOUBLE,
-        )
+        packed = self.repeated and self.kind in (FieldKind.UINT, FieldKind.DOUBLE)
         wire_type = WireType.LEN if packed else _WIRE_OF[self.kind]
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "wire_type", wire_type)

@@ -1,9 +1,9 @@
 """Protocol Buffers wire format.
 
 A from-scratch implementation of the protobuf encoding the hardware
-(de)serializers operate on: base-128 varints, ZigZag for signed ints,
-little-endian fixed64, and length-delimited fields (strings, bytes,
-nested messages).  Field keys are ``(field_number << 3) | wire_type``.
+(de)serializers operate on: base-128 varints, little-endian fixed64,
+and length-delimited fields (strings, nested messages).  Field keys
+are ``(field_number << 3) | wire_type``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def encode_varint(value: int) -> bytes:
     """Base-128 varint encoding of an unsigned 64-bit integer."""
     if value < 0x80:
         if value < 0:
-            raise WireError("varint requires a non-negative value (use zigzag)")
+            raise WireError("varint requires a non-negative value")
         return _ONE_BYTE_VARINT[value]
     if value >> 64:
         raise WireError("varint value exceeds 64 bits")
@@ -67,17 +67,6 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
-
-
-def zigzag_encode(value: int) -> int:
-    """Map a signed integer onto unsigned zigzag space."""
-    if not -(1 << 63) <= value < (1 << 63):
-        raise WireError("zigzag input outside signed 64-bit range")
-    return (value << 1) ^ (value >> 63)
-
-
-def zigzag_decode(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
 
 
 def encode_key(field_number: int, wire_type: WireType) -> bytes:

@@ -31,6 +31,3 @@ class Component:
 
     def clock_mark(self) -> None:
         """Event callback that only moves the clock to its own time."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}({self.name!r})"

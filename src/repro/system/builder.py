@@ -80,13 +80,6 @@ class BuiltSystem:
                 f"nodes: {sorted(self.nodes)}"
             ) from None
 
-    def nodes_by_kind(self, kind: str) -> Dict[str, object]:
-        return {
-            spec.name: self.nodes[spec.name]
-            for spec in self.topology.by_kind(kind)
-            if spec.name in self.nodes
-        }
-
     def require_llc(self, wanted_by: str) -> SharedLLC:
         """The host LLC, or a clear error naming the missing node."""
         if self.llc is None:
@@ -150,9 +143,9 @@ class SystemBuilder:
         return system
 
     def alloc_hdm(self, name: str, hdm_bytes: int) -> AddressRange:
-        """Carve the next HDM window for a type-2/3 device."""
+        """Carve the next HDM window for a type-2 device."""
         if hdm_bytes <= 0:
-            raise BuildError(f"{name}: type-2/3 devices need hdm_bytes")
+            raise BuildError(f"{name}: type-2 devices need hdm_bytes")
         hdm = AddressRange(self._hdm_cursor, self._hdm_cursor + hdm_bytes, f"{name}-hdm")
         self._hdm_cursor = hdm.end
         return hdm

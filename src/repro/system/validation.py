@@ -39,7 +39,6 @@ DEFAULT_PORT_BUDGETS: Dict[str, int] = {
     "host": 16,              # flexbus/PCIe root ports on the socket
     "cxl.type1": 2,          # one host link + one device-side link
     "cxl.type2": 2,
-    "cxl.type3": 2,
     "lsu": 1,                # drives exactly one device
     "dma": 2,                # host link + optional device-side link
     "supernode.host": 1,     # one leaf-switch port
@@ -81,7 +80,7 @@ def validate_topology_config(
       agent);
     * per-node port budgets (:data:`DEFAULT_PORT_BUDGETS`, overridable
       per node via a ``"ports"`` param) against the declared links;
-    * total type-2/3 ``hdm_bytes`` against :func:`hdm_capacity_bytes`
+    * total type-2 ``hdm_bytes`` against :func:`hdm_capacity_bytes`
       — and each window individually positive where declared;
     * ``supernode.fabric`` lease granules: positive and no larger than
       the fabric pool.
@@ -119,23 +118,22 @@ def validate_topology_config(
 
     capacity = hdm_capacity_bytes(config)
     hdm_total = 0
-    for kind in ("cxl.type2", "cxl.type3"):
-        for spec in topology.by_kind(kind):
-            declared = spec.params.get("hdm_bytes", 0)
-            try:
-                declared = int(declared)
-            except (TypeError, ValueError):
-                problems.append(
-                    f"node {spec.name!r} ({kind}): hdm_bytes must be an "
-                    f"integer, got {spec.params.get('hdm_bytes')!r}"
-                )
-                continue
-            if declared <= 0:
-                problems.append(
-                    f"node {spec.name!r} ({kind}) needs a positive hdm_bytes "
-                    f"(got {declared})"
-                )
-            hdm_total += max(declared, 0)
+    for spec in topology.by_kind("cxl.type2"):
+        declared = spec.params.get("hdm_bytes", 0)
+        try:
+            declared = int(declared)
+        except (TypeError, ValueError):
+            problems.append(
+                f"node {spec.name!r} (cxl.type2): hdm_bytes must be an "
+                f"integer, got {spec.params.get('hdm_bytes')!r}"
+            )
+            continue
+        if declared <= 0:
+            problems.append(
+                f"node {spec.name!r} (cxl.type2) needs a positive hdm_bytes "
+                f"(got {declared})"
+            )
+        hdm_total += max(declared, 0)
     if hdm_total > capacity:
         problems.append(
             f"total HDM demand {hdm_total} bytes exceeds the host's decode "

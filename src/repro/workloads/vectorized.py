@@ -11,8 +11,7 @@ columnar.
 
 The batch is what the hot paths consume: the
 :class:`~repro.workloads.driver.WorkloadDriver` re-stripes and splits
-per-host substreams with array ops, and bulk cache probes
-(:meth:`CacheArray.lookup_many`) take the address column directly.
+per-host substreams with array ops.
 """
 
 from __future__ import annotations

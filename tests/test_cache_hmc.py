@@ -36,7 +36,7 @@ def test_service_interval_throttles():
 def test_fill_lookup_invalidate():
     hmc = make_hmc()
     hmc.fill(0x1000)
-    assert hmc.lookup(0x1000) is not None
+    assert hmc.array.lookup(0x1000) is not None
     hmc.invalidate(0x1000)
     assert hmc.peek(0x1000) is None
 

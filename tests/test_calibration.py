@@ -8,7 +8,7 @@ paper's reported simulation error (~3%).
 import pytest
 
 from repro.calibration import reference
-from repro.calibration.metrics import absolute_percentage_error, mape, mape_by_key
+from repro.calibration.metrics import absolute_percentage_error, mape
 from repro.calibration.microbench import CxlTestbench
 from repro.config import asic_system, fpga_system
 
@@ -114,10 +114,4 @@ def test_ape_and_mape():
     with pytest.raises(ValueError):
         mape([])
 
-
-def test_mape_by_key():
-    out = mape_by_key({"a": 110, "b": 90}, {"a": 100, "b": 100, "c": 5})
-    assert out == {"a": pytest.approx(0.1), "b": pytest.approx(0.1)}
-    with pytest.raises(ValueError):
-        mape_by_key({"x": 1}, {"y": 1})
 

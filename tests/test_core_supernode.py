@@ -40,50 +40,6 @@ def test_leases_are_exclusive():
     assert node.free_fabric_bytes == 0
 
 
-def test_release_returns_granule():
-    node = build(fabric_gb=1)
-    leased = node.lease_memory("host0", 1 << 29)
-    node.release_memory("host0", leased)
-    assert node.free_fabric_bytes == 1 << 30
-    # Another host can now take it.
-    node.lease_memory("host1", 1 << 29)
-
-
-def test_release_unmaps_the_granule_from_the_host():
-    node = Supernode(asic_system(), hosts=2, fabric_memory_bytes=1 << 30)
-    before = node.total_capacity_bytes("host0")
-    leased = node.lease_memory("host0", 1 << 29)
-    node.release_memory("host0", leased)
-    assert node.total_capacity_bytes("host0") == before
-    assert [n.node_id for n in node.hosts["host0"].numa.nodes] == [0]
-    # The granule goes to host1; no two hosts may map it, or host0's
-    # first-touch allocations could hand out host1's frames.
-    node.lease_memory("host1", 1 << 29)
-    base = Supernode.FABRIC_BASE
-    fabric_ranges = [
-        (n.region.start, n.region.end)
-        for host in node.hosts.values()
-        for n in host.numa.nodes
-        if n.region.start >= base
-    ]
-    assert fabric_ranges == [(base, base + (1 << 30))]
-
-
-def test_release_with_allocations_refused():
-    node = build(fabric_gb=1)
-    leased = node.lease_memory("host0", 1 << 29)
-    node.hosts["host0"].numa.node(leased).alloc_frame()
-    with pytest.raises(ResourceError):
-        node.release_memory("host0", leased)
-
-
-def test_release_foreign_lease_refused():
-    node = build(fabric_gb=1)
-    leased = node.lease_memory("host0", 1 << 29)
-    with pytest.raises(ResourceError):
-        node.release_memory("host1", leased)
-
-
 def test_coherent_access_pays_fabric_once():
     node = build()
     first = node.coherent_access("host0", 0x1000)

@@ -73,11 +73,9 @@ def test_enumeration_skips_empty_slot():
     assert enumerated == []
 
 
-def test_io_port_mmap_and_doorbell():
+def test_io_port_mmap():
     enumerated = enumerate_devices([(0, 0, make_config())])[0]
     port = CxlIoPort(enumerated)
     window = port.mmap(0)
     assert port.is_mapped(window.start)
     assert not port.is_mapped(window.end)
-    port.ring_doorbell()
-    assert port.doorbell_rings == 1

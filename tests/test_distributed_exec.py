@@ -334,6 +334,28 @@ def test_a_dead_worker_fails_the_sweep_and_a_rerun_runs_only_its_spec(
     assert [r.params for r in retry.executed] == [{"value": 3}]
 
 
+@needs_fork
+def test_cli_sweep_reports_a_dead_worker_and_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setitem(EXPERIMENTS, "tally", _exit_on_three)
+    spec = tmp_path / "values.json"
+    spec.write_text(json.dumps(_value_sweep(range(8)).to_dict()))
+    argv = ("sweep", str(spec), "--jobs", "2", "--out", str(tmp_path / "run"))
+    with deadline(30):
+        code, out = run_cli(*argv)
+    assert code == 1
+    assert "Traceback" not in out
+    assert "sweep worker exit codes [" in out and "1 of 8 specs returned no record" in out
+    assert out.splitlines()[-1] == f"results: {tmp_path / 'run'}"
+    monkeypatch.setitem(EXPERIMENTS, "tally", _tally)
+    with deadline(30):
+        code, out = run_cli(*argv)
+    assert code == 0
+    assert "8 specs — 1 ran ok, 7 cached, 0 failed" in out
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("ok")] == [
+        "tally[value=3]"
+    ]
+
+
 # ------------------------- Scheduler locking ---------------------------
 def test_writer_lock_excludes_second_scheduler(tmp_path):
     run_dir = tmp_path / "run"

@@ -16,7 +16,6 @@ from repro.rpc.hyperprotobench import make_bench
 from repro.rpc.message import decode_message
 from repro.rpc.wire import WireError
 from repro.sim.engine import Simulator
-from repro.sim.queueing import BoundedQueue, QueueFullError
 
 
 # ----------------------- Coherence protocol holes ----------------------
@@ -57,17 +56,6 @@ def test_dcoh_mark_modified_on_shared_line_rejected():
 
 
 # --------------------------- Resource limits ---------------------------
-def test_rx_queue_overflow_raises():
-    queue = BoundedQueue(2, "rx")
-    queue.push(1)
-    queue.push(2)
-    with pytest.raises(QueueFullError):
-        queue.push(3)
-    # State unchanged: still exactly two entries, FIFO order intact.
-    assert queue.pop() == 1
-    assert queue.pop() == 2
-
-
 def test_numa_exhaustion_does_not_corrupt_allocator():
     from repro.kernel.numa import NodeKind, NumaNode, OutOfMemory
     from repro.kernel.page_table import PAGE_SIZE
@@ -125,13 +113,3 @@ def test_callback_exception_does_not_corrupt_clock():
     assert sim.now == 200
 
 
-def test_mtt_rejects_out_of_bounds_after_valid_traffic():
-    from repro.nic.base import MemoryTranslationTable
-
-    mtt = MemoryTranslationTable()
-    mtt.register(1, base=0x1000, size=128)
-    assert mtt.translate(1, 64) == 0x1040
-    with pytest.raises(ValueError):
-        mtt.translate(1, 128)
-    # Cache state still sane.
-    assert mtt.translate(1, 0) == 0x1000

@@ -648,22 +648,6 @@ def test_cli_sweep_fault_tolerance_serial(tmp_path):
 
 
 # -------------------- degraded-mode NIC and RPC wire -------------------
-def test_nic_ingest_honours_rx_policy():
-    from repro.nic.base import NicBase
-    from repro.sim.engine import Simulator
-    from repro.sim.queueing import QueueFullError
-
-    lossy = NicBase(Simulator(), "lossy", rx_depth=1, rx_policy="drop")
-    assert lossy.ingest("a") is True
-    assert lossy.ingest("b") is False
-    assert lossy.rx.dropped == 1
-
-    strict = NicBase(Simulator(), "strict", rx_depth=1)
-    strict.ingest("a")
-    with pytest.raises(QueueFullError):
-        strict.ingest("b")
-
-
 def test_rpc_pipeline_clean_wire_is_unchanged():
     from repro.rpc.hyperprotobench import make_bench
     from repro.rpc.rpcnic import RpcNicPipeline

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.calibration import reference
-from repro.harness.comparison import SIMULATOR_COMPARISON, capability_flags, render_table2
+from repro.harness.comparison import SIMULATOR_COMPARISON, render_table2
 from repro.harness.experiments import (
     EXPERIMENTS,
     fig17_rao_speedup,
@@ -41,10 +41,6 @@ def test_only_simcxl_supports_everything():
     for name, caps in SIMULATOR_COMPARISON.items():
         full = caps["Cohet Support"] == "Yes" and caps["CXL.cache Support"] == "Yes"
         assert full == (name == "SimCXL")
-
-
-def test_capability_flags_all_backed():
-    assert all(capability_flags().values())
 
 
 def test_render_table2_includes_all_rows():
@@ -132,7 +128,6 @@ def test_mape_within_paper_bound():
 
 def test_experiment_text_is_printable():
     result = table2_comparison()
-    assert str(result) == result.text
     assert "SimCXL" in result.text
 
 

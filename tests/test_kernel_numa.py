@@ -46,22 +46,12 @@ def test_registry_local_allocation_with_fallback():
     assert reg.node_of_frame(f1).node_id == 1
 
 
-def test_registry_interleaved_round_robin():
-    reg = NumaRegistry()
-    reg.add(NumaNode(0, NodeKind.CPU, region(0, 4)))
-    reg.add(NumaNode(1, NodeKind.CPU, region(4, 4)))
-    nodes = [reg.node_of_frame(reg.alloc_interleaved()).node_id for _ in range(4)]
-    assert nodes == [0, 1, 0, 1]
-
-
 def test_registry_exhaustion():
     reg = NumaRegistry()
     reg.add(NumaNode(0, NodeKind.CPU, region(0, 1)))
     reg.alloc_local(0)
     with pytest.raises(OutOfMemory):
         reg.alloc_local(0)
-    with pytest.raises(OutOfMemory):
-        reg.alloc_interleaved()
 
 
 def test_duplicate_node_rejected():
@@ -75,12 +65,10 @@ def test_numa_init_orders_and_kinds():
     reg = numa_init(
         host_regions=[region(0, 4), region(4, 4)],
         device_regions=[region(8, 4)],
-        expander_regions=[region(12, 4)],
     )
     kinds = [n.kind for n in reg.nodes]
-    assert kinds == [NodeKind.CPU, NodeKind.CPU, NodeKind.XPU, NodeKind.MEMORY_ONLY]
-    assert [n.node_id for n in reg.nodes] == [0, 1, 2, 3]
+    assert kinds == [NodeKind.CPU, NodeKind.CPU, NodeKind.XPU]
+    assert [n.node_id for n in reg.nodes] == [0, 1, 2]
     assert len(reg.by_kind(NodeKind.CPU)) == 2
-    # The expander appears as a CPU-less node, exactly like the paper's
-    # Samsung device.
-    assert reg.node(3).kind is NodeKind.MEMORY_ONLY
+    # Device memory appears as its own XPU-bound node.
+    assert reg.node(2).region == region(8, 4)

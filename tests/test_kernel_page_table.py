@@ -72,37 +72,11 @@ def test_double_assign_rejected():
         pt.assign_frame(0x1000, pfn=2, node=0)
 
 
-def test_remap_bumps_generation_and_notifies():
-    pt = UnifiedPageTable()
-    invalidated = []
-    pt.on_invalidate(invalidated.append)
-    pt.map(0x1000)
-    pt.assign_frame(0x1000, pfn=1, node=0)
-    gen = pt.generation
-    pt.remap(0x1000, pfn=9, node=1)
-    assert pt.generation == gen + 1
-    assert invalidated == [vpn_of(0x1000)]
-    assert pt.translate(0x1000) == 9 * PAGE_SIZE
-
-
-def test_blocked_page_faults():
-    pt = UnifiedPageTable()
-    pt.map(0x1000)
-    pt.assign_frame(0x1000, pfn=1, node=0)
-    pt.block(0x1000)
-    with pytest.raises(PageFault):
-        pt.translate(0x1000)
-    pt.unblock(0x1000)
-    pt.translate(0x1000)
-
-
 def test_unmap_notifies_and_removes():
     pt = UnifiedPageTable()
-    invalidated = []
-    pt.on_invalidate(invalidated.append)
-    pt.map(0x1000)
-    pt.unmap(0x1000)
-    assert invalidated == [vpn_of(0x1000)]
+    mapped = pt.map(0x1000)
+    assert pt.unmap(0x1000) is mapped
+    assert mapped.vpn == vpn_of(0x1000)
     with pytest.raises(PageFault):
         pt.entry(0x1000)
     with pytest.raises(PageFault):

@@ -12,7 +12,7 @@ from repro.config.system import DramParams
 from repro.mem.address import AddressRange
 from repro.mem.controller import MemoryController
 from repro.mem.interface import MemoryInterface
-from repro.nic.base import HostValues, MemoryTranslationTable
+from repro.nic.base import HostValues
 from repro.nic.cxl_nic import CxlRaoNic
 from repro.nic.pcie_nic import PcieRaoNic
 from repro.rao.circustent import RaoRequest, make_workload
@@ -141,31 +141,6 @@ def test_pe_parallelism_improves_miss_throughput():
     parallel.warm()
     t4 = parallel.run(list(random_reqs)).throughput_mops
     assert t4 > 2 * t1  # misses overlap across PEs
-
-
-# ------------------------------- MTT ----------------------------------
-def test_mtt_translation_and_cache():
-    mtt = MemoryTranslationTable(cache_entries=2)
-    mtt.register(1, base=0x1000, size=0x100)
-    assert mtt.translate(1, 0x10) == 0x1010
-    assert mtt.translate(1, 0x20) == 0x1020
-    assert mtt.hits == 1 and mtt.misses == 1
-
-
-def test_mtt_bounds_checked():
-    mtt = MemoryTranslationTable()
-    mtt.register(1, base=0x1000, size=0x100)
-    with pytest.raises(ValueError):
-        mtt.translate(1, 0x100)
-    with pytest.raises(KeyError):
-        mtt.translate(2, 0)
-
-
-def test_mtt_duplicate_key_rejected():
-    mtt = MemoryTranslationTable()
-    mtt.register(1, 0, 64)
-    with pytest.raises(ValueError):
-        mtt.register(1, 64, 64)
 
 
 # ------------------------- Ownership and memory ------------------------

@@ -22,7 +22,6 @@ INNER = MessageSchema(
     "Inner",
     (
         FieldDescriptor(1, "id", FieldKind.UINT),
-        FieldDescriptor(2, "delta", FieldKind.SINT),
     ),
 )
 
@@ -32,7 +31,6 @@ ROOT = MessageSchema(
         FieldDescriptor(1, "id", FieldKind.UINT),
         FieldDescriptor(2, "name", FieldKind.STRING),
         FieldDescriptor(3, "score", FieldKind.DOUBLE),
-        FieldDescriptor(4, "blob", FieldKind.BYTES),
         FieldDescriptor(5, "inner", FieldKind.MESSAGE, INNER),
     ),
 )
@@ -43,8 +41,7 @@ def test_roundtrip_full_message():
         "id": 42,
         "name": "cohet",
         "score": 3.25,
-        "blob": b"\x00\x01\x02",
-        "inner": {"id": 7, "delta": -19},
+        "inner": {"id": 7},
     }
     assert decode_message(ROOT, encode_message(ROOT, value)) == value
 
@@ -130,11 +127,10 @@ def test_stats_counts():
         "id": 1,
         "name": "ab",
         "score": 1.0,
-        "blob": b"xy",
-        "inner": {"id": 2, "delta": 3},
+        "inner": {"id": 2},
     }
     stats = message_stats(ROOT, value)
-    assert stats.scalar_fields == 6
+    assert stats.scalar_fields == 4
     assert stats.nested_messages == 1
     assert stats.max_depth == 1
     assert stats.wire_bytes == len(encode_message(ROOT, value))
@@ -142,7 +138,7 @@ def test_stats_counts():
 
 def test_generate_message_fills_all_fields():
     value = generate_message(ROOT, random.Random(3))
-    assert set(value) == {"id", "name", "score", "blob", "inner"}
+    assert set(value) == {"id", "name", "score", "inner"}
     assert decode_message(ROOT, encode_message(ROOT, value)) == value
 
 
@@ -174,14 +170,10 @@ def test_uint20_draw_matches_randrange_loop(seed, count):
             "id": st.integers(min_value=0, max_value=(1 << 64) - 1),
             "name": st.text(max_size=40),
             "score": st.floats(allow_nan=False, allow_infinity=False),
-            "blob": st.binary(max_size=60),
             "inner": st.fixed_dictionaries(
                 {},
                 optional={
                     "id": st.integers(min_value=0, max_value=(1 << 64) - 1),
-                    "delta": st.integers(
-                        min_value=-(1 << 63), max_value=(1 << 63) - 1
-                    ),
                 },
             ),
         },

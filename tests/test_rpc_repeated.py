@@ -25,7 +25,6 @@ ORDER = MessageSchema(
     "Order",
     (
         FieldDescriptor(1, "ids", FieldKind.UINT, repeated=True),
-        FieldDescriptor(2, "deltas", FieldKind.SINT, repeated=True),
         FieldDescriptor(3, "weights", FieldKind.DOUBLE, repeated=True),
         FieldDescriptor(4, "tags", FieldKind.STRING, repeated=True),
         FieldDescriptor(5, "items", FieldKind.MESSAGE, ITEM, repeated=True),
@@ -35,7 +34,7 @@ ORDER = MessageSchema(
 
 
 def test_packed_numeric_roundtrip():
-    value = {"ids": [1, 128, 300, 0], "deltas": [-5, 5, 0], "weights": [1.5, -2.25]}
+    value = {"ids": [1, 128, 300, 0], "weights": [1.5, -2.25]}
     assert decode_message(ORDER, encode_message(ORDER, value)) == value
 
 
@@ -106,9 +105,6 @@ def test_packed_flag():
         {},
         optional={
             "ids": st.lists(st.integers(0, (1 << 64) - 1), max_size=10),
-            "deltas": st.lists(
-                st.integers(-(1 << 63), (1 << 63) - 1), max_size=10
-            ),
             "weights": st.lists(
                 st.floats(allow_nan=False, allow_infinity=False), max_size=6
             ),

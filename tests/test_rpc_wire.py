@@ -15,8 +15,6 @@ from repro.rpc.wire import (
     encode_key,
     encode_len_prefixed,
     encode_varint,
-    zigzag_decode,
-    zigzag_encode,
 )
 
 
@@ -67,25 +65,6 @@ def test_varint_roundtrip(value):
 def test_varint_encoding_is_minimal(value):
     encoded = encode_varint(value)
     assert len(encoded) == max(1, (value.bit_length() + 6) // 7)
-
-
-# ------------------------------ ZigZag --------------------------------
-def test_zigzag_known_vectors():
-    assert zigzag_encode(0) == 0
-    assert zigzag_encode(-1) == 1
-    assert zigzag_encode(1) == 2
-    assert zigzag_encode(-2) == 3
-    assert zigzag_encode(2147483647) == 4294967294
-
-
-@given(st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1))
-def test_zigzag_roundtrip(value):
-    assert zigzag_decode(zigzag_encode(value)) == value
-
-
-def test_zigzag_out_of_range():
-    with pytest.raises(WireError):
-        zigzag_encode(1 << 63)
 
 
 # ------------------------------- Keys ---------------------------------

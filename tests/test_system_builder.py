@@ -47,11 +47,12 @@ def test_every_registered_topology_builds():
 def test_component_kinds_cover_the_catalogue():
     SystemBuilder(fpga_system()).build("microbench")  # force registration
     expected = {
-        "host", "cxl.type1", "cxl.type2", "cxl.type3", "lsu", "dma", "noc",
+        "host", "cxl.type1", "cxl.type2", "lsu", "dma", "noc",
         "nic.cxl_rao", "nic.pcie_rao", "rpc.rpcnic", "rpc.cxl",
         "supernode.host", "supernode.fabric",
     }
     assert expected <= set(component_kinds())
+    assert "cxl.type3" not in component_kinds()  # no CXL.mem expander model
 
 
 def test_unknown_topology_lists_options():
@@ -217,13 +218,13 @@ def test_hdm_windows_allocate_in_declaration_order():
                 # below the 32 GB HDM base (the Cohet layout).
                 NodeSpec("host", "host", {"size": None}),
                 NodeSpec("xpu0", "cxl.type2", {"hdm_bytes": 1 << 24}),
-                NodeSpec("cmm0", "cxl.type3", {"hdm_bytes": 1 << 24}),
+                NodeSpec("xpu1", "cxl.type2", {"hdm_bytes": 1 << 24}),
             ),
         )
     )
-    xpu, cmm = system.node("xpu0"), system.node("cmm0")
-    assert xpu.hdm.start == CohetSystem.HDM_BASE
-    assert cmm.hdm.start == xpu.hdm.end
+    first, second = system.node("xpu0"), system.node("xpu1")
+    assert first.hdm.start == CohetSystem.HDM_BASE
+    assert second.hdm.start == first.hdm.end
 
 
 # ------------------------------ cohet ---------------------------------

@@ -397,7 +397,7 @@ def test_builder_rejects_hdm_overflow_and_lists_every_problem():
             NodeSpec("host", "host"),
             NodeSpec("xpu0", "cxl.type2", {"hdm_bytes": capacity}),
             NodeSpec("xpu1", "cxl.type2", {"hdm_bytes": capacity}),
-            NodeSpec("bad", "cxl.type3", {"hdm_bytes": 0}),
+            NodeSpec("bad", "cxl.type2", {"hdm_bytes": 0}),
         ),
         links=(
             LinkSpec("xpu0", "host"),
