@@ -55,6 +55,16 @@ def _write_experiment_listing(out: IO[str]) -> None:
         out.write(f"  {name:<{width}}  {doc}\n")
 
 
+def _write_registry_listing(out: IO[str], heading: str, registry) -> int:
+    """``repro topology|workload|fault list``: one row per registered name."""
+    names = registry.names()
+    width = max(len(name) for name in names)
+    out.write(f"registered {heading}:\n")
+    for name in names:
+        out.write(f"  {name:<{width}}  {registry.description(name)}\n")
+    return 0
+
+
 def _cmd_list(_args: argparse.Namespace, out: IO[str]) -> int:
     _write_experiment_listing(out)
     return 0
@@ -104,24 +114,18 @@ def _cmd_run(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _cmd_topology(args: argparse.Namespace, out: IO[str]) -> int:
     from repro.system import (
+        TOPOLOGIES,
         TopologySchemaError,
         dump_topology,
         load_topology,
         topology_by_name,
-        topology_description,
-        topology_names,
     )
 
     if args.out and args.action != "dump":
         out.write("--out is only valid with 'repro topology dump'\n")
         return 2
     if args.action == "list":
-        names = topology_names()
-        width = max(len(name) for name in names)
-        out.write("registered topologies:\n")
-        for name in names:
-            out.write(f"  {name:<{width}}  {topology_description(name)}\n")
-        return 0
+        return _write_registry_listing(out, "topologies", TOPOLOGIES)
     if args.action == "validate":
         if not args.names:
             out.write("topology validate needs one or more JSON spec files\n")
@@ -177,6 +181,7 @@ def _cmd_topology(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_workload(args: argparse.Namespace, out: IO[str]) -> int:
     from repro.config import system_by_name
     from repro.workloads import (
+        WORKLOADS,
         UnknownWorkloadError,
         WorkloadDriver,
         WorkloadDriverError,
@@ -184,17 +189,10 @@ def _cmd_workload(args: argparse.Namespace, out: IO[str]) -> int:
         dump_trace,
         load_trace,
         resolve_workload,
-        workload_description,
-        workload_names,
     )
 
     if args.action == "list":
-        names = workload_names()
-        width = max(len(name) for name in names)
-        out.write("registered workloads:\n")
-        for name in names:
-            out.write(f"  {name:<{width}}  {workload_description(name)}\n")
-        return 0
+        return _write_registry_listing(out, "workloads", WORKLOADS)
     if args.action == "show":
         if len(args.names) != 1:
             out.write("workload show needs a name or reference "
@@ -258,21 +256,15 @@ def _cmd_workload(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _cmd_fault(args: argparse.Namespace, out: IO[str]) -> int:
     from repro.faults import (
+        FAULT_PLANS,
         FaultSchemaError,
         UnknownFaultPlanError,
-        fault_plan_description,
-        fault_plan_names,
         load_fault_plan,
         resolve_fault_plan,
     )
 
     if args.action == "list":
-        names = fault_plan_names()
-        width = max(len(name) for name in names)
-        out.write("registered fault plans:\n")
-        for name in names:
-            out.write(f"  {name:<{width}}  {fault_plan_description(name)}\n")
-        return 0
+        return _write_registry_listing(out, "fault plans", FAULT_PLANS)
     if args.action == "validate":
         if not args.names:
             out.write("fault validate needs one or more JSON plan files\n")

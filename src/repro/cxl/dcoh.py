@@ -17,7 +17,7 @@ from repro.cache.llc import LlcOp, SharedLLC
 from repro.cache.mesi import check_transition
 from repro.config.system import DeviceProfile
 from repro.cxl.transactions import DcohResult
-from repro.interconnect.flexbus import FlexBus, FlexBusChannel
+from repro.interconnect.flexbus import FlexBus
 from repro.mem.address import LINE_MASK
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
@@ -113,7 +113,7 @@ class Dcoh(Component):
         outbound_extra = extra_rt_ps // 2
         miss = _HostMiss(self, addr, on_done, exclusive, extra_rt_ps - outbound_extra)
         flexbus = self.flexbus
-        flexbus.traffic[FlexBusChannel.CACHE] += 1
+        flexbus.cache_requests += 1
         self.sim.schedule_after(
             tag_done - now + flexbus.oneway_at(tag_done) + outbound_extra,
             miss.at_host,
@@ -202,7 +202,7 @@ class Dcoh(Component):
         priced at that moment, not now.
         """
         flexbus = self.flexbus
-        flexbus.traffic[FlexBusChannel.CACHE] += 1
+        flexbus.cache_requests += 1
         crossing = self.sim.now + self._request_ps
         self.schedule(self._request_ps + flexbus.oneway_at(crossing), at_host)
 

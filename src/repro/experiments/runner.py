@@ -345,37 +345,41 @@ def run_sweep(
                 emitter.emit("spec_cached", spec_hash=spec_hash)
             if progress:
                 progress(f"cached  {spec.label} ({spec_hash})")
-        if payloads:
-            git = git_metadata(repo_dir=None)
-            # Each record is persisted as it lands (not after the run
-            # drains), so an interrupted sweep keeps every completed
-            # spec in the cache.
-            with closing(_executed(payloads, backend, jobs)) as results:
-                for raw in results:
-                    record = StoredResult(
-                        timestamp=time.time(), sweep=sweep.name, **git, **raw
-                    )
-                    store.append(record)
-                    outcome.executed.append(record)
-                    lock.refresh()
-                    label = pending[record.spec_hash].label
-                    if emitter is not None:
-                        emitter.emit(
-                            "record",
-                            spec_hash=record.spec_hash,
-                            status=record.status,
-                            wall_s=record.wall_time_s,
-                            label=label,
+        try:
+            if payloads:
+                git = git_metadata(repo_dir=None)
+                # Each record is persisted as it lands (not after the run
+                # drains), so an interrupted sweep keeps every completed
+                # spec in the cache.
+                with closing(_executed(payloads, backend, jobs)) as results:
+                    for raw in results:
+                        record = StoredResult(
+                            timestamp=time.time(), sweep=sweep.name, **git, **raw
                         )
-                    if progress:
-                        state = "ok     " if record.ok else "FAILED "
-                        progress(f"{state} {label} ({record.wall_time_s:.2f}s)")
-        if emitter is not None:
-            emitter.emit(
-                "run_finished",
-                sweep=sweep.name,
-                executed=len(outcome.executed),
-                failed=len(outcome.failed),
-                wall_s=time.perf_counter() - run_start,
-            )
+                        store.append(record)
+                        outcome.executed.append(record)
+                        lock.refresh()
+                        label = pending[record.spec_hash].label
+                        if emitter is not None:
+                            emitter.emit(
+                                "record",
+                                spec_hash=record.spec_hash,
+                                status=record.status,
+                                wall_s=record.wall_time_s,
+                                label=label,
+                            )
+                        if progress:
+                            state = "ok     " if record.ok else "FAILED "
+                            progress(f"{state} {label} ({record.wall_time_s:.2f}s)")
+        finally:
+            # Also when a worker died: ``executed`` below the start
+            # event's ``total`` then shows the specs the run lost.
+            if emitter is not None:
+                emitter.emit(
+                    "run_finished",
+                    sweep=sweep.name,
+                    executed=len(outcome.executed),
+                    failed=len(outcome.failed),
+                    wall_s=time.perf_counter() - run_start,
+                )
     return outcome

@@ -19,6 +19,7 @@ import itertools
 import json
 import zlib
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
@@ -174,19 +175,18 @@ class SweepSpec:
             ],
         }
 
-    #: Param key whose values are topology references, validated against
-    #: the topology registry/families so a typo'd layout name fails the
-    #: sweep up-front like a typo'd experiment parameter does.
-    TOPOLOGY_PARAM = "topology"
-
-    #: Param key whose values are workload references, validated against
-    #: the workload registry with the same fail-up-front contract.
-    WORKLOAD_PARAM = "workload"
-
-    #: Param key whose values are fault-plan references, validated
-    #: against the fault-plan registry with the same fail-up-front
-    #: contract (inline plan dicts schema-validate in full).
-    FAULT_PARAM = "fault"
+    #: Param keys whose values are registry references, each with the
+    #: package whose import fills its registry (imported only when the
+    #: key is used).  Every value is checked up-front, so a typo'd name
+    #: or a malformed inline spec fails the sweep like a typo'd
+    #: experiment parameter does.  Reference *arguments* are not
+    #: range-checked: a bad ``fanout(0)`` fails at run time inside its
+    #: own spec, which failure isolation covers.
+    REF_PARAMS = (
+        ("topology", "repro.system.topology", "TOPOLOGIES"),
+        ("workload", "repro.workloads", "WORKLOADS"),
+        ("fault", "repro.faults", "FAULT_PLANS"),
+    )
 
     #: Param key carrying the experiment's RNG seed.  Pinning or
     #: sweeping it is allowed (ints only), and doing so disables the
@@ -216,9 +216,14 @@ class SweepSpec:
                     f"parameter(s) {', '.join(unknown)}; "
                     f"accepted: {sorted(accepted)}"
                 )
-            self._validate_topology_refs(group)
-            self._validate_workload_refs(group)
-            self._validate_fault_refs(group)
+            for param, package, table in self.REF_PARAMS:
+                for ref in self._axis_values(group, param):
+                    try:
+                        getattr(import_module(package), table).validate(ref)
+                    except ValueError as exc:
+                        raise SpecError(
+                            f"experiment {group.experiment!r}: {exc}"
+                        ) from None
             self._validate_seed_axis(group)
 
     @classmethod
@@ -228,64 +233,6 @@ class SweepSpec:
             refs.append(group.params[param])
         refs.extend(group.grid.get(param, ()))
         return refs
-
-    def _validate_topology_refs(self, group: SweepGroup) -> None:
-        """Fail up-front on topology axes that name no registered layout.
-
-        A topology value may also be an *inline* JSON spec (a node/link
-        object straight in the grid) — those schema-validate in full.
-        Family *arguments* stay unchecked (a bad ``fanout(0)`` fails at
-        run time inside its own spec, covered by failure isolation).
-        """
-        refs = self._axis_values(group, self.TOPOLOGY_PARAM)
-        if not refs:
-            return
-        from repro.system.topology import validate_topology_ref
-
-        for ref in refs:
-            try:
-                validate_topology_ref(ref)
-            except ValueError as exc:
-                raise SpecError(
-                    f"experiment {group.experiment!r}: {exc}"
-                ) from None
-
-    def _validate_workload_refs(self, group: SweepGroup) -> None:
-        """Fail up-front on workload axes that name no registered generator."""
-        refs = self._axis_values(group, self.WORKLOAD_PARAM)
-        if not refs:
-            return
-        from repro.workloads import validate_workload_ref
-
-        for ref in refs:
-            try:
-                validate_workload_ref(ref)
-            except ValueError as exc:
-                raise SpecError(
-                    f"experiment {group.experiment!r}: {exc}"
-                ) from None
-
-    def _validate_fault_refs(self, group: SweepGroup) -> None:
-        """Fail up-front on fault axes that name no registered plan.
-
-        A fault value may also be an *inline* JSON plan (an event
-        timeline straight in the grid) — those schema-validate in
-        full.  Factory *arguments* stay unchecked (a bad
-        ``link-degrade(0)`` fails at run time inside its own spec,
-        covered by failure isolation).
-        """
-        refs = self._axis_values(group, self.FAULT_PARAM)
-        if not refs:
-            return
-        from repro.faults import validate_fault_ref
-
-        for ref in refs:
-            try:
-                validate_fault_ref(ref)
-            except ValueError as exc:
-                raise SpecError(
-                    f"experiment {group.experiment!r}: {exc}"
-                ) from None
 
     def _validate_seed_axis(self, group: SweepGroup) -> None:
         """Fail up-front on non-integer ``seed`` axis values."""

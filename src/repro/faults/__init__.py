@@ -4,10 +4,11 @@ The third declarative axis of a simulated scenario, alongside shape
 (:mod:`repro.system`) and traffic (:mod:`repro.workloads`):
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan` / :class:`FaultEvent`
-  schemas, the named registry, JSON load/dump, sweep-grid references;
+  schemas and the named registry, which loads and dumps JSON plans and
+  resolves sweep-grid references;
 * :mod:`repro.faults.plans` — built-in plans (``none``,
   ``link-degrade``, ``link-flap``, ``host-outage``, ``dev-drop``,
-  ``msg-corrupt``, ``storm``);
+  ``msg-corrupt``, ``storm``), then the shipped JSON plans;
 * :mod:`repro.faults.controller` — :class:`FaultController` binding a
   plan to a built system, strict/degraded modes, :class:`RetryPolicy`,
   and availability/recovery metrics.
@@ -30,22 +31,12 @@ from repro.faults.plan import (
     FaultSchemaError,
     UnknownFaultPlanError,
     corrupt_draw,
-    dump_fault_plan,
     fault_plan_by_name,
-    fault_plan_description,
-    fault_plan_names,
     load_fault_plan,
-    parse_fault_ref,
     register_fault_plan,
-    register_fault_plan_file,
     resolve_fault_plan,
-    validate_fault_ref,
-    _register_shipped_plans,
 )
-from repro.faults import plans as _plans  # noqa: F401  (registers built-ins)
-
-# Shipped JSON plans join the registry alongside the in-code ones.
-_register_shipped_plans()
+from repro.faults import plans as _plans  # noqa: F401  (registers every plan)
 
 __all__ = [
     "MODES",
@@ -59,14 +50,8 @@ __all__ = [
     "RetryPolicy",
     "UnknownFaultPlanError",
     "corrupt_draw",
-    "dump_fault_plan",
     "fault_plan_by_name",
-    "fault_plan_description",
-    "fault_plan_names",
     "load_fault_plan",
-    "parse_fault_ref",
     "register_fault_plan",
-    "register_fault_plan_file",
     "resolve_fault_plan",
-    "validate_fault_ref",
 ]

@@ -11,10 +11,12 @@ the bus, a lossy link corrupting messages.  The
 against any builder-constructed system and answers time-windowed
 queries while a workload runs.
 
-Plans register by name in :data:`FAULT_PLANS` so harnesses, sweep
-grids and the CLI (``repro fault list|show|validate``) can refer to a
-failure scenario with a plain string, and they round-trip through
-plain JSON (:func:`load_fault_plan` / :func:`dump_fault_plan`) with
+Plans register by name in :data:`FAULT_PLANS`, a
+:class:`~repro.system.registry.Registry` like the topology and workload
+ones, so harnesses, sweep grids and the CLI (``repro fault
+list|show|validate``) can refer to a failure scenario with a plain
+string or a reference like ``"link-degrade(8)"``, and they round-trip
+through plain JSON (:func:`load_fault_plan`, ``FAULT_PLANS.dump``) with
 full schema validation — every malformed input raises
 :class:`FaultSchemaError` naming the offending field, mirroring
 :class:`~repro.system.topology.TopologySchemaError` and
@@ -29,13 +31,12 @@ errors), so the same plan sweeps across a topology grid.
 
 from __future__ import annotations
 
-import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.system.refs import parse_parametric_ref
+from repro.system.registry import Registry
 
 
 class FaultSchemaError(ValueError):
@@ -329,194 +330,11 @@ def corrupt_draw(seed: int, key: str, index: int, rate: float) -> bool:
 # ---------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------
-FaultPlanFactory = Callable[..., FaultPlan]
-
-FAULT_PLANS: Dict[str, FaultPlanFactory] = {}
-
-
-def register_fault_plan(name: str) -> Callable[[FaultPlanFactory], FaultPlanFactory]:
-    """Decorator: register a fault-plan factory under ``name``."""
-
-    def decorate(factory: FaultPlanFactory) -> FaultPlanFactory:
-        if name in FAULT_PLANS:
-            raise ValueError(f"fault plan {name!r} already registered")
-        FAULT_PLANS[name] = factory
-        return factory
-
-    return decorate
-
-
-def fault_plan_by_name(name: str, *args) -> FaultPlan:
-    """Instantiate a registered fault plan, forwarding positional knobs."""
-    try:
-        factory = FAULT_PLANS[name]
-    except KeyError:
-        raise UnknownFaultPlanError(
-            f"unknown fault plan {name!r}; "
-            f"registered: {', '.join(sorted(FAULT_PLANS))}"
-        ) from None
-    return factory(*args)
-
-
-def fault_plan_names() -> Tuple[str, ...]:
-    return tuple(sorted(FAULT_PLANS))
-
-
-def fault_plan_description(name: str) -> str:
-    """First docstring line of a registered factory (for listings)."""
-    factory = FAULT_PLANS[name]
-    doc = (factory.__doc__ or "").strip().splitlines()
-    return doc[0] if doc else ""
-
-
-# ---------------------------------------------------------------------
-# JSON files
-# ---------------------------------------------------------------------
-def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
-    """Load and validate a fault plan from a JSON file.
-
-    Unreadable files, invalid JSON, and schema violations all raise
-    :class:`FaultSchemaError` naming the file and the problem.  The
-    file's stem is the fallback name when the plan omits ``"name"``.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FaultSchemaError(f"cannot read fault plan {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FaultSchemaError(f"invalid JSON in {path}: {exc}") from None
-    return FaultPlan.from_dict(data, default_name=path.stem)
-
-
-def dump_fault_plan(
-    plan: FaultPlan, path: Optional[Union[str, Path]] = None
-) -> str:
-    """Render ``plan`` as JSON text, writing it to ``path`` if given.
-
-    The output round-trips through :func:`load_fault_plan` /
-    :meth:`FaultPlan.from_dict` bit-identically.
-    """
-    text = json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
-
-
-def register_fault_plan_file(path: Union[str, Path]) -> Optional[str]:
-    """Register a JSON plan file as a named (lazy) fault-plan factory.
-
-    Only the name/description are read eagerly; the full plan is
-    parsed and schema-checked at first use, so a broken file never
-    breaks *import* — it surfaces through ``repro fault validate``.
-    Returns the registered name, or ``None`` when the file is skipped
-    (unparseable, or its name is already taken).
-    """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, Mapping):
-        return None
-    name = data.get("name") or path.stem
-    if not isinstance(name, str) or name in FAULT_PLANS:
-        return None
-
-    def factory(*args) -> FaultPlan:
-        if args:
-            raise TypeError(
-                f"fault plan {name!r} is loaded from {path.name} and "
-                f"accepts no arguments"
-            )
-        return load_fault_plan(path)
-
-    description = data.get("description")
-    factory.__doc__ = (
-        description if isinstance(description, str) and description
-        else f"JSON fault plan from {path.name}"
-    )
-    FAULT_PLANS[name] = factory
-    return name
-
+FAULT_PLANS = Registry("fault plan", FaultPlan, UnknownFaultPlanError, FaultSchemaError)
+register_fault_plan = FAULT_PLANS.register
+fault_plan_by_name = FAULT_PLANS.resolve
+resolve_fault_plan = FAULT_PLANS.resolve
+load_fault_plan = FAULT_PLANS.load
 
 #: Shipped JSON plans (repo checkouts only; absent in installed trees).
 SHIPPED_FAULT_DIR = Path(__file__).resolve().parents[3] / "examples" / "faults"
-
-
-def _register_shipped_plans(directory: Path = SHIPPED_FAULT_DIR) -> None:
-    if not directory.is_dir():
-        return
-    for path in sorted(directory.glob("*.json")):
-        register_fault_plan_file(path)
-
-
-# ---------------------------------------------------------------------
-# References: sweep-grid strings and the resolve entry point
-# ---------------------------------------------------------------------
-def parse_fault_ref(ref: str) -> Tuple[str, Tuple[Union[int, float], ...]]:
-    """``"link-degrade(8)"`` → ``("link-degrade", (8,))``; bare names get ``()``.
-
-    The argument grammar is the shared
-    :func:`~repro.system.refs.parse_parametric_ref` (the same one
-    topology and workload references use); malformed references raise
-    :class:`FaultSchemaError` naming the offending token.
-    """
-    if not isinstance(ref, str) or not ref.strip():
-        raise FaultSchemaError(
-            f"fault reference must be a non-empty string, got {ref!r}"
-        )
-    ref = ref.strip()
-    if "(" not in ref and ")" not in ref:
-        return ref, ()
-    try:
-        return parse_parametric_ref(ref)
-    except ValueError as exc:
-        raise FaultSchemaError(f"fault {exc}") from None
-
-
-def validate_fault_ref(ref: Union[str, Mapping, FaultPlan]) -> None:
-    """Check that ``ref`` identifies a fault plan the sweep layer can use.
-
-    Accepts a :class:`FaultPlan` instance, an *inline* JSON plan dict
-    (schema-validated in full, so a malformed one fails the sweep
-    up-front), a registered name, or a parametric reference.  Factory
-    *arguments* are deliberately not range-checked here — a bad
-    argument fails at run time inside that one spec, exercising
-    per-spec failure isolation, the same contract as
-    :func:`repro.system.topology.validate_topology_ref`.
-    """
-    if isinstance(ref, FaultPlan):
-        return
-    if isinstance(ref, Mapping):
-        FaultPlan.from_dict(ref)
-        return
-    name, _args = parse_fault_ref(ref)
-    if name not in FAULT_PLANS:
-        raise UnknownFaultPlanError(
-            f"unknown fault plan {ref!r}; "
-            f"registered: {', '.join(sorted(FAULT_PLANS))}"
-        )
-
-
-def resolve_fault_plan(
-    ref: Union[str, Mapping, FaultPlan, None]
-) -> Optional[FaultPlan]:
-    """Turn a fault reference into a :class:`FaultPlan` instance.
-
-    Accepts ``None`` (no faults — passed through), an instance, an
-    inline JSON plan dict (parsed with full schema validation), a
-    registered name, or a parametric reference like
-    ``"link-degrade(8)"``.  This is the single entry point the driver,
-    experiments and CLI use for their ``fault`` params.
-    """
-    if ref is None:
-        return None
-    if isinstance(ref, FaultPlan):
-        return ref
-    if isinstance(ref, Mapping):
-        return FaultPlan.from_dict(ref)
-    name, args = parse_fault_ref(ref)
-    return fault_plan_by_name(name, *args)

@@ -15,7 +15,13 @@ post-recovery settling are both exercised.
 
 from __future__ import annotations
 
-from repro.faults.plan import FaultEvent, FaultPlan, register_fault_plan
+from repro.faults.plan import (
+    FAULT_PLANS,
+    SHIPPED_FAULT_DIR,
+    FaultEvent,
+    FaultPlan,
+    register_fault_plan,
+)
 
 
 @register_fault_plan("none")
@@ -131,3 +137,8 @@ def storm_plan() -> FaultPlan:
             FaultEvent("msg_corrupt", "dev0--host", rate=0.02),
         ),
     )
+
+
+# Shipped JSON plans join the registry after the built-ins, so a
+# built-in name wins.
+FAULT_PLANS.register_dir(SHIPPED_FAULT_DIR)

@@ -444,16 +444,14 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 PAPER_EXPERIMENT_IDS: Tuple[str, ...] = tuple(EXPERIMENTS)
 
 
-def register_experiment(
-    name: str, runner: Callable[..., ExperimentResult], replace: bool = False
-) -> None:
+def register_experiment(name: str, runner: Callable[..., ExperimentResult]) -> None:
     """Add an experiment to the registry (sweeps pick it up for free).
 
     The runner must accept only JSON-representable keyword arguments so
-    sweep specs can parameterize it.  Registration invalidates the
-    cached signature inspection.
+    sweep specs can parameterize it.  A taken name raises.  Registration
+    invalidates the cached signature inspection.
     """
-    if name in EXPERIMENTS and not replace:
+    if name in EXPERIMENTS:
         raise ValueError(f"experiment {name!r} already registered")
     EXPERIMENTS[name] = runner
     _cached_signature.cache_clear()

@@ -1,11 +1,10 @@
 """Interconnect models: CXL Flex Bus, NoC/UPI topology."""
 
-from repro.interconnect.flexbus import FlexBus, FlexBusChannel
+from repro.interconnect.flexbus import FlexBus
 from repro.interconnect.noc import NocTopology, NodeCoord
 
 __all__ = [
     "FlexBus",
-    "FlexBusChannel",
     "NocTopology",
     "NodeCoord",
 ]

@@ -2,32 +2,18 @@
 
 The Flex Bus carries the three sub-protocols over one physical link.
 Here it provides the calibrated one-way PHY latency the CXL.cache path
-pays per crossing, and a traffic counter per channel.
+pays per crossing, and counts the CXL.cache requests that cross it.
 """
 
 from __future__ import annotations
-
-import enum
-from typing import Dict
 
 from repro.config.system import DeviceProfile
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 
 
-class FlexBusChannel(enum.Enum):
-    IO = "cxl.io"
-    CACHE = "cxl.cache"
-    MEM = "cxl.mem"
-
-    # Members are singletons, so identity hashing is exact, and it keeps
-    # ``FlexBus.traffic[channel] += 1`` out of the Python-level
-    # ``Enum.__hash__``.
-    __hash__ = object.__hash__
-
-
 class FlexBus(Component):
-    """One CXL link's PHY with per-channel accounting."""
+    """One CXL link's PHY with a CXL.cache request counter."""
 
     def __init__(
         self,
@@ -41,7 +27,8 @@ class FlexBus(Component):
         # read once per crossing.  A fault plan that degrades the link
         # shadows it with a time-varying property.
         self.oneway_ps = profile.phy_oneway_ps
-        self.traffic: Dict[FlexBusChannel, int] = {c: 0 for c in FlexBusChannel}
+        #: CXL.cache requests the DCOH sent to the host over this link.
+        self.cache_requests = 0
 
     def oneway_at(self, t_ps: int) -> int:
         """One-way latency of a crossing that starts at ``t_ps``.

@@ -4,7 +4,8 @@
 host cache hierarchy + memory controller + CXL device stack + NICs +
 RPC engines) from a :class:`~repro.config.system.SystemConfig` and a
 declarative :class:`~repro.system.topology.Topology`.  Topologies and
-component kinds are registries, so new scenarios plug in by name::
+component kinds are :class:`~repro.system.registry.Registry` tables, so
+new scenarios plug in by name::
 
     from repro.system import SystemBuilder
     system = SystemBuilder(fpga_system()).build("fanout-2")
@@ -15,7 +16,6 @@ from repro.system.builder import BuildError, BuiltSystem, SystemBuilder
 from repro.system.registry import (
     COMPONENT_KINDS,
     component_factory,
-    component_kinds,
     register_component,
 )
 from repro.system.validation import (
@@ -30,7 +30,6 @@ from repro.system.topology import (
     NodeSpec,
     SHIPPED_TOPOLOGY_DIR,
     TOPOLOGIES,
-    TOPOLOGY_FAMILIES,
     Topology,
     TopologySchemaError,
     UnknownTopologyError,
@@ -38,16 +37,10 @@ from repro.system.topology import (
     fanout_topology,
     load_topology,
     microbench_topology,
-    parse_topology_ref,
     register_topology,
-    register_topology_family,
-    register_topology_file,
     resolve_topology,
     supernode_topology,
     topology_by_name,
-    topology_description,
-    topology_names,
-    validate_topology_ref,
 )
 
 __all__ = [
@@ -56,7 +49,6 @@ __all__ = [
     "SystemBuilder",
     "COMPONENT_KINDS",
     "component_factory",
-    "component_kinds",
     "register_component",
     "DEFAULT_PORT_BUDGETS",
     "TopologyConfigError",
@@ -67,7 +59,6 @@ __all__ = [
     "NodeSpec",
     "SHIPPED_TOPOLOGY_DIR",
     "TOPOLOGIES",
-    "TOPOLOGY_FAMILIES",
     "Topology",
     "TopologySchemaError",
     "UnknownTopologyError",
@@ -75,14 +66,8 @@ __all__ = [
     "fanout_topology",
     "load_topology",
     "microbench_topology",
-    "parse_topology_ref",
     "register_topology",
-    "register_topology_family",
-    "register_topology_file",
     "resolve_topology",
     "supernode_topology",
     "topology_by_name",
-    "topology_description",
-    "topology_names",
-    "validate_topology_ref",
 ]

@@ -32,7 +32,7 @@ from repro.mem.controller import MemoryController
 from repro.mem.interface import MemoryInterface
 from repro.sim.engine import Simulator
 from repro.system.registry import component_factory, register_component
-from repro.system.topology import HDM_BASE, NodeSpec, Topology, topology_by_name
+from repro.system.topology import HDM_BASE, TOPOLOGIES, NodeSpec, Topology
 
 
 class BuildError(ValueError):
@@ -109,22 +109,17 @@ class SystemBuilder:
         self._hdm_cursor = HDM_BASE
 
     def build(self, topology: Union[str, Topology], **overrides) -> BuiltSystem:
-        """Construct every node of ``topology`` (a name or an instance).
+        """Construct every node of ``topology`` (a name, reference or instance).
 
         Keyword overrides are forwarded to the registered topology
-        factory when ``topology`` is a name.
+        factory when ``topology`` is a name or reference.
         """
         # Importing the component catalogue here (not at module import)
         # keeps repro.system lightweight and cycle-free; the import is
         # cached after the first build.
         from repro.system import components  # noqa: F401
 
-        if isinstance(topology, str):
-            topology = topology_by_name(topology, **overrides)
-        elif overrides:
-            raise TypeError(
-                "topology overrides are only valid with a registered name"
-            )
+        topology = TOPOLOGIES.resolve(topology, **overrides)
         topology.validate()
         # Resource fit (port budgets, HDM capacity) is judged against
         # this builder's config before any component exists, so an

@@ -7,10 +7,14 @@ component kind plus JSON-representable params) and how they connect
 turns a topology plus a :class:`~repro.config.system.SystemConfig` into
 live components.
 
-Topologies register by name in :data:`TOPOLOGIES` so harnesses, sweep
-specs and the CLI (``repro topology list|show``) can refer to a layout
-with a plain string.  Registered entries are *factories* — they accept
-keyword overrides (seeds, device counts) and return a fresh spec.
+Topologies register by name in :data:`TOPOLOGIES`, a
+:class:`~repro.system.registry.Registry`, so harnesses, sweep specs and
+the CLI (``repro topology list|show``) can refer to a layout with a
+plain string.  Registered entries are *factories*: they take positional
+reference arguments and keyword overrides (seeds, device counts) and
+return a fresh spec.  The parametric families are entries too:
+``"fanout(6)"`` scales the device count and ``"supernode(4, 536870912)"``
+the host count and lease granule.
 
 Topologies are also a *data format*: :meth:`Topology.to_dict` /
 :meth:`Topology.from_dict` round-trip a spec through plain JSON,
@@ -18,20 +22,17 @@ Topologies are also a *data format*: :meth:`Topology.to_dict` /
 (``repro topology load|dump|validate``), and every ``*.json`` layout
 under ``examples/topologies/`` auto-registers at import so shipped
 files are first-class citizens of the registry.  Sweep grids refer to
-topologies through :func:`resolve_topology`, which accepts either a
-registered name (``"fanout-2"``) or a parametric family reference
-(``"fanout(6)"`` — see :data:`TOPOLOGY_FAMILIES`).
+topologies through :func:`resolve_topology`, which accepts a registered
+name or reference, an inline JSON spec, or a :class:`Topology`.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.system.refs import parse_parametric_ref
+from repro.system.registry import Registry
 
 HDM_BASE = 0x8_0000_0000  # device HDM windows start at 32 GB
 
@@ -148,18 +149,14 @@ class Topology:
 
     @classmethod
     def from_dict(
-        cls,
-        data: Mapping[str, object],
-        default_name: Optional[str] = None,
-        check_kinds: bool = True,
+        cls, data: Mapping[str, object], default_name: Optional[str] = None
     ) -> "Topology":
         """Parse the JSON spec format with full schema validation.
 
         Every malformed input raises :class:`TopologySchemaError` with a
-        message naming the offending element; ``check_kinds`` (default
-        on) additionally verifies every node's component kind against
-        the component registry, so a spec that cannot possibly build
-        fails at load time, not at build time.
+        message naming the offending element.  Every node's component
+        kind is checked against the component registry too, so a spec
+        that cannot possibly build fails at load time, not at build time.
         """
         if not isinstance(data, Mapping):
             raise TopologySchemaError(
@@ -247,19 +244,16 @@ class Topology:
             topology.validate()
         except ValueError as exc:
             raise TopologySchemaError(str(exc)) from None
-        if check_kinds:
-            # Importing the catalogue registers every built-in factory;
-            # deferred so the topology module itself stays import-light.
-            from repro.system import components  # noqa: F401
-            from repro.system.registry import COMPONENT_KINDS
+        # Importing the catalogue registers every built-in factory;
+        # deferred so the topology module itself stays import-light.
+        from repro.system import components  # noqa: F401
+        from repro.system.registry import COMPONENT_KINDS
 
-            for spec in topology.nodes:
-                if spec.kind not in COMPONENT_KINDS:
-                    fail(
-                        f"node {spec.name!r} has unknown component kind "
-                        f"{spec.kind!r}; registered kinds: "
-                        f"{', '.join(sorted(COMPONENT_KINDS))}"
-                    )
+        for spec in topology.nodes:
+            try:
+                COMPONENT_KINDS.lookup(spec.kind)
+            except ValueError as exc:
+                fail(f"node {spec.name!r}: {exc}")
         return topology
 
     def describe(self) -> str:
@@ -281,235 +275,15 @@ class Topology:
 # ---------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------
-TopologyFactory = Callable[..., Topology]
-
-TOPOLOGIES: Dict[str, TopologyFactory] = {}
-
-
-def register_topology(name: str) -> Callable[[TopologyFactory], TopologyFactory]:
-    """Decorator: register a topology factory under ``name``."""
-
-    def decorate(factory: TopologyFactory) -> TopologyFactory:
-        if name in TOPOLOGIES:
-            raise ValueError(f"topology {name!r} already registered")
-        TOPOLOGIES[name] = factory
-        return factory
-
-    return decorate
-
-
-def topology_by_name(name: str, **overrides) -> Topology:
-    """Instantiate a registered topology, forwarding keyword overrides."""
-    try:
-        factory = TOPOLOGIES[name]
-    except KeyError:
-        raise UnknownTopologyError(
-            f"unknown topology {name!r}; "
-            f"registered: {', '.join(sorted(TOPOLOGIES))}"
-        ) from None
-    return factory(**overrides)
-
-
-def topology_names() -> Tuple[str, ...]:
-    return tuple(sorted(TOPOLOGIES))
-
-
-def topology_description(name: str) -> str:
-    """First docstring line of a registered factory (for listings)."""
-    factory = TOPOLOGIES[name]
-    doc = (factory.__doc__ or "").strip().splitlines()
-    return doc[0] if doc else ""
-
-
-# ---------------------------------------------------------------------
-# JSON files
-# ---------------------------------------------------------------------
-def load_topology(path: Union[str, Path], check_kinds: bool = True) -> Topology:
-    """Load and validate a topology spec from a JSON file.
-
-    Unreadable files, invalid JSON, and schema violations all raise
-    :class:`TopologySchemaError` naming the file and the problem.  The
-    file's stem is the fallback name when the spec omits ``"name"``.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise TopologySchemaError(f"cannot read topology spec {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TopologySchemaError(f"invalid JSON in {path}: {exc}") from None
-    return Topology.from_dict(data, default_name=path.stem, check_kinds=check_kinds)
-
-
-def dump_topology(
-    topology: Topology, path: Optional[Union[str, Path]] = None
-) -> str:
-    """Render ``topology`` as JSON text, writing it to ``path`` if given.
-
-    The output round-trips through :func:`load_topology` /
-    :meth:`Topology.from_dict` bit-identically.
-    """
-    text = json.dumps(topology.to_dict(), indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
-
-
-def register_topology_file(path: Union[str, Path]) -> Optional[str]:
-    """Register a JSON layout file as a named (lazy) topology factory.
-
-    Only the name/description are read eagerly; the full spec is parsed
-    and schema-checked when the topology is instantiated, so a broken
-    file never breaks *import* — it surfaces through ``repro topology
-    validate`` (the CI smoke job) or at first use.  Returns the
-    registered name, or ``None`` when the file is skipped (unparseable,
-    or its name is already taken).
-    """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, Mapping):
-        return None
-    name = data.get("name") or path.stem
-    if not isinstance(name, str) or name in TOPOLOGIES:
-        return None
-
-    def factory(**overrides) -> Topology:
-        if overrides:
-            raise TypeError(
-                f"topology {name!r} is loaded from {path.name} and "
-                f"accepts no overrides (got {', '.join(sorted(overrides))})"
-            )
-        return load_topology(path)
-
-    description = data.get("description")
-    factory.__doc__ = (
-        description if isinstance(description, str) and description
-        else f"JSON layout from {path.name}"
-    )
-    TOPOLOGIES[name] = factory
-    return name
-
+TOPOLOGIES = Registry("topology", Topology, UnknownTopologyError, TopologySchemaError)
+register_topology = TOPOLOGIES.register
+topology_by_name = TOPOLOGIES.resolve
+resolve_topology = TOPOLOGIES.resolve
+load_topology = TOPOLOGIES.load
+dump_topology = TOPOLOGIES.dump
 
 #: Shipped JSON layouts (repo checkouts only; absent in installed trees).
 SHIPPED_TOPOLOGY_DIR = Path(__file__).resolve().parents[3] / "examples" / "topologies"
-
-
-def _register_shipped_layouts(directory: Path = SHIPPED_TOPOLOGY_DIR) -> None:
-    if not directory.is_dir():
-        return
-    for path in sorted(directory.glob("*.json")):
-        register_topology_file(path)
-
-
-# ---------------------------------------------------------------------
-# Parametric families and sweep-grid references
-# ---------------------------------------------------------------------
-#: Families take positional scale arguments — one (``"fanout(8)"``,
-#: device count) or several (``"supernode(4, 536870912)"``, host count
-#: plus lease granule) — so a sweep grid can hold plain JSON strings
-#: and still sweep a structural axis.
-TOPOLOGY_FAMILIES: Dict[str, Callable[..., Topology]] = {}
-
-def register_topology_family(name: str, factory: Callable[..., Topology]) -> None:
-    """Register a parametric family reachable as ``name(args...)`` references."""
-    if name in TOPOLOGY_FAMILIES:
-        raise ValueError(f"topology family {name!r} already registered")
-    TOPOLOGY_FAMILIES[name] = factory
-
-
-def parse_topology_ref(
-    ref: str,
-) -> Tuple[str, Optional[Tuple[Union[int, float], ...]]]:
-    """``"fanout(4)"`` → ``("fanout", (4,))``; ``"microbench"`` → ``("microbench", None)``.
-
-    Family references take one or more comma-separated numeric
-    arguments (``"supernode(2, 536870912)"``) through the shared
-    :func:`~repro.system.refs.parse_parametric_ref` grammar; malformed
-    ones raise :class:`TopologySchemaError` naming the offending token.
-    Strings without parentheses pass through as plain registry names.
-    """
-    if not isinstance(ref, str) or not ref.strip():
-        raise TopologySchemaError(
-            f"topology reference must be a non-empty string, got {ref!r}"
-        )
-    ref = ref.strip()
-    if "(" not in ref and ")" not in ref:
-        return ref, None
-    try:
-        return parse_parametric_ref(ref)
-    except ValueError as exc:
-        raise TopologySchemaError(f"topology {exc}") from None
-
-
-def validate_topology_ref(ref: Union[str, Mapping, "Topology"]) -> None:
-    """Check that ``ref`` identifies a topology the sweep layer can build.
-
-    Accepts a registered name, a family reference, a :class:`Topology`
-    instance, or an *inline* JSON spec (a node/link object straight in
-    a sweep grid) — inline specs schema-validate in full, so a
-    malformed one fails the sweep up-front like a typo'd name.  Family
-    *arguments* are deliberately not range-checked here: a sweep spec
-    with ``fanout(0)`` validates (the family exists) and fails at run
-    time inside that one spec, exercising per-spec failure isolation
-    instead of killing the whole sweep up-front.
-    """
-    if isinstance(ref, Topology):
-        return
-    if isinstance(ref, Mapping):
-        Topology.from_dict(ref)
-        return
-    name, args = parse_topology_ref(ref)
-    if args is not None:
-        if name not in TOPOLOGY_FAMILIES:
-            raise UnknownTopologyError(
-                f"unknown topology family {name!r} in {ref!r}; "
-                f"families: {', '.join(sorted(TOPOLOGY_FAMILIES))}"
-            )
-    elif name not in TOPOLOGIES:
-        raise UnknownTopologyError(
-            f"unknown topology {ref!r}; "
-            f"registered: {', '.join(sorted(TOPOLOGIES))}; "
-            f"families: {', '.join(f'{f}(n)' for f in sorted(TOPOLOGY_FAMILIES))}"
-        )
-
-
-def resolve_topology(
-    ref: Union[str, Mapping, "Topology"], **overrides
-) -> Topology:
-    """Turn a topology reference into a :class:`Topology` instance.
-
-    Accepts an instance (passed through), an inline JSON spec dict
-    (parsed with full schema validation), a registered name, or a
-    family reference like ``"fanout(6)"`` / ``"supernode(2, 1073741824)"``.
-    This is the single entry point the sweep/experiment layer uses for
-    its ``topology`` params.
-    """
-    if isinstance(ref, Topology):
-        if overrides:
-            raise TypeError("topology overrides require a name, not an instance")
-        return ref
-    if isinstance(ref, Mapping):
-        if overrides:
-            raise TypeError(
-                "topology overrides require a name, not an inline spec"
-            )
-        return Topology.from_dict(ref)
-    name, args = parse_topology_ref(ref)
-    if args is not None:
-        try:
-            family = TOPOLOGY_FAMILIES[name]
-        except KeyError:
-            raise UnknownTopologyError(
-                f"unknown topology family {name!r} in {ref!r}; "
-                f"families: {', '.join(sorted(TOPOLOGY_FAMILIES))}"
-            ) from None
-        return family(*args, **overrides)
-    return topology_by_name(name, **overrides)
 
 
 # ---------------------------------------------------------------------
@@ -681,7 +455,7 @@ def supernode_topology(
 
 
 def _integral_arg(family: str, knob: str, value: Union[int, float]) -> int:
-    """Family args arrive as ints or floats; count-like knobs must be whole."""
+    """Reference args arrive as ints or floats; count-like knobs must be whole."""
     if isinstance(value, float):
         if not value.is_integer():
             raise TopologySchemaError(
@@ -692,18 +466,19 @@ def _integral_arg(family: str, knob: str, value: Union[int, float]) -> int:
     return value
 
 
+@register_topology("fanout")
 def _fanout_family(devices: Union[int, float] = 2, **overrides) -> Topology:
     """``fanout(n)``: n type-1 devices sharing one host LLC home agent."""
     return fanout_topology(_integral_arg("fanout", "devices", devices), **overrides)
 
 
+@register_topology("supernode")
 def _supernode_family(
     hosts: Union[int, float] = 2,
     memory_granule: Union[int, float] = 1 << 30,
     **overrides,
 ) -> Topology:
-    """``supernode(hosts)`` / ``supernode(hosts, granule)``: multi-host
-    layout with an optional fabric lease-granule size in bytes."""
+    """``supernode(hosts, granule)``: multi-host layout with an optional lease granule in bytes."""
     return supernode_topology(
         _integral_arg("supernode", "hosts", hosts),
         memory_granule=_integral_arg("supernode", "memory_granule", memory_granule),
@@ -711,9 +486,6 @@ def _supernode_family(
     )
 
 
-# Parametric families: sweep grids scale these with ``family(args...)`` refs.
-register_topology_family("fanout", _fanout_family)
-register_topology_family("supernode", _supernode_family)
-
-# Shipped JSON layouts join the registry alongside the in-code ones.
-_register_shipped_layouts()
+# Shipped JSON layouts join the registry after the in-code ones, so an
+# in-code name wins.
+TOPOLOGIES.register_dir(SHIPPED_TOPOLOGY_DIR)

@@ -11,7 +11,8 @@ access pattern is a registry entry instead of a harness::
 The layers:
 
 * :mod:`repro.workloads.base` — the ``Workload``/``WorkloadOp``
-  abstraction, the registry, and ``"name(args)"`` reference parsing.
+  abstraction and its registry, which resolves ``"name(args)"``
+  references.
 * :mod:`repro.workloads.vectorized` — ``OpBatch``, the columnar numpy
   form of a stream; batch-native generators expand straight to arrays
   and ``ops()`` derives the scalar view from the batch.
@@ -35,13 +36,8 @@ from repro.workloads.base import (
     Workload,
     WorkloadOp,
     WorkloadSchemaError,
-    parse_workload_ref,
     register_workload,
     resolve_workload,
-    validate_workload_ref,
-    workload_by_name,
-    workload_description,
-    workload_names,
 )
 from repro.workloads.driver import (
     WINDOW_BASE,
@@ -73,13 +69,8 @@ __all__ = [
     "Workload",
     "WorkloadOp",
     "WorkloadSchemaError",
-    "parse_workload_ref",
     "register_workload",
     "resolve_workload",
-    "validate_workload_ref",
-    "workload_by_name",
-    "workload_description",
-    "workload_names",
     "WINDOW_BASE",
     "WorkloadDriver",
     "WorkloadDriverError",

@@ -9,24 +9,25 @@ issues that stream through any builder-constructed system; the trace
 layer (:mod:`repro.workloads.trace`) records and replays it
 bit-identically.
 
-Workloads register by name in :data:`WORKLOADS` so harnesses, sweep
-grids and the CLI (``repro workload list|show|record|replay``) can
-refer to an access pattern with a plain string.  Registered entries are
-*factories*: they accept positional knobs (op counts, skew exponents,
-read fractions) and return a fresh :class:`Workload`, so a sweep grid
-can hold parametric references like ``"zipf(512,1.2)"`` as plain JSON
-strings — the same convention :data:`~repro.system.topology.TOPOLOGY_FAMILIES`
-uses for structural axes.
+Workloads register by name in :data:`WORKLOADS`, a
+:class:`~repro.system.registry.Registry` like the topology and
+fault-plan ones, so harnesses, sweep grids and the CLI (``repro workload
+list|show|record|replay``) can refer to an access pattern with a plain
+string.  Registered entries are *factories*: they accept positional
+knobs (op counts, skew exponents, read fractions) and return a fresh
+:class:`Workload`, so a sweep grid can hold parametric references like
+``"zipf(512,1.2)"`` as plain JSON strings, as it does ``"fanout(6)"``
+for topologies.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.mem.address import CACHELINE
-from repro.system.refs import parse_parametric_ref
+from repro.system.registry import Registry
 
 
 class WorkloadSchemaError(ValueError):
@@ -161,99 +162,6 @@ class Workload:
 # ---------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------
-WorkloadFactory = Callable[..., Workload]
-
-WORKLOADS: Dict[str, WorkloadFactory] = {}
-
-
-def register_workload(name: str) -> Callable[[WorkloadFactory], WorkloadFactory]:
-    """Decorator: register a workload factory under ``name``."""
-
-    def decorate(factory: WorkloadFactory) -> WorkloadFactory:
-        if name in WORKLOADS:
-            raise ValueError(f"workload {name!r} already registered")
-        WORKLOADS[name] = factory
-        return factory
-
-    return decorate
-
-
-def workload_by_name(name: str, *args) -> Workload:
-    """Instantiate a registered workload, forwarding positional knobs."""
-    try:
-        factory = WORKLOADS[name]
-    except KeyError:
-        raise UnknownWorkloadError(
-            f"unknown workload {name!r}; "
-            f"registered: {', '.join(sorted(WORKLOADS))}"
-        ) from None
-    return factory(*args)
-
-
-def workload_names() -> Tuple[str, ...]:
-    return tuple(sorted(WORKLOADS))
-
-
-def workload_description(name: str) -> str:
-    """First docstring line of a registered factory (for listings)."""
-    factory = WORKLOADS[name]
-    doc = (factory.__doc__ or "").strip().splitlines()
-    return doc[0] if doc else ""
-
-
-# ---------------------------------------------------------------------
-# References: "zipf(512,1.2)"-style parametric strings
-# ---------------------------------------------------------------------
-def parse_workload_ref(ref: str) -> Tuple[str, Tuple[Union[int, float], ...]]:
-    """``"zipf(512,1.2)"`` → ``("zipf", (512, 1.2))``; bare names get ``()``.
-
-    The argument grammar is the shared
-    :func:`~repro.system.refs.parse_parametric_ref` (the same one
-    topology family references use), so the two sweep axes cannot
-    drift; malformed references raise :class:`WorkloadSchemaError`
-    naming the offending token.
-    """
-    if not isinstance(ref, str) or not ref.strip():
-        raise WorkloadSchemaError(
-            f"workload reference must be a non-empty string, got {ref!r}"
-        )
-    ref = ref.strip()
-    if "(" not in ref and ")" not in ref:
-        return ref, ()
-    try:
-        return parse_parametric_ref(ref)
-    except ValueError as exc:
-        raise WorkloadSchemaError(f"workload {exc}") from None
-
-
-def validate_workload_ref(ref: Union[str, Workload]) -> None:
-    """Check that ``ref`` is a workload or names a registered factory.
-
-    Factory *arguments* are deliberately not range-checked here: a sweep
-    spec with ``zipf(-1)`` validates (the factory exists) and fails at
-    run time inside that one spec, exercising per-spec failure
-    isolation — the same contract as
-    :func:`repro.system.topology.validate_topology_ref`.
-    """
-    if isinstance(ref, Workload):
-        return
-    name, _args = parse_workload_ref(ref)
-    if name not in WORKLOADS:
-        raise UnknownWorkloadError(
-            f"unknown workload {ref!r}; "
-            f"registered: {', '.join(sorted(WORKLOADS))}"
-        )
-
-
-def resolve_workload(ref: Union[str, Workload]) -> Workload:
-    """Turn a workload reference into a :class:`Workload` instance.
-
-    Accepts an instance (passed through), a registered name, or a
-    parametric reference like ``"zipf(512,1.2)"``.  This is the single
-    entry point the driver, experiments and CLI use for their
-    ``workload`` params.
-    """
-    if isinstance(ref, Workload):
-        return ref
-    name, args = parse_workload_ref(ref)
-    return workload_by_name(name, *args)
+WORKLOADS = Registry("workload", Workload, UnknownWorkloadError, WorkloadSchemaError)
+register_workload = WORKLOADS.register
+resolve_workload = WORKLOADS.resolve

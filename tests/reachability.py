@@ -140,7 +140,6 @@ ALLOWED: Dict[str, str] = {
     "repro.experiments.store.ResultStore.query": "tests/test_experiments_subsystem.py",
     "repro.faults.plan.FaultEvent.to_dict": "tests/test_faults.py round-trips plans",
     "repro.faults.plan.FaultPlan.to_dict": "tests/test_faults.py round-trips plans",
-    "repro.faults.plan.dump_fault_plan": "tests/test_faults.py round-trips plans",
     "repro.kernel.fabric.FabricManager.free_xpus": "tests/test_kernel_driver_fabric.py",
     "repro.kernel.hmm.Hmm.resident_by_node": "tests/test_kernel_ats_hmm.py",
     "repro.kernel.page_table.UnifiedPageTable.entries": "used by Hmm.resident_by_node",
@@ -167,7 +166,6 @@ ALLOWED: Dict[str, str] = {
     "repro.rpc.message.message_stats":
         "tests/test_rpc_message.py, test_rpc_repeated.py count fields with it",
     "repro.rpc.rpcnic.PipelineResult.mean_ps": "tests/test_rpc_workloads.py",
-    "repro.system.registry.component_kinds": "tests/test_system_builder.py",
     "repro.system.topology.Topology.node": "tests/test_topology_serialization.py",
 }
 
@@ -181,10 +179,10 @@ def entry_points(tmp: Path) -> List[List[Tuple[str, ...]]]:
     """
     sys.path.insert(0, str(SRC))
     from repro.experiments import PRESETS
-    from repro.faults import fault_plan_names
+    from repro.faults import FAULT_PLANS
     from repro.harness.experiments import EXPERIMENTS, PAPER_EXPERIMENT_IDS
-    from repro.system import topology_names
-    from repro.workloads import workload_names
+    from repro.system import TOPOLOGIES
+    from repro.workloads import WORKLOADS
 
     layouts = sorted(str(p) for p in (ROOT / "examples" / "topologies").glob("*.json"))
     plans = sorted(str(p) for p in (ROOT / "examples" / "faults").glob("*.json"))
@@ -205,18 +203,18 @@ def entry_points(tmp: Path) -> List[List[Tuple[str, ...]]]:
         *[("cli", "run", name) for name in EXPERIMENTS if name not in PAPER_EXPERIMENT_IDS],
         ("cli", "topology", "list"),
         *[("cli", "topology", action, name)
-          for name in topology_names() for action in ("show", "dump")],
+          for name in TOPOLOGIES.names() for action in ("show", "dump")],
         ("cli", "topology", "dump", "fanout-2", "--out", str(tmp / "fanout-2.json")),
         ("cli", "topology", "validate", *layouts),
         *[("cli", "topology", "load", path) for path in layouts],
         ("cli", "workload", "list"),
-        *[("cli", "workload", "show", name) for name in workload_names()],
+        *[("cli", "workload", "show", name) for name in WORKLOADS.names()],
         *[("cli", "workload", "record", name, "--seed", "7",
-           "--out", str(tmp / f"{name}.jsonl")) for name in workload_names()],
+           "--out", str(tmp / f"{name}.jsonl")) for name in WORKLOADS.names()],
         ("cli", "workload", "replay", "mixed(64)", "--topology", "fanout-2",
          "--streams", "2"),
         ("cli", "fault", "list"),
-        *[("cli", "fault", "show", name) for name in fault_plan_names()],
+        *[("cli", "fault", "show", name) for name in FAULT_PLANS.names()],
         ("cli", "fault", "validate", *plans),
         *[("cli", "fault", "show", path) for path in plans],
         *[("cli", "sweep", "--preset", name, "--backend", "serial",

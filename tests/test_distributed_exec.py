@@ -33,7 +33,7 @@ from repro.experiments.exec import FileLock, LockHeldError
 from repro.experiments.runner import _pool_context
 from repro.experiments.store import RUN_LOCK_STALE_S, StoreCorruptionWarning
 from repro.harness.experiments import EXPERIMENTS, ExperimentResult
-from repro.obs import telemetry_dir
+from repro.obs import read_events, telemetry_dir
 
 needs_fork = pytest.mark.skipif(
     _pool_context().get_start_method() != "fork",
@@ -332,6 +332,25 @@ def test_a_dead_worker_fails_the_sweep_and_a_rerun_runs_only_its_spec(
         retry = run_sweep(sweep, tmp_path / "run", jobs=2)
     assert retry.ok and retry.cached == 7
     assert [r.params for r in retry.executed] == [{"value": 3}]
+
+
+@needs_fork
+def test_a_dead_worker_still_ends_the_telemetry_with_run_finished(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setitem(EXPERIMENTS, "tally", _exit_on_three)
+    with deadline(30):
+        with pytest.raises(RuntimeError, match="exit codes"):
+            run_sweep(_value_sweep(range(8)), tmp_path / "run", jobs=2)
+    events, skipped = read_events(tmp_path / "run", strict=True)
+    assert skipped == 0
+    kinds = Counter(event["kind"] for event in events)
+    assert kinds == {"run_started": 1, "record": 7, "run_finished": 1}
+    started, finished = events[0], events[-1]
+    assert started["kind"] == "run_started" and started["total"] == 8
+    assert finished["kind"] == "run_finished"
+    assert finished["executed"] == 7 and finished["failed"] == 0
+    assert finished["sweep"] == "values" and finished["wall_s"] >= 0
 
 
 @needs_fork

@@ -23,22 +23,16 @@ import pytest
 
 from repro.config import system_by_name
 from repro.faults import (
+    FAULT_PLANS,
     FaultActiveError,
     FaultController,
     FaultEvent,
     FaultPlan,
     FaultSchemaError,
     RetryPolicy,
-    UnknownFaultPlanError,
     corrupt_draw,
-    dump_fault_plan,
     fault_plan_by_name,
-    fault_plan_names,
     load_fault_plan,
-    parse_fault_ref,
-    register_fault_plan_file,
-    resolve_fault_plan,
-    validate_fault_ref,
 )
 from repro.workloads import WorkloadDriver
 
@@ -149,29 +143,15 @@ def test_plan_event_unknown_key_rejected():
 def test_plan_json_round_trip(tmp_path):
     plan = fault_plan_by_name("storm")
     path = tmp_path / "storm.json"
-    text = dump_fault_plan(plan, path)
+    text = FAULT_PLANS.dump(plan, path)
     loaded = load_fault_plan(path)
     assert loaded == plan
-    assert dump_fault_plan(loaded) == text
-
-
-def test_load_fault_plan_reports_file_problems(tmp_path):
-    with pytest.raises(FaultSchemaError, match="cannot read"):
-        load_fault_plan(tmp_path / "absent.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(FaultSchemaError, match="invalid JSON"):
-        load_fault_plan(bad)
+    assert FAULT_PLANS.dump(loaded) == text
 
 
 # ----------------------------- registry --------------------------------
-def test_unknown_plan_error_lists_options():
-    with pytest.raises(UnknownFaultPlanError, match="storm"):
-        fault_plan_by_name("no-such-plan")
-
-
 def test_builtin_plans_registered():
-    names = fault_plan_names()
+    names = FAULT_PLANS.names()
     for expected in (
         "none", "link-degrade", "link-flap", "host-outage",
         "dev-drop", "msg-corrupt", "storm",
@@ -181,61 +161,9 @@ def test_builtin_plans_registered():
 
 def test_shipped_json_plans_registered():
     # examples/faults/*.json join the registry on package import.
-    assert "brownout" in fault_plan_names()
+    assert "brownout" in FAULT_PLANS.names()
     plan = fault_plan_by_name("rolling-maintenance")
     assert plan.events and plan.events[0].kind == "host_down"
-
-
-def test_parse_fault_ref_and_parametric_factories():
-    assert parse_fault_ref("storm") == ("storm", ())
-    assert parse_fault_ref("link-degrade(8)") == ("link-degrade", (8,))
-    with pytest.raises(FaultSchemaError):
-        parse_fault_ref("link-degrade(")
-    plan = resolve_fault_plan("msg-corrupt(0.5)")
-    assert plan.events[0].rate == 0.5
-
-
-def test_validate_fault_ref_accepts_all_forms():
-    validate_fault_ref("storm")
-    validate_fault_ref("link-degrade(2)")
-    validate_fault_ref(fault_plan_by_name("none"))
-    validate_fault_ref({"name": "inline", "events": []})
-    with pytest.raises(UnknownFaultPlanError):
-        validate_fault_ref("nope")
-    with pytest.raises(FaultSchemaError):
-        validate_fault_ref({"name": "inline", "events": [{"kind": "x"}]})
-
-
-def test_resolve_fault_plan_passthrough():
-    assert resolve_fault_plan(None) is None
-    plan = fault_plan_by_name("none")
-    assert resolve_fault_plan(plan) is plan
-    inline = resolve_fault_plan({"name": "inline", "events": []})
-    assert inline.name == "inline"
-
-
-def test_register_fault_plan_file_is_lazy_and_skips_broken(tmp_path):
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    assert register_fault_plan_file(broken) is None
-
-    taken = tmp_path / "storm.json"
-    taken.write_text(json.dumps({"name": "storm", "events": []}))
-    assert register_fault_plan_file(taken) is None  # name already taken
-
-    # Schema problems surface at first *use*, not at registration.
-    lazy = tmp_path / "lazy-bad.json"
-    lazy.write_text(json.dumps(
-        {"name": "lazy-bad", "events": [{"kind": "bogus", "target": "x"}]}
-    ))
-    assert register_fault_plan_file(lazy) == "lazy-bad"
-    try:
-        with pytest.raises(FaultSchemaError):
-            fault_plan_by_name("lazy-bad")
-    finally:
-        from repro.faults import FAULT_PLANS
-
-        del FAULT_PLANS["lazy-bad"]
 
 
 # -------------------------- corruption draws ---------------------------
@@ -294,7 +222,7 @@ def test_retry_policy_validation_and_backoff():
 def test_degraded_link_latency_is_time_varying():
     system = build_fanout()
     controller = FaultController(
-        fault_plan_by_name("link-degrade", 4.0)
+        fault_plan_by_name("link-degrade(4.0)")
     ).install(system)
     bus = system.nodes["dev0"].flexbus
     base = bus.oneway_ps  # sim.now == 0: before the window

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config.presets import FPGA_400, NUMA_EXTRA_PS
-from repro.interconnect.flexbus import FlexBus, FlexBusChannel
+from repro.interconnect.flexbus import FlexBus
 from repro.interconnect.noc import DEFAULT_COORDS, NocTopology
 from repro.sim.engine import Simulator
 
@@ -12,7 +12,7 @@ from repro.sim.engine import Simulator
 def test_flexbus_oneway_latency():
     bus = FlexBus(Simulator(), FPGA_400)
     assert bus.oneway_ps == bus.oneway_at(0) == FPGA_400.phy_oneway_ps
-    assert bus.traffic == {channel: 0 for channel in FlexBusChannel}
+    assert bus.cache_requests == 0
 
 
 # ------------------------------- NoC ----------------------------------

@@ -14,10 +14,10 @@ from repro.mem.address import CACHELINE, Interleaver
 from repro.rao.ops import MASK64, AtomicOp, apply_atomic
 from repro.sim.engine import Simulator
 from repro.system import (
+    TOPOLOGIES,
     Topology,
     TopologySchemaError,
     topology_by_name,
-    topology_names,
 )
 
 
@@ -148,7 +148,7 @@ def test_page_table_translate_consistent(vpns):
 
 # --------------------------- Topology specs ---------------------------
 @settings(max_examples=40)
-@given(st.sampled_from(topology_names()))
+@given(st.sampled_from(TOPOLOGIES.names()))
 def test_topology_dict_roundtrip_is_identity(name):
     topology = topology_by_name(name)
     data = topology.to_dict()
@@ -227,7 +227,7 @@ _CORRUPTIONS = [
 
 @settings(max_examples=80)
 @given(
-    st.sampled_from(topology_names()),
+    st.sampled_from(TOPOLOGIES.names()),
     st.sampled_from(_CORRUPTIONS),
 )
 def test_malformed_topology_specs_raise_the_schema_error(name, corrupt):

@@ -24,21 +24,21 @@ from repro.nic.cxl_nic import CxlRaoNic
 from repro.rao.circustent import CIRCUSTENT_PATTERNS, make_workload
 from repro.sim.engine import Simulator
 from repro.system import (
+    COMPONENT_KINDS,
+    TOPOLOGIES,
     BuildError,
     NodeSpec,
     SystemBuilder,
     Topology,
-    component_kinds,
     fanout_topology,
     topology_by_name,
-    topology_names,
 )
 
 
 # --------------------------- registries -------------------------------
 def test_every_registered_topology_builds():
     builder = SystemBuilder(fpga_system())
-    for name in topology_names():
+    for name in TOPOLOGIES.names():
         system = builder.build(name)
         assert system.nodes, name
         assert set(system.nodes) == {n.name for n in system.topology.nodes}
@@ -51,8 +51,8 @@ def test_component_kinds_cover_the_catalogue():
         "nic.cxl_rao", "nic.pcie_rao", "rpc.rpcnic", "rpc.cxl",
         "supernode.host", "supernode.fabric",
     }
-    assert expected <= set(component_kinds())
-    assert "cxl.type3" not in component_kinds()  # no CXL.mem expander model
+    assert expected <= set(COMPONENT_KINDS.names())
+    assert "cxl.type3" not in COMPONENT_KINDS.names()  # no CXL.mem expander model
 
 
 def test_unknown_topology_lists_options():

@@ -20,20 +20,19 @@ from repro.harness.topology_experiments import fanout_scaling, topology_scaling
 from repro.rao.circustent import make_workload
 from repro.system import (
     SHIPPED_TOPOLOGY_DIR,
+    TOPOLOGIES,
     SystemBuilder,
     Topology,
     TopologySchemaError,
     dump_topology,
     load_topology,
-    register_topology_file,
     resolve_topology,
     topology_by_name,
-    topology_names,
 )
 
 
 # ----------------------- dump/load round trips ------------------------
-@pytest.mark.parametrize("name", topology_names())
+@pytest.mark.parametrize("name", TOPOLOGIES.names())
 def test_registered_topology_json_roundtrip(name, tmp_path):
     topology = topology_by_name(name)
     path = tmp_path / f"{name}.json"
@@ -43,7 +42,7 @@ def test_registered_topology_json_roundtrip(name, tmp_path):
     assert reloaded.to_dict() == topology.to_dict()
 
 
-@pytest.mark.parametrize("name", topology_names())
+@pytest.mark.parametrize("name", TOPOLOGIES.names())
 def test_reloaded_topology_builds_identical_structure(name, tmp_path):
     path = tmp_path / f"{name}.json"
     dump_topology(topology_by_name(name), path)
@@ -169,7 +168,7 @@ def test_shipped_layout_dir_exists_and_is_nonempty():
 )
 def test_shipped_layouts_validate_register_and_build(path):
     topology = load_topology(path)  # schema-validates, including kinds
-    assert topology.name in topology_names()  # auto-registered at import
+    assert topology.name in TOPOLOGIES.names()  # auto-registered at import
     system = SystemBuilder(fpga_system()).build(topology.name)
     assert set(system.nodes) == {n.name for n in topology.nodes}
 
@@ -197,23 +196,6 @@ def test_shipped_supernode4_matches_the_family_layout():
     assert shipped.name == generated.name
 
 
-def test_file_registered_topologies_reject_overrides_clearly():
-    with pytest.raises(TypeError, match="accepts no overrides"):
-        topology_by_name("fanout-8", seed=99)
-
-
-def test_register_topology_file_skips_taken_names(tmp_path):
-    path = tmp_path / "microbench.json"
-    dump_topology(topology_by_name("microbench"), path)
-    assert register_topology_file(path) is None  # name already registered
-
-
-def test_register_topology_file_skips_invalid_json(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert register_topology_file(path) is None
-
-
 # ----------------------- resolve_topology -----------------------------
 def test_resolve_topology_passes_instances_through():
     topology = topology_by_name("microbench")
@@ -228,24 +210,6 @@ def test_resolve_topology_forwards_family_overrides():
 
 
 # ------------------- multi-argument family refs -----------------------
-def test_parse_topology_ref_accepts_multi_arg_refs():
-    from repro.system import parse_topology_ref
-
-    assert parse_topology_ref("fanout(4)") == ("fanout", (4,))
-    assert parse_topology_ref("supernode(2, 536870912)") == (
-        "supernode", (2, 536870912),
-    )
-    assert parse_topology_ref("microbench") == ("microbench", None)
-
-
-@pytest.mark.parametrize("bad", ["fanout()", "fanout(x)", "fanout(1,)", "supernode(2, big)"])
-def test_malformed_family_refs_raise_schema_error(bad):
-    from repro.system import parse_topology_ref
-
-    with pytest.raises(TopologySchemaError):
-        parse_topology_ref(bad)
-
-
 def test_supernode_family_takes_hosts_and_granule():
     topology = resolve_topology(
         "supernode(3, 536870912)", fabric_memory_bytes=1 << 30
@@ -434,7 +398,7 @@ def test_builder_rejects_bad_fabric_granules():
 def test_every_registered_topology_passes_config_validation():
     from repro.system import validate_topology_config
 
-    for name in topology_names():
+    for name in TOPOLOGIES.names():
         validate_topology_config(topology_by_name(name), fpga_system())
         validate_topology_config(topology_by_name(name), asic_system())
 

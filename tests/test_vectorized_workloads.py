@@ -16,20 +16,20 @@ from repro.workloads import (
     OpBatch,
     WorkloadOp,
     numpy_rng,
+    WORKLOADS,
     resolve_workload,
-    workload_names,
 )
 from repro.workloads.base import WorkloadSchemaError
 
 
 # ----------------------- batch/scalar parity --------------------------
-@pytest.mark.parametrize("name", workload_names())
+@pytest.mark.parametrize("name", WORKLOADS.names())
 def test_batch_and_scalar_views_are_the_same_stream(name):
     workload = resolve_workload(name)
     assert workload.batch(seed=42).to_ops() == workload.ops(seed=42)
 
 
-@pytest.mark.parametrize("name", workload_names())
+@pytest.mark.parametrize("name", WORKLOADS.names())
 def test_batches_are_deterministic_under_fixed_seed(name):
     workload = resolve_workload(name)
     first = workload.batch(seed=7)

@@ -17,7 +17,7 @@ from repro.config import fpga_system
 from repro.experiments.spec import SpecError, SweepSpec
 from repro.harness.experiments import run_experiment
 from repro.workloads import (
-    UnknownWorkloadError,
+    WORKLOADS,
     Workload,
     WorkloadDriver,
     WorkloadDriverError,
@@ -26,16 +26,13 @@ from repro.workloads import (
     dump_trace,
     load_trace,
     parse_trace,
-    parse_workload_ref,
     phases,
     resolve_workload,
-    validate_workload_ref,
-    workload_names,
 )
 
 
 # ----------------------- generator determinism ------------------------
-@pytest.mark.parametrize("name", workload_names())
+@pytest.mark.parametrize("name", WORKLOADS.names())
 def test_generators_are_deterministic_under_fixed_seed(name):
     workload = resolve_workload(name)
     first = workload.ops(seed=42)
@@ -103,32 +100,6 @@ def test_mixed_is_a_registered_phase_composition():
     workload = resolve_workload("mixed(16)")
     assert "phases" in workload.params
     assert len(workload.ops(seed=1)) == 3 * 16
-
-
-# ----------------------- references -----------------------------------
-def test_parse_workload_ref_forms():
-    assert parse_workload_ref("zipf") == ("zipf", ())
-    assert parse_workload_ref("zipf(512,1.2)") == ("zipf", (512, 1.2))
-    assert parse_workload_ref(" rw-mix( 64 , 0.5 ) ") == ("rw-mix", (64, 0.5))
-
-
-@pytest.mark.parametrize("bad", ["", "   ", "zipf(", "zipf(a)", "zipf(1,)", "z()()", 7])
-def test_malformed_workload_refs_raise_schema_error(bad):
-    with pytest.raises(WorkloadSchemaError):
-        parse_workload_ref(bad)
-
-
-def test_unknown_workload_error_lists_the_registry():
-    with pytest.raises(UnknownWorkloadError) as err:
-        resolve_workload("nope(3)")
-    for name in workload_names():
-        assert name in str(err.value)
-
-
-def test_validate_workload_ref_skips_argument_range_checks():
-    validate_workload_ref("zipf(-1)")  # factory exists; args fail at run time
-    with pytest.raises(UnknownWorkloadError):
-        validate_workload_ref("definitely-not-registered")
 
 
 def test_workload_op_field_validation():
@@ -310,7 +281,7 @@ def test_workload_mix_preset_validates_and_expands():
 def test_cli_workload_list_and_show():
     code, out = run_cli("workload", "list")
     assert code == 0
-    for name in workload_names():
+    for name in WORKLOADS.names():
         assert name in out
     code, out = run_cli("workload", "show", "zipf(16,1.2)")
     assert code == 0
